@@ -14,22 +14,11 @@ import math
 
 import numpy as np
 
-from . import qsim
+from . import dist, qsim
 
 UNITARY_TOL = 1e-10
 MEASUREMENT_TOL = 1e-9
 ALPHABET_LIMIT = 6
-
-
-def _embed(u, targets, n):
-    # expand a k-qubit gate to the n-qubit register, identity elsewhere
-    k = len(targets)
-    cols = 2 ** n
-    tensor = np.eye(cols, dtype=complex).reshape((2,) * n + (cols,))
-    tensor = np.moveaxis(tensor, targets, range(k))
-    mixed = np.asarray(u, dtype=complex) @ tensor.reshape(2 ** k, -1)
-    tensor = np.moveaxis(mixed.reshape((2,) * n + (cols,)), range(k), targets)
-    return tensor.reshape(cols, cols)
 
 
 class CommitScheme:
@@ -222,23 +211,11 @@ def superposition_attacker(scheme):
     return AdversaryStrategy(state)
 
 
-def _flat_bits(atom):
-    if isinstance(atom, (tuple, list)):
-        out = []
-        for part in atom:
-            out.extend(_flat_bits(part))
-        return out
-    bit = int(atom)
-    if bit not in (0, 1):
-        raise ValueError("alphabet atoms must be bit tuples")
-    return [bit]
-
-
 def _branch_isometry(pmf, width):
     dim = 2 ** (2 * width)
     target = np.zeros(dim, dtype=complex)
     for atom, prob in pmf.items_sorted():
-        bits = _flat_bits(atom)
+        bits = dist.flat_bits(atom)
         idx = int("".join(map(str, bits)), 2)
         target[idx * 2 ** width + idx] = math.sqrt(float(prob))
     cols = [target]
@@ -263,8 +240,8 @@ def purification_commit(pmf0, pmf1, name="purification"):
     stay with the committer, so the receiver sees exactly the classical
     mixture for the chosen bit.
     """
-    atoms0 = [_flat_bits(a) for a, _ in pmf0.items_sorted()]
-    atoms1 = [_flat_bits(a) for a, _ in pmf1.items_sorted()]
+    atoms0 = [dist.flat_bits(a) for a in pmf0.support()]
+    atoms1 = [dist.flat_bits(a) for a in pmf1.support()]
     widths = {len(bits) for bits in atoms0 + atoms1}
     if len(widths) != 1:
         raise ValueError("both branches must share one alphabet width")
@@ -297,8 +274,8 @@ def leaky_commit(tau):
 def toy_schemes():
     """Reference catalog spanning the hiding/binding corners."""
     swap = np.eye(4, dtype=complex)[:, [0, 2, 1, 3]]
-    coins0 = _CoinPmf(0.5)
-    coins1 = _CoinPmf(0.75)
+    coins0 = dist.Pmf({(0,): 0.5, (1,): 0.5})
+    coins1 = dist.Pmf({(0,): 0.25, (1,): 0.75})
     return {
         "basis": CommitScheme("basis", qsim.CNOT, (1,), (0,),
                               flavor="perfectly binding"),
@@ -312,17 +289,6 @@ def toy_schemes():
     }
 
 
-class _CoinPmf:
-    # minimal stand-in so the catalog does not depend on the dist module
-    __slots__ = ("p_one",)
-
-    def __init__(self, p_one):
-        self.p_one = p_one
-
-    def items_sorted(self):
-        return [((0,), 1 - self.p_one), ((1,), self.p_one)]
-
-
 def dual_commit(com1, com2, name=None):
     """Chain two schemes behind a shared message via a copy wire.
 
@@ -334,9 +300,10 @@ def dual_commit(com1, com2, name=None):
     n = n1 + n2
     if n > qsim.QUBIT_LIMIT:
         raise ValueError("combined register exceeds the qubit budget")
-    u = _embed(com1.com, list(range(n1)), n)
-    u = u @ _embed(com2.com, list(range(n1, n)), n)
-    u = u @ _embed(qsim.CNOT, [0, n1], n)
+    u = np.eye(2 ** n, dtype=complex)
+    u = qsim._apply_to_vector(u, qsim.CNOT, [0, n1], n)
+    u = qsim._apply_to_vector(u, com2.com, list(range(n1, n)), n)
+    u = qsim._apply_to_vector(u, com1.com, list(range(n1)), n)
     c = tuple(sorted(com1.c_qubits + tuple(n1 + q for q in com2.c_qubits)))
     d = tuple(sorted(com1.d_qubits + tuple(n1 + q for q in com2.d_qubits)))
     if name is None:
@@ -377,10 +344,10 @@ def xor_combine(schemes, name=None):
         at += s.n_qubits
     u = np.eye(2 ** n, dtype=complex)
     for o in offsets[:-1]:
-        u = _embed(qsim.H, [o], n) @ u
-    u = _embed(_parity_gate(t), [0] + offsets, n) @ u
+        u = qsim._apply_to_vector(u, qsim.H, [o], n)
+    u = qsim._apply_to_vector(u, _parity_gate(t), [0] + offsets, n)
     for s, o in zip(schemes, offsets):
-        u = _embed(s.com, list(range(o, o + s.n_qubits)), n) @ u
+        u = qsim._apply_to_vector(u, s.com, list(range(o, o + s.n_qubits)), n)
     c = []
     d = [0]
     for s, o in zip(schemes, offsets):

@@ -32,6 +32,19 @@ def _normalize_atom(atom):
     raise TypeError(f"atom is not a bit-string label: {atom!r}")
 
 
+def flat_bits(atom):
+    """The bits of an atom in order, with nested tuples flattened to any depth.
+
+    Raises:
+        ValueError: when a leaf is not 0 or 1.
+    """
+    if isinstance(atom, (tuple, list)):
+        return tuple(b for part in atom for b in flat_bits(part))
+    if atom not in (0, 1):
+        raise ValueError(f"atom leaf {atom!r} is not a bit")
+    return (int(atom),)
+
+
 def _atom_key(atom):
     # total order across the label shapes we allow, ints first
     if isinstance(atom, int):
@@ -151,11 +164,6 @@ class JointPmf:
         if total == 0:
             raise ValueError(f"key {key!r} has zero mass")
         return Pmf({s: p / total for s, p in mass.items()})
-
-
-def condition(joint, puzzle):
-    """Key distribution of a JointPmf given the puzzle value."""
-    return joint.condition_on_puzzle(puzzle)
 
 
 def _require_normalized(p):

@@ -16,21 +16,10 @@ from . import dist, gf2
 from ._mc import hoeffding_radius
 
 
-def _flat_bits(atom):
-    out = []
-    for field in atom:
-        if isinstance(field, tuple):
-            out.extend(_flat_bits(field))
-        else:
-            out.append(int(field))
-    return tuple(out)
-
-
-def _flat_width(pmf):
-    widths = {len(_flat_bits(atom)) for atom in pmf.support()}
-    if len(widths) != 1:
-        raise ValueError(f"atoms flatten to mixed widths {sorted(widths)}")
-    return widths.pop()
+def _support(g0):
+    if g0.subnormal:
+        raise ValueError("generator distribution must be normalized")
+    return gf2.support_matrix(g0)
 
 
 def crossover_truncation(g0, gap_inst):
@@ -90,10 +79,10 @@ def efi_sample(source, truncation, b, rng, width=None):
     if truncation < 0:
         raise ValueError(f"truncation must be nonnegative: {truncation!r}")
     if isinstance(source, dist.Pmf):
-        pmf_width = _flat_width(source)
-        if width is not None and width != pmf_width:
-            raise ValueError(f"width {width} does not match atoms ({pmf_width})")
-        width = pmf_width
+        xs, probs = gf2.support_matrix(source)
+        if width is not None and width != xs.shape[1]:
+            raise ValueError(f"width {width} does not match atoms ({xs.shape[1]})")
+        width = xs.shape[1]
     elif width is None:
         raise ValueError("callable sources need an explicit width")
     if truncation > 3 * width:
@@ -103,50 +92,30 @@ def efi_sample(source, truncation, b, rng, width=None):
     if b == 1:
         return seed, tuple(int(v) for v in rng.integers(0, 2, size=truncation))
     if isinstance(source, dist.Pmf):
-        support = source.support()
-        probs = np.array([float(p) for _, p in source.items_sorted()])
-        atom = support[rng.choice(len(support), p=probs)]
+        x = xs[rng.choice(len(xs), p=probs)]
     else:
-        atom = source(rng)
-    return seed, gf2.hash_eval(seed, _flat_bits(atom), truncation)
+        x = dist.flat_bits(source(rng))
+    return seed, gf2.hash_eval(seed, x, truncation)
 
 
 def hash_truncation_sd(g0, seed, truncation):
     """Exact distance between the hashed generator and uniform, one seed.
 
-    Pushes the whole Pmf through the truncated hash and folds the unhit
-    part of the output space into a single closed-form term, so the cost is
-    the support size rather than 2^truncation.
+    The cost is the support size rather than 2^truncation; see
+    gf2.hashed_distance.
     """
-    if g0.subnormal:
-        raise ValueError("generator distribution must be normalized")
-    if not 0 <= truncation <= seed.n_out:
-        raise ValueError(
-            f"truncation {truncation} outside [0, {seed.n_out}]")
-    if truncation == 0:
-        return 0.0
-    masses = {}
-    for atom, p in g0.items_sorted():
-        y = gf2.hash_eval(seed, _flat_bits(atom), truncation)
-        masses[y] = masses.get(y, 0.0) + float(p)
-    u = 2.0 ** -truncation
-    hit = sum(abs(q - u) for q in masses.values())
-    return 0.5 * (hit + (1.0 - len(masses) * u))
+    return gf2.hashed_distance(seed, *_support(g0), truncation)
 
 
 def efi_distance(g0, truncation, seed_samples, rng):
     """Mean exact per-seed distance over fresh hash seeds, with 99% radius."""
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
-    width = _flat_width(g0)
+    width = _support(g0)[0].shape[1]
     if truncation > 3 * width:
         raise ValueError(
             f"truncation {truncation} exceeds the {3 * width}-bit hash output")
-    values = np.empty(seed_samples)
-    for t in range(seed_samples):
-        seed = gf2.sample_hash_seed(rng, width)
-        values[t] = hash_truncation_sd(g0, seed, truncation)
-    return float(values.mean()), hoeffding_radius(seed_samples)
+    return gf2.lhl_distance(g0, truncation, seed_samples, rng)
 
 
 def distance_sweep(g0, truncations, seed_samples, rng):
@@ -159,7 +128,8 @@ def distance_sweep(g0, truncations, seed_samples, rng):
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
     truncations = [int(s) for s in truncations]
-    width = _flat_width(g0)
+    xs, probs = _support(g0)
+    width = xs.shape[1]
     for s in truncations:
         if not 0 <= s <= 3 * width:
             raise ValueError(
@@ -168,6 +138,7 @@ def distance_sweep(g0, truncations, seed_samples, rng):
     radius = hoeffding_radius(seed_samples)
     lines = ["s,sd_estimate,radius"]
     for s in truncations:
-        est = float(np.mean([hash_truncation_sd(g0, seed, s) for seed in seeds]))
+        est = float(np.mean([gf2.hashed_distance(seed, xs, probs, s)
+                             for seed in seeds]))
         lines.append(f"{s},{est!r},{radius!r}")
     return "\n".join(lines) + "\n"

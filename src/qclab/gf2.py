@@ -4,6 +4,11 @@ and list decoding of noisy inner-product predictors.
 Bit vectors are tuples of 0/1 ints at API boundaries; hot paths use uint8
 numpy arrays internally.  Integer packing is little-endian (bit 0 is the
 least significant bit) everywhere in this module.
+
+`prefix_groups` is the only place in the package that groups atoms by a
+hash prefix: the hashed-output distances here and in `efi`, and the slice
+filter in `pseudoentropy`, all go through it.  Its byte packing of prefixes
+never leaves this module; callers see group labels and prefix bits.
 """
 
 import math
@@ -232,41 +237,78 @@ def collision_probability(n, i, diff):
     return per_row ** i
 
 
-def lhl_distance(p, m, n_seeds, rng, seed_factory=sample_hash_seed, confidence=0.99):
+def support_matrix(p):
+    """A Pmf's atoms as an (N, n) uint8 bit matrix, with their float masses.
+
+    Rows follow the canonical atom order and nested atoms are flattened
+    with dist.flat_bits; every atom must flatten to the same width n.
+    """
+    items = p.items_sorted()
+    rows = [dist.flat_bits(atom) for atom, _ in items]
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        raise ValueError(f"atoms must flatten to one width, got {sorted(widths)}")
+    return np.array(rows, dtype=np.uint8), np.array([float(q) for _, q in items])
+
+
+def prefix_groups(seed, xs, i):
+    """Group the rows of an (N, n_in) bit matrix by their first i hash bits.
+
+    Works at any prefix length the seed supports: prefixes are compared as
+    packed bytes, never as indices into a 2^i table.
+
+    Returns:
+        (labels, prefixes): labels[r] is the group of row r, and prefixes is
+        a (G, i) uint8 matrix holding each group's hash prefix.  Groups are
+        ordered by their prefix read as a little-endian integer.
+    """
+    ys = hash_eval_batch(seed, xs, i)
+    # big-endian bytes of the reversed prefix compare in little-endian
+    # integer order; the leading pad byte keeps i = 0 a valid key width
+    packed = np.packbits(ys[:, ::-1], axis=1)
+    keys = np.zeros((len(ys), 1 + packed.shape[1]), dtype=np.uint8)
+    keys[:, 1:] = packed
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return labels, ys[first]
+
+
+def hashed_distance(seed, xs, probs, m):
+    """Exact SD(h(X)_m, uniform) for one seed, X given by rows and masses.
+
+    Only the hit outputs are summed; the unhit part of the output space
+    folds into one closed-form term, so the cost is the support size rather
+    than 2^m.
+    """
+    if m == 0:
+        return 0.0  # exactly, even when the float masses miss 1 by an ulp
+    labels, _ = prefix_groups(seed, xs, m)
+    mass = np.bincount(labels, weights=probs)
+    u = 2.0 ** -m
+    return 0.5 * (float(np.abs(mass - u).sum()) + (1.0 - len(mass) * u))
+
+
+def lhl_distance(p, m, n_seeds, rng):
     """Estimate E_h[ SD(h(X)_m, uniform) ] over random hash seeds.
 
     The inner distance is exact for each sampled seed; only the seed average
     is Monte Carlo.
 
     Args:
-        p: Pmf over fixed-length bit tuples.
-        m: output prefix length.
+        p: Pmf over bit-tuple atoms, all flattening to one width n.
+        m: output prefix length, at most 3n.
         n_seeds: number of seeds to average over.
         rng: numpy Generator.
-        seed_factory: callable (rng, n_in) -> HashSeed.
-        confidence: coverage of the returned Hoeffding radius.
 
     Returns:
-        (mean, radius) with mean in [0, 1].
+        (mean, radius) with mean in [0, 1] and radius the 99% Hoeffding
+        radius.
     """
-    lengths = {len(atom) for atom in p.support()}
-    if len(lengths) != 1:
-        raise ValueError("atoms must share a single bit length")
-    n = lengths.pop()
-    atoms = np.array(sorted(p.support()), dtype=np.uint8)
-    probs = np.array([p.prob(tuple(int(b) for b in a)) for a in atoms])
-    uniform = 2.0 ** -m
-    values = np.empty(n_seeds)
-    for t in range(n_seeds):
-        seed = seed_factory(rng, n)
-        if seed.n_out < m:
-            raise ValueError("seed family too short for requested prefix")
-        ys = hash_eval_batch(seed, atoms, m)
-        packed = ys @ (1 << np.arange(m, dtype=np.int64))
-        mass = np.zeros(2 ** m)
-        np.add.at(mass, packed, probs)
-        values[t] = 0.5 * np.abs(mass - uniform).sum()
-    return float(values.mean()), hoeffding_radius(n_seeds, confidence)
+    xs, probs = support_matrix(p)
+    n = xs.shape[1]
+    values = [hashed_distance(sample_hash_seed(rng, n), xs, probs, m)
+              for _ in range(n_seeds)]
+    return float(np.mean(values)), hoeffding_radius(n_seeds)
 
 
 def gl_decode(predictor, n, eps, rng, queries=None, list_cap=None):

@@ -142,49 +142,55 @@ def find_flat_slice(k_s, params):
 class SliceAnalysis:
     """Per-instance slicing data: flat bucket, light set, prefix length, filter."""
 
-    __slots__ = ("j_s", "g_s", "a_s", "i_s", "_pmf", "_params", "_g", "_a")
+    __slots__ = ("j_s", "g_s", "a_s", "i_s", "_keys", "_probs", "_flat",
+                 "_light", "_floor")
 
     def __init__(self, j_s, g_s, a_s, i_s, pmf, params):
         self.j_s = j_s
         self.g_s = g_s
         self.a_s = a_s
         self.i_s = i_s
-        self._pmf = pmf
-        self._params = params
-        self._g = frozenset(g_s)
-        self._a = frozenset(a_s)
+        self._keys, self._probs = gf2.support_matrix(pmf)
+        flat, light = frozenset(g_s), frozenset(a_s)
+        self._flat = np.array([k in flat for k in pmf.support()], dtype=bool)
+        self._light = np.array([k in light for k in pmf.support()], dtype=bool)
+        self._floor = params.density_floor
+
+    def filter_groups(self, seed):
+        """Hash every key to i_s bits and run the slice filter on each value.
+
+        The filter accepts a hash value when at most one light-set key
+        hashes to it and its flat-slice mass is at least the density floor
+        times its conditional mass.  Values no key hashes to carry no mass
+        and are never accepted.
+
+        Returns:
+            (labels, prefixes, mass, flat, accept): the group of each key in
+            canonical atom order, each group's hash value as a (G, i_s) bit
+            matrix, its conditional and flat-slice masses, and the filter
+            decision.
+        """
+        labels, prefixes = gf2.prefix_groups(seed, self._keys, self.i_s)
+        mass = np.bincount(labels, weights=self._probs)
+        flat = np.bincount(labels, weights=np.where(self._flat, self._probs, 0.0))
+        light = np.bincount(labels, weights=self._light)
+        accept = (light <= 1) & (flat >= self._floor * mass)
+        return labels, prefixes, mass, flat, accept
 
     def f_s(self, seed, y):
         """Does hash value y isolate the flat slice under this seed?
 
-        True when the conditional flat-slice mass given y clears the density
-        floor and at most one light-set key hashes to y. Exact enumeration
-        over the supported keys.
+        Reads the decision for y out of filter_groups.
         """
         if len(y) != self.i_s:
             raise ValueError(f"hash value must be {self.i_s} bits, got {len(y)}")
-        cond = 0
-        flat = 0
-        light = 0
-        for atom, p in self._pmf.as_dict().items():
-            if gf2.hash_eval(seed, atom, self.i_s) != tuple(y):
-                continue
-            cond += p
-            if atom in self._g:
-                flat += p
-            if atom in self._a:
-                light += 1
-        return _filter_decision(cond, flat, light, self._params.density_floor)
+        _, prefixes, _, _, accept = self.filter_groups(seed)
+        hit = (prefixes == np.asarray(y, dtype=np.uint8)).all(axis=1)
+        return bool(accept[hit].any())
 
     def __repr__(self):
         return (f"SliceAnalysis(j_s={self.j_s}, i_s={self.i_s}, "
                 f"|G|={len(self.g_s)}, |A|={len(self.a_s)})")
-
-
-def _filter_decision(cond_mass, flat_mass, light_count, density_floor):
-    if cond_mass == 0 or light_count > 1:
-        return False
-    return flat_mass / cond_mass >= density_floor
 
 
 def slice_analysis(k_s, seed, params):
@@ -218,34 +224,38 @@ def g_pair_conditional(k_s, seed, i, r, analysis):
     For each observed y the real side carries the inner product <k, r>; the
     patched side replaces it with a fair coin exactly on keys of the flat
     slice when i hits the designated prefix length and the filter accepts
-    (h, y). Off the trigger the two conditionals coincide.
+    (h, y). Off the trigger the two conditionals coincide. Masses keep the
+    number type of k_s, so Fraction inputs give exact conditionals.
 
     Returns:
         dict mapping y to (real_bit_pmf, patched_bit_pmf).
     """
-    groups = {}
-    for atom, p in k_s.items_sorted():
-        y = gf2.hash_eval(seed, atom, i)
-        groups.setdefault(y, []).append((atom, p))
-    out = {}
-    for y, members in groups.items():
-        w = sum(p for _, p in members)
-        fires = i == analysis.i_s and analysis.f_s(seed, y)
-        mass0 = {(0,): 0, (1,): 0}
-        mass1 = {(0,): 0, (1,): 0}
-        for atom, p in members:
-            bit = (gf2.inner_product(atom, r),)
-            mass0[bit] += p
-            if fires and atom in analysis._g:
-                mass1[(0,)] += p / 2
-                mass1[(1,)] += p / 2
-            else:
-                mass1[bit] += p
-        out[y] = (
-            dist.Pmf({b: m / w for b, m in mass0.items() if m > 0}),
-            dist.Pmf({b: m / w for b, m in mass1.items() if m > 0}),
-        )
-    return out
+    items = k_s.items_sorted()
+    xs, _ = gf2.support_matrix(k_s)
+    labels, prefixes = gf2.prefix_groups(seed, xs, i)
+    ys = [tuple(y) for y in prefixes.tolist()]
+    bits = ((xs @ np.asarray(r, dtype=np.uint8)) & 1).tolist()
+    fired = set()
+    if i == analysis.i_s:
+        _, accepted, _, _, accept = analysis.filter_groups(seed)
+        fired = {tuple(y) for y in accepted[accept].tolist()}
+    flat = frozenset(analysis.g_s)
+    weight = [0] * len(ys)
+    mass0 = [[0, 0] for _ in ys]
+    mass1 = [[0, 0] for _ in ys]
+    for (atom, p), g, bit in zip(items, labels.tolist(), bits):
+        weight[g] += p
+        mass0[g][bit] += p
+        if ys[g] in fired and atom in flat:
+            mass1[g][0] += p / 2
+            mass1[g][1] += p / 2
+        else:
+            mass1[g][bit] += p
+    return {
+        y: tuple(dist.Pmf({(b,): m / weight[g] for b, m in enumerate(side[g]) if m > 0})
+                 for side in (mass0, mass1))
+        for g, y in enumerate(ys)
+    }
 
 
 class GapReport:
@@ -294,53 +304,40 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
         raise ValueError("need at least one seed sample")
     s_marginal = puzzle.marginal_puzzles()
     instances = []
-    width = None
     for s in s_marginal.support():
-        k_s = puzzle.condition_on_puzzle(s)
-        analysis = slice_analysis(k_s, None, params)
-        keys = [atom for atom, _ in k_s.items_sorted()]
-        if width is None:
-            width = len(keys[0])
-        if any(len(k) != width for k in keys):
-            raise ValueError("key atoms must share one width")
-        probs = np.array([float(p) for _, p in k_s.items_sorted()])
-        kmat = np.array(keys, dtype=np.uint8)
-        rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
-        bits = (rmat @ kmat.T) & 1  # (2^width, M) inner products
-        g_flag = np.array([k in analysis._g for k in keys])
-        a_flag = np.array([k in analysis._a for k in keys])
-        instances.append((float(s_marginal.prob(s)), s, analysis,
-                          probs, kmat, bits, g_flag, a_flag))
+        analysis = slice_analysis(puzzle.condition_on_puzzle(s), None, params)
+        instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
+    widths = {analysis._keys.shape[1] for _, _, analysis in instances}
+    if len(widths) != 1:
+        raise ValueError("key atoms must share one width")
+    width = widths.pop()
+    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+    # inner products <k, r> of every key with every mask, one row per key
+    bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
 
-    n_out = max(3 * width, max(inst[2].i_s for inst in instances))
-    floor = params.density_floor
+    n_out = max(3 * width, max(analysis.i_s for _, _, analysis in instances))
     values = np.empty(seed_samples)
     trigger = np.empty(seed_samples)
-    per_s_acc = {dist.encode_atom(inst[1]): 0.0 for inst in instances}
+    per_s_acc = {code: 0.0 for _, code, _ in instances}
     for t in range(seed_samples):
         seed = gf2.sample_hash_seed(rng, width, n_out)
         value = 0.0
         trig = 0.0
-        for ps, s, analysis, probs, kmat, bits, g_flag, a_flag in instances:
-            hashes = gf2.hash_eval_batch(seed, kmat, analysis.i_s)
-            packed = hashes @ (1 << np.arange(analysis.i_s, dtype=np.int64))
-            diff_s = 0.0
-            trig_s = 0.0
-            for y in np.unique(packed):
-                idx = np.flatnonzero(packed == y)
-                w = probs[idx].sum()
-                flat = probs[idx[g_flag[idx]]].sum()
-                light = int(a_flag[idx].sum())
-                if not _filter_decision(w, flat, light, floor):
-                    continue
-                keep = idx[~g_flag[idx]]
-                p_real = bits[:, idx] @ probs[idx] / w
-                p_patch = (bits[:, keep] @ probs[keep] + 0.5 * flat) / w
-                diff_s += w * float(np.mean(_h2(p_patch) - _h2(p_real)))
-                trig_s += flat
+        for (ps, code, analysis), kbits in zip(instances, bits):
+            labels, _, mass, flat, accept = analysis.filter_groups(seed)
+            fired = np.flatnonzero(accept)
+            # member[g, k]: mass of key k if it lies in the g-th accepted group
+            member = (labels == fired[:, None]) * analysis._probs
+            w = mass[fired, None]
+            p_real = member @ kbits / w
+            p_patch = ((member * ~analysis._flat) @ kbits + 0.5 * flat[fired, None]) / w
+            gain = np.mean(_h2(p_patch) - _h2(p_real), axis=1)
+            # left-to-right sums; np.sum's pairwise order moves report bits
+            diff_s = sum((mass[fired] * gain).tolist(), 0.0)
+            trig_s = sum(flat[fired].tolist(), 0.0)
             value += ps * diff_s / params.i_max
             trig += ps * trig_s / params.i_max
-            per_s_acc[dist.encode_atom(s)] += diff_s / params.i_max
+            per_s_acc[code] += diff_s / params.i_max
         values[t] = value
         trigger[t] = trig
     values = np.clip(values, -1.0, 1.0)
@@ -537,7 +534,7 @@ def peg_product(g0, g1, params, n=None):
     bound = concentration_bound(dist.shannon_entropy(g1), q, params.eps, len(g1))
     formulas = None
     if n is not None:
-        width = _atom_width(g1)
+        width = len(dist.flat_bits(g1.support()[0]))
         c = params.gap_exponent
         formulas = {
             "c_plus_3": n ** (c + 3) * width ** 2,
@@ -549,13 +546,6 @@ def peg_product(g0, g1, params, n=None):
     prod0 = dist.product_power(g0, q) if len(g0) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     prod1 = dist.product_power(g1, q) if len(g1) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     return prod0, prod1, report
-
-
-def _atom_width(p):
-    atom = p.support()[0]
-    if atom and isinstance(atom[0], tuple):
-        return sum(len(f) for f in atom)
-    return len(atom)
 
 
 def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng,

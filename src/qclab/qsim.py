@@ -112,12 +112,14 @@ def _check_unitary(u, k):
 
 
 def _apply_to_vector(vec, u, targets, n):
+    # vec is a (2^n,) vector or a (2^n, cols) matrix whose columns ride along
     k = len(targets)
-    tensor = vec.reshape((2,) * n)
+    tail = vec.shape[1:]
+    tensor = vec.reshape((2,) * n + tail)
     tensor = np.moveaxis(tensor, targets, range(k))
     block = u @ tensor.reshape(2 ** k, -1)
-    tensor = np.moveaxis(block.reshape((2,) * n), range(k), targets)
-    return tensor.reshape(-1)
+    tensor = np.moveaxis(block.reshape((2,) * n + tail), range(k), targets)
+    return tensor.reshape(vec.shape)
 
 
 def apply_unitary(state, u, targets):
@@ -248,12 +250,18 @@ def trace_distance(a, b):
 
     For two pure states the difference has rank two and its eigenvalues are
     known in closed form, so large pure registers avoid materializing any
-    matrix.
+    matrix.  The closed form sqrt(1 - |c|^2), c = <a|b>, is evaluated as
+    sqrt(|d|^2 / 2 * (1 + |c|)) with d = a - (conj(c)/|c|) b, which does not
+    cancel when the states nearly coincide.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
         if a.n_qubits != b.n_qubits:
             raise ValueError("states live on different registers")
-        return math.sqrt(max(0.0, 1.0 - overlap(a, b)))
+        c = np.vdot(a.vector, b.vector)
+        if c == 0:
+            return 1.0
+        d = a.vector - (np.conj(c) / abs(c)) * b.vector
+        return math.sqrt(np.vdot(d, d).real / 2 * (1 + abs(c)))
     am = a.to_density().matrix if isinstance(a, PureState) else a.matrix
     bm = b.to_density().matrix if isinstance(b, PureState) else b.matrix
     if am.shape != bm.shape:

@@ -237,12 +237,12 @@ class TestStatisticalDistance:
 class TestJointAndTransforms:
     def test_condition_and_chain_rule(self):
         j = dist.JointPmf({((0,), (0,)): 0.25, ((1,), (0,)): 0.25, ((0,), (1,)): 0.5})
-        cond0 = dist.condition(j, (0,))
+        cond0 = j.condition_on_puzzle((0,))
         assert cond0.prob((0,)) == pytest.approx(0.5)
         h_joint = dist.shannon_entropy(j.as_pmf())
         h_puzzle = dist.shannon_entropy(j.marginal_puzzles())
         h_cond = sum(
-            j.marginal_puzzles().prob(s) * dist.shannon_entropy(dist.condition(j, s))
+            j.marginal_puzzles().prob(s) * dist.shannon_entropy(j.condition_on_puzzle(s))
             for s in j.marginal_puzzles().support()
         )
         assert h_joint == pytest.approx(h_puzzle + h_cond, abs=ENTROPY_TOL)
@@ -251,7 +251,12 @@ class TestJointAndTransforms:
     def test_condition_unknown_puzzle(self):
         j = dist.JointPmf({((0,), (0,)): 1.0})
         with pytest.raises(ValueError):
-            dist.condition(j, (1,))
+            j.condition_on_puzzle((1,))
+
+    def test_flat_bits_flattens_any_depth(self):
+        assert dist.flat_bits(((0, 1), ((1,), (0, 0)))) == (0, 1, 1, 0, 0)
+        with pytest.raises(ValueError):
+            dist.flat_bits(((0, 2),))
 
     def test_product_power(self):
         p = dist.Pmf({(0,): 0.5, (1,): 0.5})

@@ -255,6 +255,11 @@ class TestEfiDistance:
         with pytest.raises(ValueError):
             efi.efi_distance(LADDER, 2, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("pmf,s", [(HEAVY, 5), (dist.product_power(coin(0.75), 2), 3)])
+    def test_equals_lhl_distance_on_same_stream(self, pmf, s):
+        got = efi.efi_distance(pmf, s, 40, np.random.default_rng(89))
+        assert got == gf2.lhl_distance(pmf, s, 40, np.random.default_rng(89))
+
     def test_deterministic_under_seed(self):
         a = efi.efi_distance(LADDER, 3, 50, np.random.default_rng(67))
         b = efi.efi_distance(LADDER, 3, 50, np.random.default_rng(67))

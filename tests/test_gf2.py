@@ -146,6 +146,28 @@ class TestPairwiseIndependence:
             gf2.collision_probability(4, 2, (1, 0, 0, 0))
 
 
+class TestPrefixGroups:
+    def test_matches_per_row_hashing(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            xs = rng.integers(0, 2, size=(int(rng.integers(1, 30)), n), dtype=np.uint8)
+            seed = gf2.sample_hash_seed(rng, n)
+            i = int(rng.integers(0, 3 * n + 1))
+            labels, prefixes = gf2.prefix_groups(seed, xs, i)
+            ys = [gf2.hash_eval(seed, tuple(int(b) for b in x), i) for x in xs]
+            # groups in increasing order of the prefix as a little-endian integer
+            order = sorted(set(ys), key=gf2.int_from_bits)
+            assert [tuple(int(b) for b in row) for row in prefixes] == order
+            assert [order[g] for g in labels] == ys
+
+    def test_zero_prefix_is_one_group(self):
+        seed = gf2.sample_hash_seed(np.random.default_rng(4), 3)
+        labels, prefixes = gf2.prefix_groups(seed, np.eye(3, dtype=np.uint8), 0)
+        assert labels.tolist() == [0, 0, 0]
+        assert prefixes.shape == (1, 0)
+
+
 class TestLhlDistance:
     def test_point_mass_every_seed(self):
         p = dist.Pmf({(0, 1, 1): 1.0})
@@ -159,6 +181,12 @@ class TestLhlDistance:
         p = dist.Pmf({gf2.bits_from_int(v, n): 1 / 2 ** n for v in range(2 ** n)})
         mean, radius = gf2.lhl_distance(p, m=2, n_seeds=200, rng=np.random.default_rng(6))
         assert mean - radius <= 0.25
+
+    def test_long_prefix_builds_no_table(self):
+        # a 2^60-entry mass table could not be allocated
+        p = dist.Pmf({(1,) * 20: 1.0})
+        mean, _ = gf2.lhl_distance(p, m=60, n_seeds=3, rng=np.random.default_rng(7))
+        assert mean == 1 - 2 ** -60
 
     def test_rejects_mixed_lengths(self):
         p = dist.Pmf({(0,): 0.5, (0, 1): 0.5})

@@ -30,7 +30,26 @@ def bucket_table(pmf, levels):
     return masses, tail
 
 
-def pair_oracle(k_s, seed, i, r, analysis):
+def filter_oracle(k_s, analysis, density_floor, seed, y):
+    """Slice filter by direct enumeration: hash every key on its own and sum
+    the conditional and flat-slice masses and the light-key count at y."""
+    cond = 0
+    flat = 0
+    light = 0
+    for atom, p in k_s.as_dict().items():
+        if gf2.hash_eval(seed, atom, analysis.i_s) != tuple(y):
+            continue
+        cond += p
+        if atom in analysis.g_s:
+            flat += p
+        if atom in analysis.a_s:
+            light += 1
+    if cond == 0 or light > 1:
+        return False
+    return flat / cond >= density_floor
+
+
+def pair_oracle(k_s, seed, i, r, analysis, density_floor):
     """Rebuild both last-bit conditionals by assembling full (y, bit) joints."""
     g_keys = set(analysis.g_s)
     mass0 = {}
@@ -39,7 +58,8 @@ def pair_oracle(k_s, seed, i, r, analysis):
         y = gf2.hash_eval(seed, k, i)
         bit = (gf2.inner_product(k, r),)
         mass0[(y, bit)] = mass0.get((y, bit), Fraction(0)) + p
-        fires = i == analysis.i_s and k in g_keys and analysis.f_s(seed, y)
+        fires = (i == analysis.i_s and k in g_keys
+                 and filter_oracle(k_s, analysis, density_floor, seed, y))
         if fires:
             for b in ((0,), (1,)):
                 mass1[(y, b)] = mass1.get((y, b), Fraction(0)) + p / 2
@@ -263,6 +283,23 @@ class TestSliceAnalysis:
         assert frac >= P3.density_floor - 0.1
         assert frac >= 0.8  # isolation is the common case at 128 slots
 
+    @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
+    def test_filter_matches_enumeration_oracle(self, fixture):
+        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        rng = np.random.default_rng(71)
+        zero_rows = gf2.HashSeed(np.zeros((9, 3), dtype=np.uint8),
+                                 np.zeros(9, dtype=np.uint8))
+        for s in joint.marginal_puzzles().support():
+            k_s = joint.condition_on_puzzle(s)
+            a = pseudoentropy.slice_analysis(k_s, None, P3)
+            seeds = [gf2.sample_hash_seed(rng, 3) for _ in range(20)] + [zero_rows]
+            for seed in seeds:
+                ys = {gf2.hash_eval(seed, k, a.i_s) for k in k_s.support()}
+                ys.add(tuple(int(b) for b in rng.integers(0, 2, size=a.i_s)))
+                for y in ys:
+                    assert a.f_s(seed, y) == filter_oracle(
+                        k_s, a, P3.density_floor, seed, y)
+
     def test_seed_shape_checked_when_supplied(self):
         short = gf2.sample_hash_seed(np.random.default_rng(0), 2)
         with pytest.raises(ValueError):
@@ -302,13 +339,26 @@ class TestGPairConditional:
             seed = gf2.sample_hash_seed(rng, 3)
             r = tuple(int(b) for b in rng.integers(0, 2, size=3))
             got = pseudoentropy.g_pair_conditional(k_s, seed, a.i_s, r, a)
-            want = pair_oracle(k_s, seed, a.i_s, r, a)
+            want = pair_oracle(k_s, seed, a.i_s, r, a, P3.density_floor)
             assert set(got) == set(want)
             for y in want:
                 for side in (0, 1):
                     for bit in ((0,), (1,)):
                         assert float(got[y][side].prob(bit)) == pytest.approx(
                             float(want[y][side].prob(bit)), abs=1e-12)
+
+    def test_fraction_masses_stay_fractions(self):
+        k_s = puzzles.tabulated_puzzles()["two-level"].exact_joint.condition_on_puzzle((0,))
+        a = pseudoentropy.slice_analysis(k_s, None, P3)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            seed = gf2.sample_hash_seed(rng, 3)
+            got = pseudoentropy.g_pair_conditional(k_s, seed, a.i_s, (0, 1, 1), a)
+            want = pair_oracle(k_s, seed, a.i_s, (0, 1, 1), a, P3.density_floor)
+            for y, pair in got.items():
+                for side, pmf in enumerate(pair):
+                    assert all(isinstance(q, Fraction) for q in pmf.probs())
+                    assert pmf.as_dict() == want[y][side].as_dict()
 
     def test_conditionals_are_normalized(self):
         k_s = geometric_keys()

@@ -207,6 +207,14 @@ class TestPartialTraceAndDistance:
             expect = 0.5 * np.linalg.svd(diff, compute_uv=False).sum()
             assert qsim.trace_distance(a, b) == pytest.approx(expect, abs=1e-10)
 
+    def test_pure_matches_density_eigenvalues(self):
+        rng = np.random.default_rng(67)
+        pairs = [(random_state(rng, 3), random_state(rng, 3)) for _ in range(10)]
+        pairs.append((qsim.basis_state((0, 1, 1)), qsim.basis_state((1, 1, 0))))
+        for a, b in pairs:
+            expect = qsim.trace_distance(a.to_density(), b.to_density())
+            assert qsim.trace_distance(a, b) == pytest.approx(expect, abs=1e-12)
+
     def test_identical_states_at_zero(self):
         psi = random_state(np.random.default_rng(61), 2)
         assert qsim.trace_distance(psi, psi) == pytest.approx(0.0, abs=1e-12)
