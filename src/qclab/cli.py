@@ -132,8 +132,28 @@ def _run_trials(fn, manifest):
         return list(pool.map(fn, range(manifest.trials)))
 
 
+def _param(m, name, default, kind=int):
+    """Manifest parameter `name` as an int, float, str or list of ints, or
+    `default` when absent.  A wrong JSON type raises ValueError (exit 3)."""
+    value = m.params.get(name, default)
+    if kind is list:
+        ok = isinstance(value, list) and all(_is_a(v, int) for v in value)
+    else:
+        ok = _is_a(value, kind)
+    if not ok:
+        raise ValueError("parameter {!r} must be {}, got {!r}".format(
+            name, "a list of ints" if kind is list else kind.__name__, value))
+    return [int(v) for v in value] if kind is list else kind(value)
+
+
+def _is_a(value, kind):
+    if kind is str:
+        return isinstance(value, str)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and (kind is float or value == int(value)))
+
+
 def _indexed_pmf(weights):
-    weights = [int(w) for w in weights]
     total = sum(weights)
     if not weights or min(weights) < 0 or total == 0:
         raise ValueError("weights must be non-negative with a positive total")
@@ -143,8 +163,8 @@ def _indexed_pmf(weights):
 
 
 def _run_entropy(m):
-    pmf, _ = _indexed_pmf(m.params.get("weights", [8, 4, 2, 1, 1]))
-    eps = float(m.params.get("eps", 0.1))
+    pmf, _ = _indexed_pmf(_param(m, "weights", [8, 4, 2, 1, 1], list))
+    eps = _param(m, "eps", 0.1, float)
     return {
         "eps": eps,
         "shannon": dist.shannon_entropy(pmf),
@@ -156,7 +176,9 @@ def _run_entropy(m):
 
 
 def _run_extractor(m):
-    n = int(m.params.get("n", 6))
+    n = _param(m, "n", 6)
+    if n < 0:
+        raise ValueError("source width must be non-negative, got {}".format(n))
 
     def one(i):
         rng = child_rng(m.seed, "extractor", i)
@@ -178,8 +200,8 @@ def _run_extractor(m):
 
 
 def _run_gl(m):
-    n = int(m.params.get("n", 6))
-    noise = float(m.params.get("noise", 0.0))
+    n = _param(m, "n", 6)
+    noise = _param(m, "noise", 0.0, float)
     advantage = 0.5 - noise
 
     def one(i):
@@ -205,10 +227,10 @@ def _run_gl(m):
 
 
 def _run_shadows(m):
-    n = int(m.params.get("n", 2))
-    snapshots = int(m.params.get("snapshots", 32))
-    groups = int(m.params.get("groups", 8))
-    tol = float(m.params.get("eps", 0.25))
+    n = _param(m, "n", 2)
+    snapshots = _param(m, "snapshots", 32)
+    groups = _param(m, "groups", 8)
+    tol = _param(m, "eps", 0.25, float)
     scheme = owsg.wiesner_owsg(n)
 
     def one(i):
@@ -229,16 +251,16 @@ def _run_shadows(m):
     }, None
 
 
-def _tabulated_fixture(params):
+def _tabulated_fixture(m):
     fixtures = puzzles.tabulated_puzzles()
-    name = params.get("fixture", "geometric")
+    name = _param(m, "fixture", "geometric", str)
     if name not in fixtures:
         raise ValueError("unknown puzzle fixture {!r}".format(name))
     return name, fixtures[name]
 
 
 def _run_puzzle(m):
-    name, puz = _tabulated_fixture(m.params)
+    name, puz = _tabulated_fixture(m)
 
     def one(i):
         rng = child_rng(m.seed, "puzzle", i)
@@ -256,17 +278,17 @@ def _run_puzzle(m):
 
 
 def _run_wpeg_gap(m):
-    name, puz = _tabulated_fixture(m.params)
-    base = pseudoentropy.SliceParams.default(int(m.params.get("n", 3)))
-    floor = m.params.get("density_floor", base.density_floor)
-    floor = math.inf if floor == "inf" else float(floor)
+    name, puz = _tabulated_fixture(m)
+    base = pseudoentropy.SliceParams.default(_param(m, "n", 3))
+    floor = math.inf if m.params.get("density_floor") == "inf" else \
+        _param(m, "density_floor", base.density_floor, float)
     sp = pseudoentropy.SliceParams(
-        levels=int(m.params.get("levels", base.levels)),
-        pad=int(m.params.get("pad", base.pad)),
-        slack=int(m.params.get("slack", base.slack)),
+        levels=_param(m, "levels", base.levels),
+        pad=_param(m, "pad", base.pad),
+        slack=_param(m, "slack", base.slack),
         density_floor=floor,
-        mass_ceiling=float(m.params.get("mass_ceiling", base.mass_ceiling)),
-        i_max=int(m.params.get("i_max", base.i_max)))
+        mass_ceiling=_param(m, "mass_ceiling", base.mass_ceiling, float),
+        i_max=_param(m, "i_max", base.i_max))
     rng = child_rng(m.seed, "wpeg-gap", 0)
     report = pseudoentropy.wpeg_entropy_gap(puz.exact_joint, sp, m.trials, rng)
     results = json.loads(report.to_json())
@@ -286,18 +308,18 @@ def _core_lemma_fixture(name):
 
 
 def _run_core_lemma(m):
-    name = m.params.get("fixture", "n6")
+    name = _param(m, "fixture", "n6", str)
     x, x_star, th, tl = _core_lemma_fixture(name)
-    th = float(m.params.get("theta_heavy", th))
-    tl = float(m.params.get("theta_light", tl))
+    th = _param(m, "theta_heavy", th, float)
+    tl = _param(m, "theta_light", tl, float)
     gap = pseudoentropy.core_lemma_gap(x, x_star, th, tl)
     return {"fixture": name, "gap": gap, "theta_heavy": th, "theta_light": tl}, None
 
 
 def _run_concentration(m):
-    support = int(m.params.get("support", 4))
-    t_max = int(m.params.get("t_max", 12))
-    eps = float(m.params.get("eps", 0.01))
+    support = _param(m, "support", 4)
+    t_max = _param(m, "t_max", 12)
+    eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
 
     def one(i):
@@ -329,11 +351,8 @@ def _run_concentration(m):
 
 
 def _run_efi_sweep(m):
-    if "weights" in m.params:
-        pmf, width = _indexed_pmf(m.params["weights"])
-    else:
-        pmf, width = _indexed_pmf([1] * 16)
-    s_max = int(m.params.get("s_max", 2 * width))
+    pmf, width = _indexed_pmf(_param(m, "weights", [1] * 16, list))
+    s_max = _param(m, "s_max", 2 * width)
     rng = child_rng(m.seed, "efi-sweep", 0)
     csv = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
     rows = []
@@ -450,3 +469,7 @@ def main(argv=None):
         sys.stdout.write(text)
     print("elapsed {:.3f}s".format(elapsed), file=sys.stderr)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import dist, qsim
 
-UNITARY_TOL = 1e-10
 MEASUREMENT_TOL = 1e-9
 ALPHABET_LIMIT = 6
 
@@ -33,14 +32,7 @@ class CommitScheme:
 
     def __init__(self, name, com, c_qubits, d_qubits, flavor=""):
         com = np.asarray(com, dtype=complex)
-        if com.ndim != 2 or com.shape[0] != com.shape[1]:
-            raise ValueError("commit map must be a square matrix")
-        dim = com.shape[0]
-        n = dim.bit_length() - 1
-        if n < 1 or dim != 2 ** n:
-            raise ValueError("commit map dimension must be a power of two")
-        if np.abs(com @ com.conj().T - np.eye(dim)).max() > UNITARY_TOL:
-            raise ValueError("commit map is not unitary within tolerance")
+        n = qsim.check_unitary(com)
         c = tuple(int(q) for q in c_qubits)
         d = tuple(int(q) for q in d_qubits)
         if not c or not d:
@@ -98,13 +90,13 @@ def commit_state(scheme, b):
     if b not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
     start = qsim.basis_state((b,) + (0,) * scheme.ell)
-    return qsim.apply_unitary(start, scheme.com, list(range(scheme.n_qubits)))
+    return qsim.apply_gate(start, scheme.com, list(range(scheme.n_qubits)))
 
 
 def decommit_probability(scheme, b):
     """Chance the honest opening of b passes the receiver's check."""
-    opened = qsim.apply_unitary(commit_state(scheme, b), scheme.com.conj().T,
-                                list(range(scheme.n_qubits)))
+    opened = qsim.apply_gate(commit_state(scheme, b), scheme.com.conj().T,
+                             list(range(scheme.n_qubits)))
     want = b << scheme.ell
     return float(np.abs(opened.vector[want]) ** 2)
 
@@ -129,10 +121,10 @@ def binding_states(scheme, adv, redundant=False):
     if adv.state.n_qubits != n + adv.e_qubits:
         raise ValueError("strategy state does not cover scheme plus private qubits")
     every = list(range(n))
-    state = qsim.apply_unitary(adv.state, scheme.com.conj().T, every)
+    state = qsim.apply_gate(adv.state, scheme.com.conj().T, every)
     if redundant:
-        state = qsim.apply_unitary(state, scheme.com, every)
-        state = qsim.apply_unitary(state, scheme.com.conj().T, every)
+        state = qsim.apply_gate(state, scheme.com, every)
+        state = qsim.apply_gate(state, scheme.com.conj().T, every)
     wires = list(range(1, n))
     if wires:
         try:
@@ -144,12 +136,12 @@ def binding_states(scheme, adv, redundant=False):
     else:
         accept, opened = 1.0, state
     keep = list(scheme.d_qubits) + list(range(n, adv.state.n_qubits))
-    plain = qsim.apply_unitary(opened, scheme.com, every)
+    plain = qsim.apply_gate(opened, scheme.com, every)
     sigma0 = qsim.partial_trace(plain, keep)
     measured = qsim.dephase(opened, [0])
     if redundant:
         measured = qsim.dephase(measured, [0])
-    measured = qsim.apply_unitary(measured, scheme.com, every)
+    measured = qsim.apply_gate(measured, scheme.com, every)
     sigma1 = qsim.partial_trace(measured, keep)
     return float(accept), sigma0, sigma1
 
@@ -206,8 +198,8 @@ def superposition_attacker(scheme):
     """Honest commitment to |+>, opened with the optimal measurement."""
     plus = np.zeros(2 ** scheme.n_qubits, dtype=complex)
     plus[0] = plus[1 << scheme.ell] = 1 / math.sqrt(2)
-    state = qsim.apply_unitary(qsim.PureState(plus), scheme.com,
-                               list(range(scheme.n_qubits)))
+    state = qsim.apply_gate(qsim.PureState(plus), scheme.com,
+                            list(range(scheme.n_qubits)))
     return AdversaryStrategy(state)
 
 
@@ -301,25 +293,15 @@ def dual_commit(com1, com2, name=None):
     if n > qsim.QUBIT_LIMIT:
         raise ValueError("combined register exceeds the qubit budget")
     u = np.eye(2 ** n, dtype=complex)
-    u = qsim._apply_to_vector(u, qsim.CNOT, [0, n1], n)
-    u = qsim._apply_to_vector(u, com2.com, list(range(n1, n)), n)
-    u = qsim._apply_to_vector(u, com1.com, list(range(n1)), n)
+    u = qsim.apply_gate(u, qsim.CNOT, [0, n1])
+    u = qsim.apply_gate(u, com2.com, list(range(n1, n)))
+    u = qsim.apply_gate(u, com1.com, list(range(n1)))
     c = tuple(sorted(com1.c_qubits + tuple(n1 + q for q in com2.c_qubits)))
     d = tuple(sorted(com1.d_qubits + tuple(n1 + q for q in com2.d_qubits)))
     if name is None:
         name = "dual({},{})".format(com1.name, com2.name)
     flavor = "dual: {} / {}".format(com1.flavor, com2.flavor)
     return CommitScheme(name, u, c, d, flavor=flavor)
-
-
-def _parity_gate(t):
-    # permutation on t+1 qubits: last bit picks up the parity of the rest
-    dim = 2 ** (t + 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for v in range(dim):
-        parity = bin(v >> 1).count("1") & 1
-        mat[v ^ parity, v] = 1.0
-    return mat
 
 
 def xor_combine(schemes, name=None):
@@ -344,10 +326,11 @@ def xor_combine(schemes, name=None):
         at += s.n_qubits
     u = np.eye(2 ** n, dtype=complex)
     for o in offsets[:-1]:
-        u = qsim._apply_to_vector(u, qsim.H, [o], n)
-    u = qsim._apply_to_vector(u, _parity_gate(t), [0] + offsets, n)
+        u = qsim.apply_gate(u, qsim.H, [o])
+    for o in [0] + offsets[:-1]:  # the last share takes the parity of the rest
+        u = qsim.apply_gate(u, qsim.CNOT, [o, offsets[-1]])
     for s, o in zip(schemes, offsets):
-        u = qsim._apply_to_vector(u, s.com, list(range(o, o + s.n_qubits)), n)
+        u = qsim.apply_gate(u, s.com, list(range(o, o + s.n_qubits)))
     c = []
     d = [0]
     for s, o in zip(schemes, offsets):

@@ -155,16 +155,6 @@ class JointPmf:
             raise ValueError(f"puzzle {puzzle!r} has zero mass")
         return Pmf({k: p / total for k, p in mass.items()})
 
-    def condition_on_key(self, key):
-        mass = {}
-        for (k, s), p in self._pmf.as_dict().items():
-            if k == key:
-                mass[s] = mass.get(s, 0) + p
-        total = sum(mass.values())
-        if total == 0:
-            raise ValueError(f"key {key!r} has zero mass")
-        return Pmf({s: p / total for s, p in mass.items()})
-
 
 def _require_normalized(p):
     if p.subnormal:
@@ -204,7 +194,8 @@ def smooth_min_entropy(p, eps):
     Caps the distribution at the level lambda solving
     sum((p_i - lambda)+) = eps; the trimmed mass can always be relocated onto
     fresh atoms of mass <= lambda, so -log2(lambda) is the best min-entropy
-    within statistical distance eps.
+    within statistical distance eps.  An eps that reaches the total mass
+    leaves no positive level and raises ValueError.
     """
     _require_normalized(p)
     _check_eps(eps)
@@ -216,9 +207,10 @@ def smooth_min_entropy(p, eps):
         running += q
         lam = (running - eps) / k
         below = probs[k] if k < len(probs) else 0
-        if lam <= q and lam >= below:
+        if lam >= below and lam > 0:
             return -math.log2(lam)
-    raise AssertionError("water-filling level not bracketed")
+    raise ValueError(f"smoothing parameter {eps!r} leaves no positive "
+                     f"water-filling level under total mass {running!r}")
 
 
 def _greedy_removed(items, eps):
@@ -354,9 +346,10 @@ def smooth_min_entropy_spectrum(spectrum, eps):
         count += c
         lam = (mass - eps) / count
         below = ordered[idx + 1][0] if idx + 1 < len(ordered) else 0
-        if lam <= v and lam >= below:
+        if lam >= below and lam > 0:
             return -math.log2(lam)
-    raise AssertionError("water-filling level not bracketed")
+    raise ValueError(f"smoothing parameter {eps!r} leaves no positive "
+                     f"water-filling level under total mass {mass!r}")
 
 
 def smooth_max_entropy_spectrum(spectrum, eps):

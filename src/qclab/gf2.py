@@ -395,8 +395,3 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
         if len(out) >= list_cap:
             break
     return out, refs, answers
-
-
-def gl_guarantee(eps):
-    """Success lower bound 4 eps^2 for a predictor with advantage eps."""
-    return 4.0 * eps ** 2

@@ -122,12 +122,12 @@ def random_circuit_owsg(n, depth=4):
         psi = qsim.basis_state((0,) * CIRCUIT_QUBITS)
         for layer in range(depth):
             for q in range(CIRCUIT_QUBITS):
-                psi = qsim.apply_unitary(psi, singles[take(single_bits)], [q])
+                psi = qsim.apply_gate(psi, singles[take(single_bits)], [q])
             bricks = [(0, 1), (2, 3)] if layer % 2 == 0 else [(1, 2)]
             for a, b in bricks:
                 role = pairs[take(pair_bits)]
                 targets = [(a, b)[role[0]], (a, b)[role[1]]]
-                psi = qsim.apply_unitary(psi, qsim.CNOT, targets)
+                psi = qsim.apply_gate(psi, qsim.CNOT, targets)
         return psi
 
     return OwsgScheme(f"random-circuit-d{depth}", key_bits=n,
@@ -152,7 +152,7 @@ def thresholded_noisy_scheme(base, threshold=0.98, noise=0.05):
 
     def state_fn(key):
         angle = 2.0 * noise * sum(key)
-        return qsim.apply_unitary(base.state_gen(key), _rotation_y(angle), [0])
+        return qsim.apply_gate(base.state_gen(key), _rotation_y(angle), [0])
 
     def accept_fn(key, state):
         return 1.0 if qsim.overlap(base.state_gen(key), state) >= threshold else 0.0

@@ -23,21 +23,6 @@ ENTROPY_MATCH_TOL = 1e-9
 PRODUCT_EXACT_LIMIT = 2 ** 24
 CORE_WIDTH_LIMIT = 16
 
-_PARITY16 = None
-
-
-def _parity16():
-    global _PARITY16
-    if _PARITY16 is None:
-        v = np.arange(1 << 16, dtype=np.uint32)
-        v ^= v >> 8
-        v ^= v >> 4
-        v ^= v >> 2
-        v ^= v >> 1
-        _PARITY16 = (v & 1).astype(np.uint8)
-    return _PARITY16
-
-
 def _h2(p):
     """Binary entropy, elementwise, with exact zeros at the endpoints."""
     arr = np.asarray(p, dtype=float)
@@ -376,13 +361,15 @@ def core_lemma_gap(x, x_star, theta_heavy, theta_light):
                 f" > {theta_light}")
     ints = np.array([gf2.int_from_bits(a) for a in support], dtype=np.uint32)
     probs = np.array([float(x.prob(a)) for a in support])
-    par = _parity16()
     total = 0.0
     r_count = 1 << width
     chunk = max(1, min(r_count, (1 << 22) // max(1, len(ints))))
     for start in range(0, r_count, chunk):
         r = np.arange(start, min(start + chunk, r_count), dtype=np.uint32)
-        parity = par[np.bitwise_and(r[:, None], ints[None, :])]
+        v = np.bitwise_and(r[:, None], ints[None, :])
+        for shift in (8, 4, 2, 1):  # fold the 16-bit words down to parity
+            v ^= v >> shift
+        parity = (v & 1).astype(np.uint8)
         p_one = parity @ probs
         total += float(np.sum(_h2(p_one)))
     return 1.0 - total / r_count

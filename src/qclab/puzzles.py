@@ -7,7 +7,6 @@ target state and takes a median of group means, so its accuracy needs no
 assumption beyond snapshot independence.
 """
 
-import math
 import struct
 from fractions import Fraction
 
@@ -22,15 +21,6 @@ _ROTATIONS = {
     "X": qsim.H,
     "Y": qsim.H @ np.array([[1, 0], [0, -1j]], dtype=complex),
     "Z": np.eye(2, dtype=complex),
-}
-
-_EIGENVECTORS = {
-    ("X", 0): np.array([1, 1], dtype=complex) / math.sqrt(2),
-    ("X", 1): np.array([1, -1], dtype=complex) / math.sqrt(2),
-    ("Y", 0): np.array([1, 1j], dtype=complex) / math.sqrt(2),
-    ("Y", 1): np.array([1, -1j], dtype=complex) / math.sqrt(2),
-    ("Z", 0): np.array([1, 0], dtype=complex),
-    ("Z", 1): np.array([0, 1], dtype=complex),
 }
 
 
@@ -102,7 +92,7 @@ def shadow_gen(state, t_snapshots, rng):
         picks = rng.integers(0, 3, size=m)
         rotated = state
         for q, p in enumerate(picks):
-            rotated = qsim.apply_unitary(rotated, _ROTATIONS[BASIS_CHARS[p]], [q])
+            rotated = qsim.apply_gate(rotated, _ROTATIONS[BASIS_CHARS[p]], [q])
         probs = np.abs(rotated.vector) ** 2
         idx = int(rng.choice(len(probs), p=probs / probs.sum()))
         bases.append("".join(BASIS_CHARS[p] for p in picks))
@@ -113,7 +103,7 @@ def shadow_gen(state, t_snapshots, rng):
 def _snapshot_operator(basis, outcome):
     op = np.array([[1.0]], dtype=complex)
     for c, s in zip(basis, outcome):
-        v = _EIGENVECTORS[(c, s)]
+        v = _ROTATIONS[c][s].conj()  # the state this basis reads as outcome s
         op = np.kron(op, 3.0 * np.outer(v, v.conj()) - np.eye(2))
     return op
 
@@ -132,7 +122,7 @@ def estimate_overlap_many(shadow, targets, k_groups):
         Array of estimates, one per target.
     """
     t = shadow.n_snapshots
-    if t % k_groups != 0:
+    if k_groups < 1 or t % k_groups != 0:
         raise ValueError(f"group count {k_groups} must divide snapshot count {t}")
     mat = np.stack([s.vector for s in targets])
     if mat.shape[1] != 2 ** shadow.n_qubits:

@@ -3,6 +3,18 @@
 Qubit 0 is the most significant position: basis_state((1, 0)) has its
 amplitude at index 2.  Everything is exact linear algebra on numpy complex
 arrays; no approximation beyond float64 happens anywhere in this module.
+
+Caller input is checked once, where it enters: the PureState and
+DensityMatrix constructors check their array, apply_unitary its gate and
+targets, the other calls their targets, bits and sizes.  The states qsim
+returns are computed from checked states and skip the constructors' checks.
+apply_gate applies a gate unchecked: it assumes a complex unitary of the
+right size and distinct in-range targets, as the library gates, the basis
+rotations and checked commit maps are.
+
+CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
+from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
+may have; OUTCOME_FLOOR the least probability project conditions on.
 """
 
 import math
@@ -12,11 +24,8 @@ import numpy as np
 QUBIT_LIMIT = 14
 DENSITY_QUBIT_LIMIT = 10
 
-NORM_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-10
+CHECK_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
-UNITARY_TOL = 1e-10
 OUTCOME_FLOOR = 1e-12
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -49,14 +58,14 @@ class PureState:
             raise ValueError("statevector must be 1-d")
         self.n_qubits = _qubits_of(len(vector), QUBIT_LIMIT, "statevector")
         norm = np.linalg.norm(vector)
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > CHECK_TOL:
             raise ValueError(f"statevector norm {norm} is not 1")
         self.vector = vector
 
     def to_density(self):
         if self.n_qubits > DENSITY_QUBIT_LIMIT:
             raise ValueError("state too large to materialize as a density matrix")
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()))
+        return _result(DensityMatrix, np.outer(self.vector, self.vector.conj()))
 
     def __repr__(self):
         return f"PureState(n_qubits={self.n_qubits})"
@@ -72,10 +81,10 @@ class DensityMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
         self.n_qubits = _qubits_of(matrix.shape[0], DENSITY_QUBIT_LIMIT, "density matrix")
-        if np.abs(matrix - matrix.conj().T).max() > HERMITIAN_TOL:
+        if np.abs(matrix - matrix.conj().T).max() > CHECK_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = matrix.trace().real
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > CHECK_TOL:
             raise ValueError(f"density matrix trace {trace} is not 1")
         if np.linalg.eigvalsh(matrix).min() < EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
@@ -85,70 +94,89 @@ class DensityMatrix:
         return f"DensityMatrix(n_qubits={self.n_qubits})"
 
 
+def _result(cls, array):
+    # a state computed from checked states: wrap it without the constructor
+    state = object.__new__(cls)
+    setattr(state, "vector" if cls is PureState else "matrix", array)
+    state.n_qubits = array.shape[0].bit_length() - 1
+    return state
+
+
 def basis_state(bits):
     """Computational basis state |bits>."""
     if not all(b in (0, 1) for b in bits):
         raise ValueError(f"not a bit string: {bits!r}")
+    _qubits_of(2 ** len(bits), QUBIT_LIMIT, "statevector")
     vec = np.zeros(2 ** len(bits), dtype=complex)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    vec[idx] = 1.0
-    return PureState(vec)
+    vec[sum(b << (len(bits) - 1 - j) for j, b in enumerate(bits))] = 1.0
+    return _result(PureState, vec)
 
 
-def _check_targets(targets, n):
+def _check_targets(state, targets):
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target qubit")
-    if not all(0 <= t < n for t in targets):
-        raise ValueError(f"target outside register of {n} qubits")
+    if not all(0 <= t < state.n_qubits for t in targets):
+        raise ValueError(f"target outside register of {state.n_qubits} qubits")
 
 
-def _check_unitary(u, k):
-    if u.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"gate shape {u.shape} does not act on {k} qubits")
-    if np.abs(u @ u.conj().T - np.eye(2 ** k)).max() > UNITARY_TOL:
+def check_unitary(u):
+    """Reject u unless it is a unitary on whole qubits; return its qubit count."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"gate shape {u.shape} is not square")
+    n = _qubits_of(u.shape[0], QUBIT_LIMIT, "gate")
+    if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > CHECK_TOL:
         raise ValueError("gate is not unitary")
+    return n
 
 
-def _apply_to_vector(vec, u, targets, n):
-    # vec is a (2^n,) vector or a (2^n, cols) matrix whose columns ride along
-    k = len(targets)
-    tail = vec.shape[1:]
-    tensor = vec.reshape((2,) * n + tail)
-    tensor = np.moveaxis(tensor, targets, range(k))
+def apply_gate(state, u, targets):
+    """apply_unitary without its checks (see the module docstring).
+
+    state may also be a bare array whose first axis spans the register and
+    whose other axes ride along; commit composes unitaries that way.
+    """
+    if isinstance(state, PureState):
+        return _result(PureState, apply_gate(state.vector, u, targets))
+    if isinstance(state, DensityMatrix):
+        # conjugate both index groups of the doubled tensor
+        n = state.n_qubits
+        left = apply_gate(state.matrix.reshape(-1), u, targets)
+        right = apply_gate(left, u.conj(), [t + n for t in targets])
+        return _result(DensityMatrix, right.reshape(state.matrix.shape))
+    targets = list(targets)
+    n, k = state.shape[0].bit_length() - 1, len(targets)
+    tail = state.shape[1:]
+    tensor = np.moveaxis(state.reshape((2,) * n + tail), targets, range(k))
     block = u @ tensor.reshape(2 ** k, -1)
     tensor = np.moveaxis(block.reshape((2,) * n + tail), range(k), targets)
-    return tensor.reshape(vec.shape)
+    return tensor.reshape(state.shape)
 
 
 def apply_unitary(state, u, targets):
-    """Apply a k-qubit gate to the listed target qubits.
+    """Check a k-qubit gate and its targets, then apply it.
 
     Accepts PureState or DensityMatrix and returns the same type; target
     order is significant (CNOT control is the first listed target).
     """
     u = np.asarray(u, dtype=complex)
-    _check_unitary(u, len(targets))
-    if isinstance(state, PureState):
-        _check_targets(targets, state.n_qubits)
-        return PureState(_apply_to_vector(state.vector, u, list(targets), state.n_qubits))
-    if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        _check_targets(targets, n)
-        # conjugate both index groups of the doubled tensor
-        left = _apply_to_vector(state.matrix.reshape(-1), u, list(targets), 2 * n)
-        shifted = [t + n for t in targets]
-        right = _apply_to_vector(left, u.conj(), shifted, 2 * n)
-        return DensityMatrix(right.reshape(state.matrix.shape))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    if check_unitary(u) != len(targets):
+        raise ValueError(f"gate shape {u.shape} does not act on {len(targets)} qubits")
+    _check_targets(state, targets)
+    return apply_gate(state, u, targets)
+
+
+def _target_bits(index, targets, n):
+    """Bits of a basis index (an int or an index array) on the targets."""
+    return [(index >> (n - 1 - t)) & 1 for t in targets]
 
 
 def _outcome_mask(n, targets, bits):
-    idx = np.arange(2 ** n)
     mask = np.ones(2 ** n, dtype=bool)
-    for t, b in zip(targets, bits):
-        mask &= ((idx >> (n - 1 - t)) & 1) == b
+    for got, b in zip(_target_bits(np.arange(2 ** n), targets, n), bits):
+        mask &= got == b
     return mask
 
 
@@ -160,30 +188,31 @@ def project(state, targets, bits):
     """
     if len(targets) != len(bits):
         raise ValueError("one outcome bit per target required")
-    if isinstance(state, PureState):
-        _check_targets(targets, state.n_qubits)
-        mask = _outcome_mask(state.n_qubits, targets, bits)
-        vec = np.where(mask, state.vector, 0.0)
-        prob = float(np.vdot(vec, vec).real)
-        if prob < OUTCOME_FLOOR:
-            raise ValueError(f"outcome {bits!r} has probability {prob} below the floor")
-        return prob, PureState(vec / math.sqrt(prob))
-    if isinstance(state, DensityMatrix):
-        _check_targets(targets, state.n_qubits)
-        mask = _outcome_mask(state.n_qubits, targets, bits)
+    _check_targets(state, targets)
+    mask = _outcome_mask(state.n_qubits, targets, bits)
+    pure = isinstance(state, PureState)
+    if pure:
+        sub = np.where(mask, state.vector, 0.0)
+        prob = float(np.vdot(sub, sub).real)
+    else:
         sub = state.matrix * np.outer(mask, mask)
         prob = float(sub.trace().real)
-        if prob < OUTCOME_FLOOR:
-            raise ValueError(f"outcome {bits!r} has probability {prob} below the floor")
-        return prob, DensityMatrix(sub / prob)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    if prob < OUTCOME_FLOOR:
+        raise ValueError(f"outcome {bits!r} has probability {prob} below the floor")
+    if pure:
+        return prob, _result(PureState, sub / math.sqrt(prob))
+    # dividing by a probability near the floor can break a density matrix,
+    # so this result alone goes through the checking constructor
+    return prob, DensityMatrix(sub / prob)
 
 
 def measure_decompose(state, targets):
     """All measurement branches on the targets as (bits, prob, post_state)."""
+    _check_targets(state, targets)  # project's own errors mean "skip this branch"
     out = []
-    for v in range(2 ** len(targets)):
-        bits = tuple((v >> (len(targets) - 1 - j)) & 1 for j in range(len(targets)))
+    k = len(targets)
+    for v in range(2 ** k):
+        bits = tuple(_target_bits(v, range(k), k))
         try:
             prob, post = project(state, targets, bits)
         except ValueError:
@@ -204,38 +233,36 @@ def measure(state, targets, rng):
 
 
 def dephase(state, targets):
-    """Remove coherence between computational outcomes of the targets."""
+    """Remove coherence between computational outcomes of the targets.
+
+    Entry (i, j) survives exactly when i and j agree on every target bit.
+    """
     rho = state.to_density() if isinstance(state, PureState) else state
-    _check_targets(targets, rho.n_qubits)
-    acc = np.zeros_like(rho.matrix)
-    for v in range(2 ** len(targets)):
-        bits = tuple((v >> (len(targets) - 1 - j)) & 1 for j in range(len(targets)))
-        mask = _outcome_mask(rho.n_qubits, targets, bits)
-        acc += rho.matrix * np.outer(mask, mask)
-    return DensityMatrix(acc)
+    _check_targets(rho, targets)
+    n = rho.n_qubits
+    agree = np.ones((2 ** n, 2 ** n), dtype=bool)
+    for bit in _target_bits(np.arange(2 ** n), targets, n):
+        agree &= bit[:, None] == bit[None, :]
+    return _result(DensityMatrix, np.where(agree, rho.matrix, 0.0))
 
 
 def partial_trace(state, keep):
     """Reduced density matrix on the kept qubits, in the order listed."""
+    _check_targets(state, keep)
+    n = state.n_qubits
+    _qubits_of(2 ** len(keep), DENSITY_QUBIT_LIMIT, "density matrix")
+    drop = [j for j in range(n) if j not in keep]
     if isinstance(state, PureState):
-        n = state.n_qubits
-        _check_targets(keep, n)
-        drop = [j for j in range(n) if j not in keep]
         tensor = state.vector.reshape((2,) * n)
         tensor = np.moveaxis(tensor, list(keep) + drop, range(n))
         mat = tensor.reshape(2 ** len(keep), -1)
-        return DensityMatrix(mat @ mat.conj().T)
-    if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        _check_targets(keep, n)
-        drop = [j for j in range(n) if j not in keep]
-        tensor = state.matrix.reshape((2,) * (2 * n))
-        perm = list(keep) + drop + [n + j for j in keep] + [n + j for j in drop]
-        tensor = np.moveaxis(tensor, perm, range(2 * n))
-        k, d = 2 ** len(keep), 2 ** len(drop)
-        mat = tensor.reshape(k, d, k, d)
-        return DensityMatrix(np.einsum("adbd->ab", mat))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        return _result(DensityMatrix, mat @ mat.conj().T)
+    tensor = state.matrix.reshape((2,) * (2 * n))
+    perm = list(keep) + drop + [n + j for j in keep] + [n + j for j in drop]
+    tensor = np.moveaxis(tensor, perm, range(2 * n))
+    k, d = 2 ** len(keep), 2 ** len(drop)
+    mat = tensor.reshape(k, d, k, d)
+    return _result(DensityMatrix, np.einsum("adbd->ab", mat))
 
 
 def overlap(a, b):
@@ -280,7 +307,7 @@ def wiesner_encode(theta, x):
     psi = basis_state(x)
     for j, t in enumerate(theta):
         if t == 1:
-            psi = apply_unitary(psi, H, [j])
+            psi = apply_gate(psi, H, [j])
         elif t != 0:
             raise ValueError(f"basis bit must be 0 or 1, got {t!r}")
     return psi

@@ -7,11 +7,18 @@ determinism contract in one place.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qclab import cli, dist, gf2, pseudoentropy
 
@@ -307,3 +314,108 @@ class TestCommitSuite:
         _, first = run_to_file(tmp_path, body, tag="a.json")
         _, second = run_to_file(tmp_path, body, tag="b.json")
         assert first.read_bytes() == second.read_bytes()
+
+
+# the parameters each subcommand reads
+PARAM_KEYS = {
+    "entropy": ("weights", "eps"),
+    "extractor": ("n",),
+    "gl": ("n", "noise"),
+    "shadows": ("n", "snapshots", "groups", "eps"),
+    "puzzle": ("fixture",),
+    "wpeg-gap": ("fixture", "n", "levels", "pad", "slack", "density_floor",
+                 "mass_ceiling", "i_max"),
+    "core-lemma": ("fixture", "theta_heavy", "theta_light"),
+    "concentration": ("support", "t_max", "eps"),
+    "efi-sweep": ("weights", "s_max"),
+    "commit-suite": (),
+}
+
+# small values of every JSON type, plus the fixture names and "inf"
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 8)
+            | st.floats(-1.5, 2.0)
+            | st.sampled_from([0.999999999999999, 0.9999999999999999, 1e-300])
+            | st.sampled_from(["inf", "x", "3", "geometric", "flat", "n6",
+                               "point", ""]))
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=5) | st.just({})
+
+
+@st.composite
+def small_manifests(draw):
+    sub = draw(st.sampled_from(sorted(PARAM_KEYS)))
+    keys = PARAM_KEYS[sub]
+    params = draw(st.dictionaries(st.sampled_from(keys), _VALUES)) if keys else {}
+    return {"subcommand": sub, "seed": draw(st.integers(0, 3)),
+            "trials": draw(st.integers(1, 2)), "params": params}
+
+
+def exit_code(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(body))
+        return cli.main(["--manifest", str(path), "--out", str(Path(tmp) / "r")])
+
+
+class TestBadParameters:
+    """A manifest that passes the schema is either run or rejected as a
+    parameter problem (exit 3); exit 4 is kept for bugs."""
+
+    @pytest.mark.parametrize("sub,params", [
+        ("gl", {"n": [1]}),
+        ("gl", {"n": None}),
+        ("gl", {"noise": {}}),
+        ("gl", {"n": 2.5}),
+        ("gl", {"n": True}),
+        ("shadows", {"n": [2]}),
+        ("shadows", {"groups": 0}),
+        ("wpeg-gap", {"fixture": ["x"]}),
+        ("wpeg-gap", {"density_floor": None}),
+        ("core-lemma", {"fixture": {}}),
+        ("efi-sweep", {"weights": 5}),
+        ("entropy", {"weights": [1, None]}),
+        ("extractor", {"n": -1}),
+        ("concentration", {"eps": 0.999999999999999}),
+        ("concentration", {"eps": 0.9999999999999999}),
+    ])
+    def test_rejected_with_exit_three(self, sub, params, capsys):
+        assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "parameter-rejection"
+
+    def test_integral_floats_still_read_as_integers(self, capsys):
+        assert exit_code({"subcommand": "gl", "seed": 0, "trials": 1,
+                          "params": {"n": 4.0}}) == 0
+
+    @given(small_manifests())
+    @settings(max_examples=250, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_valid_manifests_never_exit_four(self, body):
+        jsonschema.validate(body, cli._load_schema())
+        assert exit_code(body) in (0, 3)
+
+
+class TestModuleEntryPoint:
+    """python -m qclab.cli runs main() and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "qclab.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True,
+                              timeout=120)
+
+    def test_missing_seed_exits_two(self, tmp_path):
+        m = write_manifest(tmp_path, {"subcommand": "entropy"})
+        proc = self.run_module("--manifest", m, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "validation"
+
+    def test_report_matches_in_process(self, tmp_path, capsys):
+        m = write_manifest(tmp_path, {"subcommand": "entropy", "seed": 5})
+        proc = self.run_module("--manifest", m, cwd=tmp_path)
+        assert proc.returncode == 0
+        assert cli.main(["--manifest", m]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()

@@ -171,6 +171,48 @@ class TestSmoothMinEntropy:
         assert lo >= dist.min_entropy(p) - ENTROPY_TOL
 
 
+class TestWaterFillingEdges:
+    """An eps that reaches the total mass leaves no positive level: that is
+    bad input, reported as ValueError naming eps and the mass."""
+
+    SHORT = 0.5 - 5e-13  # the pair's mass falls 5e-13 short of one
+
+    def test_pmf_eps_above_float_mass(self):
+        p = dist.Pmf({(0,): 0.5, (1,): self.SHORT})
+        with pytest.raises(ValueError, match="smoothing parameter .* total mass"):
+            dist.smooth_min_entropy(p, 1 - 1e-13)
+
+    def test_spectrum_eps_above_float_mass(self):
+        with pytest.raises(ValueError, match="smoothing parameter .* total mass"):
+            dist.smooth_min_entropy_spectrum([(0.5, 1), (self.SHORT, 1)], 1 - 1e-13)
+
+    def test_pmf_eps_at_float_mass(self):
+        # the level computes to exactly zero, which has no log
+        p = dist.Pmf({(0,): 0.5, (1,): self.SHORT})
+        with pytest.raises(ValueError, match="no positive water-filling level"):
+            dist.smooth_min_entropy(p, 0.5 + self.SHORT)
+
+    def test_spectrum_eps_at_float_mass(self):
+        with pytest.raises(ValueError, match="no positive water-filling level"):
+            dist.smooth_min_entropy_spectrum([(0.5, 1), (self.SHORT, 1)],
+                                             0.5 + self.SHORT)
+
+    @given(simple_pmfs(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_level_found_or_value_error(self, p, eps):
+        try:
+            got = dist.smooth_min_entropy(p, eps)
+        except ValueError as exc:
+            assert "no positive water-filling level" in str(exc)
+            assert eps >= sum(p.probs()) - 1e-12
+            return
+        if eps < 0.999:
+            assert got == pytest.approx(water_filling_oracle(p.probs(), eps), abs=1e-6)
+        spectrum = sorted({q: None for q in p.probs()})
+        counts = [(q, sum(1 for r in p.probs() if r == q)) for q in spectrum]
+        assert dist.smooth_min_entropy_spectrum(counts, eps) == pytest.approx(got, abs=1e-9)
+
+
 class TestSmoothMaxEntropy:
     def test_frozen_ladder(self):
         p = dist.Pmf({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.125, (1, 1): 0.125})

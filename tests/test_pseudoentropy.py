@@ -472,6 +472,19 @@ class TestCoreLemmaGap:
         with pytest.raises(ValueError, match="light"):
             pseudoentropy.core_lemma_gap(x, (0, 0), 0.4, 0.25)
 
+    def test_widest_source_matches_popcount(self):
+        # 16 bits is the widest source; parities come from bin().count
+        atoms = {(0,) * 16: 0.5, gf2.bits_from_int(0xB3C5, 16): 0.3,
+                 gf2.bits_from_int(0x0F0F, 16): 0.2}
+        gap = pseudoentropy.core_lemma_gap(dist.Pmf(atoms), (0,) * 16, 0.5, 0.3)
+        ints = [(gf2.int_from_bits(a), p) for a, p in atoms.items()]
+        total = 0.0
+        for r in range(1 << 16):
+            p_one = sum(p for v, p in ints if bin(r & v).count("1") & 1)
+            if 0 < p_one < 1:
+                total -= p_one * math.log2(p_one) + (1 - p_one) * math.log2(1 - p_one)
+        assert gap == pytest.approx(1 - total / (1 << 16), abs=1e-12)
+
     def test_width_guard(self):
         x = dist.Pmf({(0,) * 17: 1.0})
         with pytest.raises(ValueError):

@@ -72,6 +72,12 @@ class TestSnapshotEstimates:
         with pytest.raises(ValueError):
             puzzles.estimate_overlap(shadow, qsim.basis_state((0,)), 2)
 
+    @pytest.mark.parametrize("groups", [0, -1, -3])
+    def test_group_count_must_be_positive(self, groups):
+        shadow = puzzles.Shadow(bases=("Z", "Z", "Z"), outcomes=((0,), (0,), (0,)))
+        with pytest.raises(ValueError):
+            puzzles.estimate_overlap(shadow, qsim.basis_state((0,)), groups)
+
 
 class TestSerialization:
     def test_frozen_byte_layout(self):

@@ -220,6 +220,117 @@ class TestPartialTraceAndDistance:
         assert qsim.trace_distance(psi, psi) == pytest.approx(0.0, abs=1e-12)
 
 
+def random_unitary(rng, k):
+    raw = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    return np.linalg.qr(raw)[0]
+
+
+def dephase_masked_sum(rho, targets):
+    """The former dephase: a sum of masked copies, one per outcome."""
+    n = rho.n_qubits
+    acc = np.zeros_like(rho.matrix)
+    for v in range(2 ** len(targets)):
+        bits = bits_of(v, len(targets))
+        mask = np.ones(2 ** n, dtype=bool)
+        for t, b in zip(targets, bits):
+            mask &= (np.arange(2 ** n) >> (n - 1 - t)) & 1 == b
+        acc += rho.matrix * np.outer(mask, mask)
+    return acc
+
+
+def passes_checks(state):
+    """Re-run the public constructor's checks on a state qsim returned."""
+    if isinstance(state, qsim.PureState):
+        again = qsim.PureState(state.vector)
+    else:
+        again = qsim.DensityMatrix(state.matrix)
+    return again.n_qubits == state.n_qubits
+
+
+class TestResultsPassConstructorChecks:
+    """qsim builds its results without re-checking them; the checks it skips
+    hold on every result anyway."""
+
+    CASES = [(seed, n) for seed in range(6) for n in (1, 2, 3, 4)]
+
+    @staticmethod
+    def draw(seed, n):
+        rng = np.random.default_rng(1000 + seed)
+        k = int(rng.integers(1, min(n, 3) + 1))
+        targets = [int(t) for t in rng.choice(n, size=k, replace=False)]
+        return rng, random_state(rng, n), random_unitary(rng, k), targets
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_gates(self, seed, n):
+        rng, psi, u, targets = self.draw(seed, n)
+        mixed = qsim.partial_trace(random_state(rng, n + 1), list(range(n)))
+        for state in (psi, psi.to_density(), mixed):
+            got = qsim.apply_unitary(state, u, targets)
+            assert type(got) is type(state) and passes_checks(got)
+            same = qsim.apply_gate(state, u, targets)
+            assert type(same) is type(state) and passes_checks(same)
+            field = "vector" if isinstance(state, qsim.PureState) else "matrix"
+            assert np.array_equal(getattr(got, field), getattr(same, field))
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_measurement_and_reduction(self, seed, n):
+        rng, psi, u, targets = self.draw(seed, n)
+        psi = qsim.apply_gate(psi, u, targets)
+        rho = psi.to_density()
+        assert passes_checks(rho)
+        for state in (psi, rho):
+            for bits, prob, post in qsim.measure_decompose(state, targets):
+                assert passes_checks(post)
+            assert passes_checks(qsim.measure(state, targets, rng)[2])
+            assert passes_checks(qsim.dephase(state, targets))
+            assert passes_checks(qsim.partial_trace(state, targets))
+        assert passes_checks(qsim.basis_state(bits_of(seed, n)))
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_dephase_matches_masked_sum(self, seed, n):
+        _, psi, u, targets = self.draw(seed, n)
+        rho = qsim.apply_gate(psi, u, targets).to_density()
+        got = qsim.dephase(rho, targets)
+        assert np.array_equal(got.matrix, dephase_masked_sum(rho, targets))
+
+    def test_gate_composes_columns(self):
+        # a bare (2^n, cols) array: every column gets the gate
+        rng = np.random.default_rng(71)
+        u = random_unitary(rng, 2)
+        full = qsim.apply_gate(np.eye(8, dtype=complex), u, [2, 0])
+        assert np.allclose(full, full_operator(u, [2, 0], 3), atol=1e-12)
+
+    def test_check_unitary_counts_qubits(self):
+        assert qsim.check_unitary(qsim.CNOT) == 2
+        for bad in (np.eye(1), np.eye(3), np.ones((2, 4)), np.diag([1.0, 0.5])):
+            with pytest.raises(ValueError):
+                qsim.check_unitary(bad)
+
+    def test_caller_input_still_checked(self):
+        psi = qsim.basis_state((0, 0))
+        with pytest.raises(ValueError):
+            qsim.apply_unitary(psi, qsim.H, [2])
+        with pytest.raises(ValueError):
+            qsim.apply_unitary(psi, qsim.CNOT, [1, 1])
+        with pytest.raises(ValueError):
+            qsim.apply_unitary(psi, qsim.CNOT, [0])
+        with pytest.raises(TypeError):
+            qsim.apply_unitary(psi.vector, qsim.H, [0])
+        with pytest.raises(ValueError):
+            qsim.partial_trace(psi, [])
+        with pytest.raises(ValueError):
+            qsim.partial_trace(qsim.basis_state((0,) * 11), list(range(11)))
+        with pytest.raises(ValueError):
+            qsim.basis_state((0,) * 15)
+        with pytest.raises(ValueError):
+            qsim.dephase(psi, [0, 0])
+        for targets in ([0, 0], [0, 5]):
+            with pytest.raises(ValueError, match="target"):
+                qsim.measure_decompose(psi, targets)
+            with pytest.raises(ValueError, match="target"):
+                qsim.measure(psi, targets, np.random.default_rng(0))
+
+
 class TestWiesner:
     def test_encoding_fixed_example(self):
         psi = qsim.wiesner_encode(theta=(0, 1), x=(1, 0))
