@@ -30,7 +30,8 @@ class OwsgScheme:
     a single-trial Bernoulli verifier realizes.
     """
 
-    __slots__ = ("name", "key_bits", "n_qubits", "_state_fn", "_accept_fn")
+    __slots__ = ("name", "key_bits", "n_qubits", "_state_fn", "_accept_fn",
+                 "_honest")
 
     def __init__(self, name, key_bits, n_qubits, state_fn, accept_fn=None):
         self.name = name
@@ -38,6 +39,7 @@ class OwsgScheme:
         self.n_qubits = n_qubits
         self._state_fn = state_fn
         self._accept_fn = accept_fn
+        self._honest = None
 
     def key_gen(self, rng):
         return tuple(int(b) for b in rng.integers(0, 2, size=self.key_bits))
@@ -60,6 +62,17 @@ class OwsgScheme:
             raise ValueError(f"key space of {self.key_bits} bits is not enumerable here")
         for v in range(2 ** self.key_bits):
             yield tuple((v >> (self.key_bits - 1 - j)) & 1 for j in range(self.key_bits))
+
+    def honest_states(self):
+        """Every key in all_keys() order and the read-only matrix whose rows
+        are their honest statevectors; built on the first call."""
+        if self._honest is None:
+            # two threads racing here build equal tables; either may win
+            keys = tuple(self.all_keys())
+            states = np.stack([self.state_gen(k).vector for k in keys])
+            states.flags.writeable = False
+            self._honest = keys, states
+        return self._honest
 
     def __repr__(self):
         return f"OwsgScheme({self.name!r}, key_bits={self.key_bits})"

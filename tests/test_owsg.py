@@ -172,3 +172,15 @@ class TestSchemeInterface:
         rng = np.random.default_rng(19)
         seen = {scheme.key_gen(rng) for _ in range(200)}
         assert len(seen) == 4
+
+    @pytest.mark.parametrize("make", [lambda: owsg.wiesner_owsg(4),
+                                      lambda: owsg.random_circuit_owsg(3),
+                                      lambda: owsg.thresholded_noisy_scheme(owsg.wiesner_owsg(4))])
+    def test_honest_states_are_built_once_in_key_order(self, make):
+        scheme = make()
+        keys, states = scheme.honest_states()
+        assert keys == tuple(scheme.all_keys())
+        for key, row in zip(keys, states):
+            assert np.array_equal(row, scheme.state_gen(key).vector)
+        assert not states.flags.writeable
+        assert scheme.honest_states()[1] is states

@@ -3,16 +3,102 @@
 Single-snapshot estimator values are frozen from the 2x2 algebra
 (3|s><s| - I sandwiched in the target), and the estimator mean is checked
 against the true overlap at three sample standard deviations.
+
+The per-snapshot operator estimator, the per-gate sampler and the per-bit
+encoder below are the straightforward forms of the table-driven code in
+puzzles; they serve as oracles.
 """
+
+import itertools
+import struct
 
 import numpy as np
 import pytest
 
-from qclab import dist, owsg, puzzles, qsim
+from qclab import _mc, dist, owsg, puzzles, qsim
+
+ORACLE_ROTATIONS = {
+    "X": qsim.H,
+    "Y": qsim.H @ np.array([[1, 0], [0, -1j]], dtype=complex),
+    "Z": np.eye(2, dtype=complex),
+}
 
 
 def plus_state():
     return qsim.apply_unitary(qsim.basis_state((0,)), qsim.H, [0])
+
+
+def oracle_rotate(state, basis):
+    """The state rotated into basis, one single-qubit gate at a time."""
+    for q, c in enumerate(basis):
+        state = qsim.apply_unitary(state, ORACLE_ROTATIONS[c], [q])
+    return state
+
+
+def oracle_shadow_gen(state, t_snapshots, rng):
+    """Per-snapshot sampler: pick a basis, rotate gate by gate, measure."""
+    m = state.n_qubits
+    bases, outcomes = [], []
+    for _ in range(t_snapshots):
+        basis = "".join("XYZ"[p] for p in rng.integers(0, 3, size=m))
+        probs = np.abs(oracle_rotate(state, basis).vector) ** 2
+        idx = int(rng.choice(len(probs), p=probs / probs.sum()))
+        bases.append(basis)
+        outcomes.append(tuple((idx >> (m - 1 - j)) & 1 for j in range(m)))
+    return puzzles.Shadow(bases, outcomes)
+
+
+def oracle_snapshot_operator(basis, outcome):
+    """Kronecker product of the 3|v><v| - I factors of one snapshot."""
+    op = np.array([[1.0]], dtype=complex)
+    for c, s in zip(basis, outcome):
+        v = ORACLE_ROTATIONS[c][s].conj()  # the state this basis reads as outcome s
+        op = np.kron(op, 3.0 * np.outer(v, v.conj()) - np.eye(2))
+    return op
+
+
+def oracle_estimate_overlap_many(shadow, targets, k_groups):
+    """Median of group means of <psi|snapshot operator|psi>."""
+    mat = np.stack([s.vector for s in targets])
+    t = shadow.n_snapshots
+    per_snap = np.empty((t, len(targets)))
+    for i, (basis, outcome) in enumerate(zip(shadow.bases, shadow.outcomes)):
+        op = oracle_snapshot_operator(basis, outcome)
+        per_snap[i] = np.einsum("ni,ij,nj->n", mat.conj(), op, mat).real
+    group_means = per_snap.reshape(k_groups, t // k_groups, -1).mean(axis=1)
+    return np.median(group_means, axis=0)
+
+
+def oracle_shadow_to_bytes(shadow):
+    """Bit-by-bit encoder of the documented stream layout."""
+    header = struct.pack("<HH", shadow.n_snapshots, shadow.n_qubits)
+    bits = []
+    for basis, outcome in zip(shadow.bases, shadow.outcomes):
+        for c in basis:
+            trit = "XYZ".index(c)
+            bits.extend((trit & 1, (trit >> 1) & 1))
+        bits.extend(outcome)
+    packed = np.packbits(np.array(bits, dtype=np.uint8), bitorder="little")
+    return header + packed.tobytes()
+
+
+def random_states(rng, count, n_qubits):
+    vecs = rng.normal(size=(count, 2 ** n_qubits)) + 1j * rng.normal(size=(count, 2 ** n_qubits))
+    return [qsim.PureState(v / np.linalg.norm(v)) for v in vecs]
+
+
+def oracle_fixtures():
+    """(name, honest state, targets) for every estimator comparison."""
+    rng = np.random.default_rng(41)
+    out = []
+    for scheme in (owsg.wiesner_owsg(2), owsg.wiesner_owsg(4), owsg.wiesner_owsg(6),
+                   owsg.random_circuit_owsg(4)):
+        targets = [scheme.state_gen(k) for k in scheme.all_keys()]
+        out.append((scheme.name + str(scheme.key_bits),
+                    scheme.state_gen(scheme.key_gen(rng)), targets))
+    dense = random_states(rng, 6, 4)
+    out.append(("dense4", dense[0], dense))
+    return out
 
 
 class TestShadowParams:
@@ -24,6 +110,11 @@ class TestShadowParams:
     def test_group_count_must_divide(self):
         with pytest.raises(ValueError):
             puzzles.ShadowParams(eps=0.1, delta=0.01, t_snapshots=10, k_groups=4)
+
+    def test_snapshot_count_must_fit_the_stream(self):
+        with pytest.raises(ValueError, match="65535"):
+            puzzles.ShadowParams(0.1, 0.1, 70000, 8)
+        assert puzzles.ShadowParams(0.1, 0.1, 65528, 8).t_snapshots == 65528
 
 
 class TestSnapshotEstimates:
@@ -79,6 +170,89 @@ class TestSnapshotEstimates:
             puzzles.estimate_overlap(shadow, qsim.basis_state((0,)), groups)
 
 
+class TestShadowRecord:
+    @pytest.mark.parametrize("bit", [True, 1.0, np.int64(1)])
+    def test_outcomes_are_stored_as_ints(self, bit):
+        shadow = puzzles.Shadow(["Z"], [(bit,)])
+        assert shadow.outcomes == ((1,),)
+        assert type(shadow.outcomes[0][0]) is int
+
+    def test_zero_qubit_snapshots_rejected(self):
+        with pytest.raises(ValueError):
+            puzzles.Shadow([""], [()])
+
+    @pytest.mark.parametrize("outcome", [(0.5,), ("1",), (2,), ((0, 1),), (None,)])
+    def test_non_bit_outcomes_rejected(self, outcome):
+        with pytest.raises(ValueError):
+            puzzles.Shadow(["Z"], [outcome])
+
+    @pytest.mark.parametrize("bases, outcomes", [
+        (("ZX", "Z"), ((0, 0), (0,))),
+        (("ZX",), ((0,),)),
+        (("ZW",), ((0, 0),)),
+        ((), ()),
+        (("Z", "Z"), ((0,),)),
+    ])
+    def test_malformed_records_rejected(self, bases, outcomes):
+        with pytest.raises(ValueError):
+            puzzles.Shadow(bases, outcomes)
+
+
+class TestTableDrivenShadows:
+    @pytest.mark.parametrize("fixture", range(5))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_estimates_match_operator_oracle(self, fixture, seed):
+        name, state, targets = oracle_fixtures()[fixture]
+        rng = np.random.default_rng(seed)
+        for shadow in (puzzles.shadow_gen(state, 48, rng),
+                       oracle_shadow_gen(state, 48, rng)):
+            for groups in (1, 3, 6, 8):
+                got = puzzles.estimate_overlap_many(shadow, targets, groups)
+                want = oracle_estimate_overlap_many(shadow, targets, groups)
+                assert np.abs(got - want).max() <= 1e-12, name
+
+    def test_array_targets_match_state_targets(self):
+        scheme = owsg.wiesner_owsg(4)
+        rng = np.random.default_rng(43)
+        shadow = puzzles.shadow_gen(scheme.state_gen(scheme.key_gen(rng)), 64, rng)
+        keys, states = scheme.honest_states()
+        by_state = puzzles.estimate_overlap_many(shadow, [scheme.state_gen(k) for k in keys], 8)
+        assert np.array_equal(puzzles.estimate_overlap_many(shadow, states, 8), by_state)
+
+    @pytest.mark.parametrize("name", ["wiesner", "dense"])
+    def test_sampler_frequencies_match_exact_law(self, name):
+        if name == "wiesner":
+            state = qsim.wiesner_encode((0, 1), (1, 1))
+        else:
+            state = random_states(np.random.default_rng(47), 1, 2)[0]
+        n = 20000
+        shadow = puzzles.shadow_gen(state, n, np.random.default_rng(53))
+        counts = {}
+        for basis, outcome in zip(shadow.bases, shadow.outcomes):
+            counts[basis, outcome] = counts.get((basis, outcome), 0) + 1
+        radius = _mc.hoeffding_radius(n)
+        for basis in map("".join, itertools.product("XYZ", repeat=2)):
+            probs = np.abs(oracle_rotate(state, basis).vector) ** 2 / 9
+            for idx, p in enumerate(probs):
+                outcome = ((idx >> 1) & 1, idx & 1)
+                assert abs(counts.get((basis, outcome), 0) / n - p) <= radius
+
+    def test_blocked_tables_match_one_table(self, monkeypatch):
+        state = qsim.wiesner_encode((1, 0, 1), (0, 1, 1))
+        scheme = owsg.wiesner_owsg(6)
+        targets = [scheme.state_gen(k) for k in scheme.all_keys()]
+        whole = puzzles.shadow_gen(state, 64, np.random.default_rng(59))
+        want = puzzles.estimate_overlap_many(whole, targets, 8)
+        monkeypatch.setattr(puzzles, "_TABLE_ENTRIES", 100)
+        blocked = puzzles.shadow_gen(state, 64, np.random.default_rng(59))
+        assert blocked.bases == whole.bases and blocked.outcomes == whole.outcomes
+        assert np.abs(puzzles.estimate_overlap_many(whole, targets, 8) - want).max() <= 1e-12
+
+    def test_sampler_rejects_empty_shadow(self):
+        with pytest.raises(ValueError):
+            puzzles.shadow_gen(plus_state(), 0, np.random.default_rng(0))
+
+
 class TestSerialization:
     def test_frozen_byte_layout(self):
         shadow = puzzles.Shadow(bases=("XZ",), outcomes=((1, 0),))
@@ -100,6 +274,32 @@ class TestSerialization:
         raw = puzzles.shadow_to_bytes(shadow)
         with pytest.raises(ValueError):
             puzzles.shadow_from_bytes(raw[:-1])
+
+    @pytest.mark.parametrize("seed, n_qubits, t", [(0, 1, 1), (1, 2, 7), (2, 3, 96), (3, 5, 33)])
+    def test_bytes_match_bitwise_oracle(self, seed, n_qubits, t):
+        rng = np.random.default_rng(seed)
+        shadow = puzzles.shadow_gen(random_states(rng, 1, n_qubits)[0], t, rng)
+        raw = puzzles.shadow_to_bytes(shadow)
+        assert raw == oracle_shadow_to_bytes(shadow)
+        back = puzzles.shadow_from_bytes(raw)
+        assert (back.bases, back.outcomes) == (shadow.bases, shadow.outcomes)
+
+    def test_trit_three_rejected(self):
+        # one 1-qubit snapshot whose basis bits read 1, 1
+        with pytest.raises(ValueError, match="trit"):
+            puzzles.shadow_from_bytes(struct.pack("<HH", 1, 1) + bytes([0b011]))
+
+    @pytest.mark.parametrize("t, m", [(1, 0), (0, 3), (0, 0)])
+    def test_empty_headers_rejected(self, t, m):
+        raw = struct.pack("<HH", t, m)
+        raw += bytes((t * 3 * m + 7) // 8)
+        with pytest.raises(ValueError):
+            puzzles.shadow_from_bytes(raw)
+
+    def test_oversized_shadow_names_the_limit(self):
+        shadow = puzzles.Shadow(["Z"] * 70000, [(0,)] * 70000)
+        with pytest.raises(ValueError, match="65535"):
+            puzzles.shadow_to_bytes(shadow)
 
 
 class TestPreimageList:
