@@ -8,6 +8,7 @@ so any single trial can be reproduced outside this module.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -77,6 +78,15 @@ def _load_schema():
     return json.loads(raw)
 
 
+@functools.cache
+def _validator():
+    # checking the schema itself costs more than a manifest: once per process
+    schema = _load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="qclab",
@@ -114,10 +124,10 @@ def _resolve(args):
     for field, value in overrides:
         if value is not None:
             body[field] = value
-    try:
-        jsonschema.validate(body, _load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ManifestError(exc.message)
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(body))
+    if error is not None:
+        raise ManifestError(error.message)
     sub = body["subcommand"]
     return ExperimentManifest(
         sub, body.get("params", {}), int(body["seed"]),
@@ -177,15 +187,14 @@ def _run_entropy(m):
 
 def _run_extractor(m):
     n = _param(m, "n", 6)
-    if n < 0:
-        raise ValueError("source width must be non-negative, got {}".format(n))
+    if not 0 <= n <= gf2.EXACT_INPUT_LIMIT:
+        raise ValueError(f"source width must lie in [0, {gf2.EXACT_INPUT_LIMIT}], got {n}")
+    atoms = [gf2.bits_from_int(v, n) for v in range(2 ** n)]
 
     def one(i):
         rng = child_rng(m.seed, "extractor", i)
         raw = rng.random(2 ** n) + 1e-3
-        probs = raw / raw.sum()
-        pmf = dist.Pmf({gf2.bits_from_int(v, n): float(q)
-                        for v, q in enumerate(probs)})
+        pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
         d = gf2.extractor_distance(pmf, n)
         bound = gf2.extractor_bound(dist.min_entropy(pmf))
         return int(d > bound + 1e-12), bound - d
@@ -206,15 +215,17 @@ def _run_gl(m):
 
     def one(i):
         rng = child_rng(m.seed, "gl", i)
-        secret = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        secret = rng.integers(0, 2, size=n).astype(np.uint8)
 
-        def predictor(query):
-            bit = int(gf2.inner_product(secret, query))
-            if noise and rng.random() < noise:
-                bit ^= 1
-            return bit
+        def answer(queries):
+            bits = (queries @ secret) & 1
+            if noise:
+                # one draw per query in query order, as rng.random() per call
+                bits ^= rng.random(len(queries)) < noise
+            return bits
 
-        return int(secret in gf2.gl_decode(predictor, n, advantage, rng))
+        cands = gf2.gl_decode(gf2.BatchPredictor(answer), n, advantage, rng)
+        return int(tuple(secret.tolist()) in cands)
 
     hits = sum(_run_trials(one, m))
     return {
@@ -318,6 +329,8 @@ def _run_core_lemma(m):
 
 def _run_concentration(m):
     support = _param(m, "support", 4)
+    if not 1 <= support <= dist.SPECTRUM_VALUE_LIMIT:
+        raise ValueError(f"support must lie in [1, {dist.SPECTRUM_VALUE_LIMIT}], got {support}")
     t_max = _param(m, "t_max", 12)
     eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
@@ -353,6 +366,8 @@ def _run_concentration(m):
 def _run_efi_sweep(m):
     pmf, width = _indexed_pmf(_param(m, "weights", [1] * 16, list))
     s_max = _param(m, "s_max", 2 * width)
+    if s_max < 0:
+        raise ValueError("s_max must be non-negative, got {}".format(s_max))
     rng = child_rng(m.seed, "efi-sweep", 0)
     csv = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
     rows = []

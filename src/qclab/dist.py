@@ -11,12 +11,14 @@ the support, not the log of the support size.
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 MASS_TOL = 1e-12
 PRODUCT_ATOM_LIMIT = 2 ** 24
 MATERIALIZE_ATOM_LIMIT = 2 ** 18
 EXACT_SUPPORT_LIMIT = 2 ** 16
+SPECTRUM_VALUE_LIMIT = 64
 
 
 def _is_bits(x):
@@ -195,22 +197,12 @@ def smooth_min_entropy(p, eps):
     sum((p_i - lambda)+) = eps; the trimmed mass can always be relocated onto
     fresh atoms of mass <= lambda, so -log2(lambda) is the best min-entropy
     within statistical distance eps.  An eps that reaches the total mass
-    leaves no positive level and raises ValueError.
+    leaves no positive level and raises ValueError.  Computed from the
+    probability spectrum, so it equals smooth_min_entropy_spectrum there
+    even where eps nearly cancels the mass.
     """
     _require_normalized(p)
-    _check_eps(eps)
-    probs = sorted(p.as_dict().values(), reverse=True)
-    if eps == 0:
-        return -math.log2(probs[0])
-    running = 0.0
-    for k, q in enumerate(probs, start=1):
-        running += q
-        lam = (running - eps) / k
-        below = probs[k] if k < len(probs) else 0
-        if lam >= below and lam > 0:
-            return -math.log2(lam)
-    raise ValueError(f"smoothing parameter {eps!r} leaves no positive "
-                     f"water-filling level under total mass {running!r}")
+    return smooth_min_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
 def _greedy_removed(items, eps):
@@ -309,7 +301,7 @@ def product_spectrum(p, t):
         groups[q] = groups.get(q, 0) + 1
     values = sorted(groups, reverse=True)
     mults = [groups[v] for v in values]
-    if len(values) > 64 or t > 4096:
+    if len(values) > SPECTRUM_VALUE_LIMIT or t > 4096:
         raise ValueError("spectrum enumeration out of range")
 
     spectrum = {}

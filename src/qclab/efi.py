@@ -102,19 +102,17 @@ def hash_truncation_sd(g0, seed, truncation):
     """Exact distance between the hashed generator and uniform, one seed.
 
     The cost is the support size rather than 2^truncation; see
-    gf2.hashed_distance.
+    gf2.hashed_distances.
     """
-    return gf2.hashed_distance(seed, *_support(g0), truncation)
+    xs, probs = _support(g0)
+    return float(gf2.hashed_distances(gf2.hash_eval_stack([seed], xs, truncation), probs)[0])
 
 
 def efi_distance(g0, truncation, seed_samples, rng):
     """Mean exact per-seed distance over fresh hash seeds, with 99% radius."""
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
-    width = _support(g0)[0].shape[1]
-    if truncation > 3 * width:
-        raise ValueError(
-            f"truncation {truncation} exceeds the {3 * width}-bit hash output")
+    _support(g0)  # rejects a subnormal generator
     return gf2.lhl_distance(g0, truncation, seed_samples, rng)
 
 
@@ -135,10 +133,11 @@ def distance_sweep(g0, truncations, seed_samples, rng):
             raise ValueError(
                 f"truncation {s} outside [0, {3 * width}]")
     seeds = [gf2.sample_hash_seed(rng, width) for _ in range(seed_samples)]
+    # prefixes nest, so every row reads the first s of the longest hashes
+    ys = gf2.hash_eval_stack(seeds, xs, max(truncations, default=0))
     radius = hoeffding_radius(seed_samples)
     lines = ["s,sd_estimate,radius"]
     for s in truncations:
-        est = float(np.mean([gf2.hashed_distance(seed, xs, probs, s)
-                             for seed in seeds]))
+        est = float(np.mean(gf2.hashed_distances(ys[:, :, :s], probs)))
         lines.append(f"{s},{est!r},{radius!r}")
     return "\n".join(lines) + "\n"

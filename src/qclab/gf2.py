@@ -5,10 +5,14 @@ Bit vectors are tuples of 0/1 ints at API boundaries; hot paths use uint8
 numpy arrays internally.  Integer packing is little-endian (bit 0 is the
 least significant bit) everywhere in this module.
 
-`prefix_groups` is the only place in the package that groups atoms by a
-hash prefix: the hashed-output distances here and in `efi`, and the slice
-filter in `pseudoentropy`, all go through it.  Its byte packing of prefixes
-never leaves this module; callers see group labels and prefix bits.
+`group_prefixes` is the only place in the package that groups atoms by a
+hash prefix.  It sorts the (S, N, i) bits of S seeds (`hash_eval_stack`)
+once, by seed and then by prefix as a little-endian integer, so each seed's
+groups stay contiguous and in order: `np.bincount` over the global group
+ids adds per seed exactly as a one-seed call (`prefix_groups`) would.
+
+A GL predictor maps an n-bit tuple to a bit and is called once per query,
+in order; a `BatchPredictor` answers the whole (Q, n) query matrix at once.
 """
 
 import math
@@ -142,38 +146,37 @@ def seed_from_bytes(raw, n_in, n_out=None):
 
 def hash_eval(seed, x, i):
     """First i output bits of the hash on input x."""
-    if len(x) != seed.n_in:
-        raise ValueError(f"input has {len(x)} bits, seed expects {seed.n_in}")
-    if not 0 <= i <= seed.n_out:
-        raise ValueError(f"prefix length {i} outside [0, {seed.n_out}]")
     _check_bits(x)
-    if i == 0:
-        return ()
-    xv = np.asarray(x, dtype=np.uint8)
-    out = (seed.rows[:i] @ xv + seed.offsets[:i]) & 1
-    return tuple(int(b) for b in out)
+    return tuple(hash_eval_batch(seed, [x], i)[0].tolist())
 
 
 def hash_eval_batch(seed, xs, i):
     """hash_eval over the rows of an (N, n_in) uint8 matrix; returns (N, i)."""
+    return hash_eval_stack([seed], xs, i)[0]
+
+
+def hash_eval_stack(seeds, xs, i):
+    """hash_eval of S seeds over the rows of an (N, n_in) uint8 matrix;
+    returns (S, N, i)."""
     xs = np.asarray(xs, dtype=np.uint8)
-    if xs.ndim != 2 or xs.shape[1] != seed.n_in:
+    if xs.ndim != 2 or any(seed.n_in != xs.shape[1] for seed in seeds):
         raise ValueError("xs must be an (N, n_in) bit matrix")
-    if not 0 <= i <= seed.n_out:
-        raise ValueError(f"prefix length {i} outside [0, {seed.n_out}]")
-    return (xs @ seed.rows[:i].T + seed.offsets[:i]) & 1
+    n_out = min(seed.n_out for seed in seeds)
+    if not 0 <= i <= n_out:
+        raise ValueError(f"prefix length {i} outside [0, {n_out}]")
+    rows = np.stack([seed.rows[:i] for seed in seeds])
+    offsets = np.stack([seed.offsets[:i] for seed in seeds])
+    return (xs @ rows.transpose(0, 2, 1) + offsets[:, None, :]) & 1
 
 
 def _walsh_transform(vec):
-    # in-place fast Walsh-Hadamard butterfly
+    # in-place fast Walsh-Hadamard butterfly, one pass per stride h
     h = 1
-    n = len(vec)
-    while h < n:
-        for start in range(0, n, 2 * h):
-            a = vec[start : start + h].copy()
-            b = vec[start + h : start + 2 * h].copy()
-            vec[start : start + h] = a + b
-            vec[start + h : start + 2 * h] = a - b
+    while h < len(vec):
+        pairs = vec.reshape(-1, 2, h)
+        a = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = a - pairs[:, 1]
         h *= 2
     return vec
 
@@ -193,11 +196,13 @@ def extractor_distance(p, n):
     """
     if n > EXACT_INPUT_LIMIT:
         raise ValueError(f"exact mode limited to n <= {EXACT_INPUT_LIMIT}")
+    atoms = p.as_dict()
+    bits = np.array(list(atoms))  # atoms of mixed lengths raise here
+    if bits.shape != (len(atoms), n) or not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"atoms must be {n}-bit vectors")
     vec = np.zeros(2 ** n, dtype=np.float64)
-    for atom, q in p.as_dict().items():
-        if len(atom) != n:
-            raise ValueError(f"atom {atom!r} is not {n} bits")
-        vec[int_from_bits(atom)] += q
+    # distinct atoms hit distinct entries, so one assignment replaces +=
+    vec[bits.astype(np.int64) @ (1 << np.arange(n))] = [float(q) for q in atoms.values()]
     _walsh_transform(vec)
     return float(np.abs(vec).sum()) / 2 ** (n + 1)
 
@@ -251,41 +256,58 @@ def support_matrix(p):
     return np.array(rows, dtype=np.uint8), np.array([float(q) for _, q in items])
 
 
-def prefix_groups(seed, xs, i):
-    """Group the rows of an (N, n_in) bit matrix by their first i hash bits.
-
-    Works at any prefix length the seed supports: prefixes are compared as
-    packed bytes, never as indices into a 2^i table.
+def group_prefixes(ys):
+    """Group each seed's rows of an (S, N, i) hash-bit array by value, at
+    any i: prefixes are compared as packed bytes, never as 2^i table indices.
 
     Returns:
-        (labels, prefixes): labels[r] is the group of row r, and prefixes is
-        a (G, i) uint8 matrix holding each group's hash prefix.  Groups are
-        ordered by their prefix read as a little-endian integer.
+        (labels, owner, prefixes): labels[s, r] is the group of row r under
+        seed s, owner[g] the seed of group g, and prefixes the (G, i) bits
+        of each group, ordered by seed and then little-endian prefix.
     """
-    ys = hash_eval_batch(seed, xs, i)
-    # big-endian bytes of the reversed prefix compare in little-endian
-    # integer order; the leading pad byte keeps i = 0 a valid key width
-    packed = np.packbits(ys[:, ::-1], axis=1)
-    keys = np.zeros((len(ys), 1 + packed.shape[1]), dtype=np.uint8)
-    keys[:, 1:] = packed
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    s, n, i = ys.shape
+    # the big-endian seed index, then the reversed prefix packed big-endian,
+    # compare in (seed, little-endian prefix) order
+    packed = np.packbits(ys[:, :, ::-1], axis=2)
+    keys = np.empty((s, n, 4 + packed.shape[2]), dtype=np.uint8)
+    keys[:, :, :4] = np.arange(s, dtype=">u4").view(np.uint8).reshape(s, 1, 4)
+    keys[:, :, 4:] = packed
+    keys = keys.reshape(s * n, -1).view(np.dtype((np.void, keys.shape[2]))).ravel()
     _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
-    return labels, ys[first]
+    return labels.reshape(s, n), first // n, ys.reshape(s * n, i)[first]
 
 
-def hashed_distance(seed, xs, probs, m):
-    """Exact SD(h(X)_m, uniform) for one seed, X given by rows and masses.
+def prefix_groups(seed, xs, i):
+    """Group the rows of an (N, n_in) bit matrix by their first i hash bits:
+    group_prefixes for one seed, returning (labels, prefixes)."""
+    labels, _, prefixes = group_prefixes(hash_eval_stack([seed], xs, i))
+    return labels[0], prefixes
+
+
+def hashed_distances(ys, probs):
+    """Exact SD(h(X)_m, uniform) per seed, from the (S, N, m) hash bits of
+    the rows of X with masses probs.
 
     Only the hit outputs are summed; the unhit part of the output space
     folds into one closed-form term, so the cost is the support size rather
     than 2^m.
     """
+    s, _, m = ys.shape
     if m == 0:
-        return 0.0  # exactly, even when the float masses miss 1 by an ulp
-    labels, _ = prefix_groups(seed, xs, m)
-    mass = np.bincount(labels, weights=probs)
+        return np.zeros(s)  # exactly, even when the float masses miss 1 by an ulp
+    labels, owner, _ = group_prefixes(ys)
     u = 2.0 ** -m
-    return 0.5 * (float(np.abs(mass - u).sum()) + (1.0 - len(mass) * u))
+    dev = np.abs(np.bincount(labels.ravel(), weights=np.tile(probs, s)) - u)
+    counts = np.bincount(owner, minlength=s)
+    start = np.cumsum(counts) - counts
+    total = np.empty(s)
+    # seeds with c groups sum as rows of one (k, c) array, which numpy adds
+    # in the pairwise order of each seed's own slice (reduceat would not);
+    # bincount lists the counts without np.unique's import of numpy.ma
+    for c in np.flatnonzero(np.bincount(counts)):
+        pick = counts == c
+        total[pick] = dev[start[pick, None] + np.arange(c)].sum(axis=1)
+    return 0.5 * (total + (1.0 - counts * u))
 
 
 def lhl_distance(p, m, n_seeds, rng):
@@ -305,10 +327,17 @@ def lhl_distance(p, m, n_seeds, rng):
         radius.
     """
     xs, probs = support_matrix(p)
-    n = xs.shape[1]
-    values = [hashed_distance(sample_hash_seed(rng, n), xs, probs, m)
-              for _ in range(n_seeds)]
+    seeds = [sample_hash_seed(rng, xs.shape[1]) for _ in range(n_seeds)]
+    values = hashed_distances(hash_eval_stack(seeds, xs, m), probs)
     return float(np.mean(values)), hoeffding_radius(n_seeds)
+
+
+class BatchPredictor:
+    """A GL predictor whose answer maps a (Q, n) uint8 query matrix to Q bits."""
+    __slots__ = ("answer",)
+
+    def __init__(self, answer):
+        self.answer = answer
 
 
 def gl_decode(predictor, n, eps, rng, queries=None, list_cap=None):
@@ -322,7 +351,8 @@ def gl_decode(predictor, n, eps, rng, queries=None, list_cap=None):
     probability Omega(eps^2); a noiseless predictor always does.
 
     Args:
-        predictor: callable mapping an n-bit tuple to a bit.
+        predictor: callable mapping an n-bit tuple to a bit, or a
+            BatchPredictor.
         n: length of the hidden vector.
         eps: advantage lower bound, in (0, 1/2].
         rng: numpy Generator driving the reference vectors.
@@ -372,12 +402,11 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
     subset = ((masks[:, None] >> np.arange(t, dtype=np.uint64)) & 1).astype(np.uint8)
     refs = (subset @ base) & 1
 
-    answers = np.empty((m, n), dtype=np.uint8)
-    for a in range(m):
-        for j in range(n):
-            q = refs[a].copy()
-            q[j] ^= 1
-            answers[a, j] = predictor(tuple(int(b) for b in q)) & 1
+    # query (a, j) is refs[a] ^ e_j, asked in row-major (a, j) order
+    asked = (refs[:, None, :] ^ np.eye(n, dtype=np.uint8)).reshape(m * n, n)
+    answers = (predictor.answer(asked) if isinstance(predictor, BatchPredictor)
+               else [predictor(tuple(q)) for q in asked.tolist()])
+    answers = (np.asarray(answers).reshape(m, n) & 1).astype(np.uint8)
 
     guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
     guess_labels = (subset @ guesses.T) & 1  # (m, 2^t)
@@ -385,13 +414,6 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
     ones = votes.sum(axis=0)  # (n, 2^t)
     candidates = (2 * ones > m).astype(np.uint8).T  # (2^t, n)
 
-    out = []
-    seen = set()
-    for row in candidates:
-        key = tuple(int(b) for b in row)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-        if len(out) >= list_cap:
-            break
-    return out, refs, answers
+    # distinct candidates in order of first appearance, at most list_cap
+    first = np.sort(np.unique(candidates, axis=0, return_index=True)[1])[:list_cap]
+    return [tuple(row) for row in candidates[first].tolist()], refs, answers

@@ -141,8 +141,9 @@ class SliceAnalysis:
         self._light = np.array([k in light for k in pmf.support()], dtype=bool)
         self._floor = params.density_floor
 
-    def filter_groups(self, seed):
-        """Hash every key to i_s bits and run the slice filter on each value.
+    def filter_groups(self, seeds):
+        """Hash every key to i_s bits under each seed and run the slice
+        filter on each value.
 
         The filter accepts a hash value when at most one light-set key
         hashes to it and its flat-slice mass is at least the density floor
@@ -150,17 +151,18 @@ class SliceAnalysis:
         and are never accepted.
 
         Returns:
-            (labels, prefixes, mass, flat, accept): the group of each key in
-            canonical atom order, each group's hash value as a (G, i_s) bit
-            matrix, its conditional and flat-slice masses, and the filter
-            decision.
+            (labels, owner, prefixes, mass, flat, accept): gf2.group_prefixes
+            of the keys in canonical atom order, then each group's
+            conditional and flat-slice masses and the filter decision.
         """
-        labels, prefixes = gf2.prefix_groups(seed, self._keys, self.i_s)
-        mass = np.bincount(labels, weights=self._probs)
-        flat = np.bincount(labels, weights=np.where(self._flat, self._probs, 0.0))
-        light = np.bincount(labels, weights=self._light)
+        labels, owner, prefixes = gf2.group_prefixes(
+            gf2.hash_eval_stack(seeds, self._keys, self.i_s))
+        ids, s = labels.ravel(), len(seeds)
+        mass = np.bincount(ids, weights=np.tile(self._probs, s))
+        flat = np.bincount(ids, weights=np.tile(np.where(self._flat, self._probs, 0.0), s))
+        light = np.bincount(ids, weights=np.tile(self._light, s))
         accept = (light <= 1) & (flat >= self._floor * mass)
-        return labels, prefixes, mass, flat, accept
+        return labels, owner, prefixes, mass, flat, accept
 
     def f_s(self, seed, y):
         """Does hash value y isolate the flat slice under this seed?
@@ -169,7 +171,7 @@ class SliceAnalysis:
         """
         if len(y) != self.i_s:
             raise ValueError(f"hash value must be {self.i_s} bits, got {len(y)}")
-        _, prefixes, _, _, accept = self.filter_groups(seed)
+        _, _, prefixes, _, _, accept = self.filter_groups([seed])
         hit = (prefixes == np.asarray(y, dtype=np.uint8)).all(axis=1)
         return bool(accept[hit].any())
 
@@ -222,7 +224,7 @@ def g_pair_conditional(k_s, seed, i, r, analysis):
     bits = ((xs @ np.asarray(r, dtype=np.uint8)) & 1).tolist()
     fired = set()
     if i == analysis.i_s:
-        _, accepted, _, _, accept = analysis.filter_groups(seed)
+        _, _, accepted, _, _, accept = analysis.filter_groups([seed])
         fired = {tuple(y) for y in accepted[accept].tolist()}
     flat = frozenset(analysis.g_s)
     weight = [0] * len(ys)
@@ -271,6 +273,14 @@ class GapReport:
         return f"GapReport(gap={self.gap:.6f}, radius={self.radius:.6f})"
 
 
+def _group_sums(member, kbits, lone):
+    # member @ kbits, rounded as per seed: numpy takes a seed's lone accepted
+    # group as a vector-matrix product, which adds in another order
+    out = member @ kbits
+    out[lone] = (member[lone, None, :] @ kbits)[:, 0]
+    return out
+
+
 def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     """Estimate the patched-minus-real entropy gap of a tabulated puzzle.
 
@@ -301,30 +311,29 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
 
     n_out = max(3 * width, max(analysis.i_s for _, _, analysis in instances))
-    values = np.empty(seed_samples)
-    trigger = np.empty(seed_samples)
-    per_s_acc = {code: 0.0 for _, code, _ in instances}
-    for t in range(seed_samples):
-        seed = gf2.sample_hash_seed(rng, width, n_out)
-        value = 0.0
-        trig = 0.0
-        for (ps, code, analysis), kbits in zip(instances, bits):
-            labels, _, mass, flat, accept = analysis.filter_groups(seed)
-            fired = np.flatnonzero(accept)
-            # member[g, k]: mass of key k if it lies in the g-th accepted group
-            member = (labels == fired[:, None]) * analysis._probs
-            w = mass[fired, None]
-            p_real = member @ kbits / w
-            p_patch = ((member * ~analysis._flat) @ kbits + 0.5 * flat[fired, None]) / w
-            gain = np.mean(_h2(p_patch) - _h2(p_real), axis=1)
-            # left-to-right sums; np.sum's pairwise order moves report bits
-            diff_s = sum((mass[fired] * gain).tolist(), 0.0)
-            trig_s = sum(flat[fired].tolist(), 0.0)
-            value += ps * diff_s / params.i_max
-            trig += ps * trig_s / params.i_max
-            per_s_acc[code] += diff_s / params.i_max
-        values[t] = value
-        trigger[t] = trig
+    seeds = [gf2.sample_hash_seed(rng, width, n_out) for _ in range(seed_samples)]
+    values = np.zeros(seed_samples)
+    trigger = np.zeros(seed_samples)
+    per_s_acc = {}
+    for (ps, code, analysis), kbits in zip(instances, bits):
+        labels, owner, _, mass, flat, accept = analysis.filter_groups(seeds)
+        fired = np.flatnonzero(accept)
+        # member[g, k]: mass of key k if it lies in the g-th accepted group
+        member = (labels[owner[fired]] == fired[:, None]) * analysis._probs
+        lone = np.bincount(owner[fired])[owner[fired]] == 1
+        w = mass[fired, None]
+        p_real = _group_sums(member, kbits, lone) / w
+        p_patch = (_group_sums(member * ~analysis._flat, kbits, lone)
+                   + 0.5 * flat[fired, None]) / w
+        gain = np.mean(_h2(p_patch) - _h2(p_real), axis=1)
+        # bincount adds each seed's groups left to right, as the report
+        # bits require; np.sum's pairwise order would move them
+        diff_s = np.bincount(owner[fired], weights=mass[fired] * gain,
+                             minlength=seed_samples)
+        trig_s = np.bincount(owner[fired], weights=flat[fired], minlength=seed_samples)
+        values += ps * diff_s / params.i_max
+        trigger += ps * trig_s / params.i_max
+        per_s_acc[code] = sum((diff_s / params.i_max).tolist(), 0.0)
     values = np.clip(values, -1.0, 1.0)
     gap = float(values.mean())
     trigger_mass = float(trigger.mean())

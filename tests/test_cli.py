@@ -376,6 +376,9 @@ class TestBadParameters:
         ("extractor", {"n": -1}),
         ("concentration", {"eps": 0.999999999999999}),
         ("concentration", {"eps": 0.9999999999999999}),
+        ("extractor", {"n": 40}),
+        ("concentration", {"support": 4000000000}),
+        ("efi-sweep", {"s_max": -1}),
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
@@ -392,6 +395,67 @@ class TestBadParameters:
     def test_valid_manifests_never_exit_four(self, body):
         jsonschema.validate(body, cli._load_schema())
         assert exit_code(body) in (0, 3)
+
+
+class TestGlBatchedPredictor:
+    """gl asks its noisy predictor once per batch; every trial's candidate
+    list equals the one the per-query predictor gave, with one
+    rng.random() per query."""
+
+    @pytest.mark.parametrize("n,noise", [(6, 0.3), (8, 0.4), (5, 0.0)])
+    def test_candidate_lists_equal_scalar_predictor(self, tmp_path, monkeypatch,
+                                                    n, noise):
+        trials = 12
+        got = []
+        decode = gf2.gl_decode
+        monkeypatch.setattr(gf2, "gl_decode",
+                            lambda *args: got.append(decode(*args)) or got[-1])
+        body = {"subcommand": "gl", "seed": 9, "trials": trials,
+                "params": {"n": n, "noise": noise}}
+        assert run_to_file(tmp_path, body)[0] == 0
+        monkeypatch.undo()
+        want = []
+        for i in range(trials):
+            rng = cli.child_rng(9, "gl", i)
+            secret = tuple(int(b) for b in rng.integers(0, 2, size=n))
+
+            def predictor(query, rng=rng, secret=secret):
+                bit = int(gf2.inner_product(secret, query))
+                if noise and rng.random() < noise:
+                    bit ^= 1
+                return bit
+
+            want.append(gf2.gl_decode(predictor, n, 0.5 - noise, rng))
+        assert got == want
+
+
+class TestValidatorBuiltOnce:
+    """The cached validator reports what jsonschema.validate would."""
+
+    @pytest.mark.parametrize("body", [
+        {"subcommand": "entropy"},
+        {"subcommand": "nope", "seed": 0},
+        {"subcommand": "gl", "seed": -1, "trials": 0},
+        {"subcommand": "gl", "seed": 0, "colour": "red", "format": "xml"},
+        {"subcommand": "gl", "seed": 0, "params": [1], "workers": 0},
+        {"subcommand": 3, "seed": "x", "out": 5},
+    ])
+    def test_error_message_matches_validate(self, body, tmp_path, capsys):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(body, cli._load_schema())
+        assert cli.main(["--manifest", write_manifest(tmp_path, body)]) == 2
+        assert json.loads(capsys.readouterr().out)["detail"] == want.value.message
+
+    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        cli._validator()
+        checks = []
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                            classmethod(lambda cls, schema: checks.append(schema)))
+        for seed in range(3):
+            body = {"subcommand": "entropy", "seed": seed}
+            assert cli.main(["--manifest", write_manifest(tmp_path, body),
+                             "--out", str(tmp_path / "r")]) == 0
+        assert checks == []
 
 
 class TestModuleEntryPoint:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclab import dist, efi, gf2
+from qclab._mc import hoeffding_radius
 
 
 def flat_bits(atom):
@@ -297,3 +298,54 @@ class TestDistanceSweep:
     def test_rejects_overlong_truncation(self):
         with pytest.raises(ValueError):
             efi.distance_sweep(UNIFORM_16, (1, 13), 10, np.random.default_rng(0))
+
+
+def sweep_oracle(g0, truncations, seed_samples, rng):
+    """distance_sweep with one distance call per seed per row."""
+    xs, probs = gf2.support_matrix(g0)
+    seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(seed_samples)]
+    radius = hoeffding_radius(seed_samples)
+    lines = ["s,sd_estimate,radius"]
+    for s in truncations:
+        est = float(np.mean([efi.hash_truncation_sd(g0, seed, s) for seed in seeds]))
+        lines.append(f"{s},{est!r},{radius!r}")
+    return "\n".join(lines) + "\n"
+
+
+def indexed_pmf(weights):
+    total = sum(weights)
+    width = max(1, (len(weights) - 1).bit_length())
+    return dist.Pmf({gf2.bits_from_int(j, width): Fraction(w, total)
+                     for j, w in enumerate(weights) if w})
+
+
+class TestSweepMatchesPerSeedLoop:
+    """One hash per seed at the longest truncation, grouped per row, gives
+    the per-seed loop's CSV byte for byte."""
+
+    @pytest.mark.parametrize("weights", [
+        [1] * 16, [8, 4, 2, 1, 1], [3, 5, 7, 1, 2, 9], [1, 0, 0, 5, 11, 2, 0, 13],
+    ])
+    @pytest.mark.parametrize("seed_samples", [1, 10, 200])
+    def test_dyadic_and_non_dyadic_weights(self, weights, seed_samples):
+        pmf = indexed_pmf(weights)
+        width = len(pmf.support()[0])
+        rows = list(range(3 * width + 1))
+        for stream in (0, 7):
+            got = efi.distance_sweep(pmf, rows, seed_samples, np.random.default_rng(stream))
+            assert got == sweep_oracle(pmf, rows, seed_samples, np.random.default_rng(stream))
+
+    def test_unsorted_and_repeated_rows(self):
+        rows = [5, 0, 3, 3, 12, 1]
+        got = efi.distance_sweep(HEAVY, rows, 30, np.random.default_rng(97))
+        assert got == sweep_oracle(HEAVY, rows, 30, np.random.default_rng(97))
+
+    def test_sixty_bit_rows(self):
+        rng = np.random.default_rng(101)
+        atoms = {tuple(int(b) for b in rng.integers(0, 2, size=20)): float(w)
+                 for w in rng.random(12)}
+        total = sum(atoms.values())
+        pmf = dist.Pmf({a: w / total for a, w in atoms.items()})
+        rows = [0, 1, 30, 59, 60]
+        got = efi.distance_sweep(pmf, rows, 8, np.random.default_rng(103))
+        assert got == sweep_oracle(pmf, rows, 8, np.random.default_rng(103))

@@ -261,3 +261,188 @@ def test_inner_product_bilinear(x, y):
     zb = gf2.bits_from_int(x ^ y, 8)
     r = gf2.bits_from_int(0b10110101, 8)
     assert gf2.inner_product(zb, r) == gf2.inner_product(xb, r) ^ gf2.inner_product(yb, r)
+
+
+def walsh_oracle(vec):
+    """The per-block loop butterfly that the reshape transform replaced."""
+    h = 1
+    n = len(vec)
+    while h < n:
+        for start in range(0, n, 2 * h):
+            a = vec[start : start + h].copy()
+            b = vec[start + h : start + 2 * h].copy()
+            vec[start : start + h] = a + b
+            vec[start + h : start + 2 * h] = a - b
+        h *= 2
+    return vec
+
+
+def extractor_oracle(p, n):
+    """extractor_distance with one int_from_bits and += per atom."""
+    vec = np.zeros(2 ** n, dtype=np.float64)
+    for atom, q in p.as_dict().items():
+        vec[gf2.int_from_bits(atom)] += q
+    walsh_oracle(vec)
+    return float(np.abs(vec).sum()) / 2 ** (n + 1)
+
+
+def prefix_groups_oracle(seed, xs, i):
+    """One seed's grouping as a call of its own, before seeds were stacked."""
+    ys = (xs @ seed.rows[:i].T + seed.offsets[:i]) & 1
+    packed = np.packbits(ys[:, ::-1], axis=1)
+    keys = np.zeros((len(ys), 1 + packed.shape[1]), dtype=np.uint8)
+    keys[:, 1:] = packed
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    return labels, ys[first]
+
+
+def hashed_distance_oracle(seed, xs, probs, m):
+    """One seed's hashed distance, before seeds were stacked."""
+    if m == 0:
+        return 0.0
+    labels, _ = prefix_groups_oracle(seed, xs, m)
+    mass = np.bincount(labels, weights=probs)
+    u = 2.0 ** -m
+    return 0.5 * (float(np.abs(mass - u).sum()) + (1.0 - len(mass) * u))
+
+
+def gl_oracle(predictor, n, eps, rng, queries=None, list_cap=None):
+    """The GL decoder that asked the predictor one query at a time."""
+    if queries is None:
+        queries = math.ceil(64 * n / eps ** 2)
+    if list_cap is None:
+        list_cap = math.ceil(4 / eps ** 2)
+    t = max(1, int(math.floor(math.log2(list_cap))))
+    m = min(2 ** t - 1, max(1, queries // n))
+    base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
+    masks = np.arange(1, m + 1, dtype=np.uint64)
+    subset = ((masks[:, None] >> np.arange(t, dtype=np.uint64)) & 1).astype(np.uint8)
+    refs = (subset @ base) & 1
+    answers = np.empty((m, n), dtype=np.uint8)
+    for a in range(m):
+        for j in range(n):
+            q = refs[a].copy()
+            q[j] ^= 1
+            answers[a, j] = predictor(tuple(int(b) for b in q)) & 1
+    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
+    votes = answers[:, :, None] ^ ((subset @ guesses.T) & 1)[:, None, :]
+    candidates = (2 * votes.sum(axis=0) > m).astype(np.uint8).T
+    out = []
+    for row in candidates:
+        key = tuple(int(b) for b in row)
+        if key not in out:
+            out.append(key)
+        if len(out) >= list_cap:
+            break
+    return out
+
+
+def random_rows(rng, n, size):
+    return rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+
+
+class TestBatchedKernels:
+    """The seed-stacked and one-shot paths against the loops they replaced:
+    equal results, not approximately equal ones."""
+
+    def test_walsh_transform_matches_loop_butterfly(self):
+        rng = np.random.default_rng(43)
+        for n in range(0, 11):
+            vec = rng.standard_normal(2 ** n)
+            assert np.array_equal(gf2._walsh_transform(vec.copy()),
+                                  walsh_oracle(vec.copy()))
+
+    def test_extractor_matches_per_atom_indexing(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            n = int(rng.integers(0, 9))
+            size = int(rng.integers(1, 2 ** n + 1))
+            support = rng.choice(2 ** n, size=size, replace=False)
+            weights = rng.random(size)
+            p = bit_pmf(dict(zip((int(s) for s in support), weights / weights.sum())), n)
+            assert gf2.extractor_distance(p, n) == extractor_oracle(p, n)
+
+    @pytest.mark.parametrize("atoms", [
+        {(0, 2): 1.0},
+        {(0, 1): 0.5, (1,): 0.5},
+        {((0, 1), (1, 0)): 1.0},
+        {(0, 0.5): 1.0},
+    ])
+    def test_extractor_rejects_atoms_that_are_not_n_bits(self, atoms):
+        with pytest.raises(ValueError):
+            gf2.extractor_distance(dist.Pmf(atoms), 2)
+
+    def test_stacked_groups_equal_one_seed_groups(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            xs = random_rows(rng, n, int(rng.integers(1, 30)))
+            seeds = [gf2.sample_hash_seed(rng, n) for _ in range(int(rng.integers(1, 300)))]
+            i = int(rng.integers(0, 3 * n + 1))
+            labels, owner, prefixes = gf2.group_prefixes(gf2.hash_eval_stack(seeds, xs, i))
+            start = 0
+            for s, seed in enumerate(seeds):
+                want_labels, want_prefixes = prefix_groups_oracle(seed, xs, i)
+                groups = np.flatnonzero(owner == s)
+                assert groups.tolist() == list(range(start, start + len(want_prefixes)))
+                assert np.array_equal(labels[s] - start, want_labels)
+                assert np.array_equal(prefixes[groups], want_prefixes)
+                start += len(groups)
+
+    def test_hashed_distances_equal_one_seed_distances(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            xs = np.unique(random_rows(rng, n, int(rng.integers(1, 40))), axis=0)
+            probs = rng.random(len(xs)) * rng.choice([1e-3, 1.0, 7.0])
+            probs /= probs.sum()
+            seeds = [gf2.sample_hash_seed(rng, n) for _ in range(int(rng.integers(1, 200)))]
+            for m in range(3 * n + 1):
+                got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
+                want = [hashed_distance_oracle(seed, xs, probs, m) for seed in seeds]
+                assert got.tolist() == want
+
+    def test_wide_prefix_distances_equal_one_seed_distances(self):
+        rng = np.random.default_rng(61)
+        xs = random_rows(rng, 20, 40)
+        probs = rng.random(40)
+        probs /= probs.sum()
+        seeds = [gf2.sample_hash_seed(rng, 20) for _ in range(25)]
+        for m in (59, 60):
+            got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
+            assert got.tolist() == [hashed_distance_oracle(s, xs, probs, m) for s in seeds]
+
+    def test_stack_checks_widths_and_prefix_length(self):
+        rng = np.random.default_rng(67)
+        seeds = [gf2.sample_hash_seed(rng, 3), gf2.sample_hash_seed(rng, 3, 5)]
+        with pytest.raises(ValueError, match="prefix length 6 outside"):
+            gf2.hash_eval_stack(seeds, np.eye(3, dtype=np.uint8), 6)
+        with pytest.raises(ValueError):
+            gf2.hash_eval_stack(seeds, np.eye(4, dtype=np.uint8), 2)
+
+    @pytest.mark.parametrize("n,eps,noise", [(4, 0.4, 0.1), (6, 0.25, 0.0), (8, 0.2, 0.3)])
+    def test_gl_candidates_equal_for_scalar_and_batched_predictors(self, n, eps, noise):
+        for trial in range(30):
+            rng = np.random.default_rng(trial)
+            secret = rng.integers(0, 2, size=n).astype(np.uint8)
+            table = np.array([gf2.inner_product(secret, gf2.bits_from_int(r, n))
+                              for r in range(2 ** n)], dtype=np.uint8)
+            table[rng.random(2 ** n) < noise] ^= 1
+            scalar = lambda r: int(table[gf2.int_from_bits(r)])
+            batched = gf2.BatchPredictor(
+                lambda qs: table[qs.astype(np.int64) @ (1 << np.arange(n))])
+            want = gl_oracle(scalar, n, eps, np.random.default_rng(trial + 100))
+            for predictor in (scalar, batched):
+                got = gf2.gl_decode(predictor, n, eps, np.random.default_rng(trial + 100))
+                assert got == want
+            assert (gf2.gl_decode_scored(scalar, n, eps, np.random.default_rng(trial))
+                    == gf2.gl_decode_scored(batched, n, eps, np.random.default_rng(trial)))
+
+    def test_gl_noise_drawn_per_batch_equals_per_query_draws(self):
+        # the cli's noisy predictor draws rng.random(Q) per batch where it
+        # drew rng.random() per query; both read one stream
+        for q in (1, 7, 48, 1000):
+            a, b = np.random.default_rng(q), np.random.default_rng(q)
+            assert a.random(q).tolist() == [b.random() for _ in range(q)]
+            assert a.random() == b.random()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qclab import dist, gf2, pseudoentropy, puzzles
+from qclab._mc import hoeffding_radius
 
 
 def bucket_table(pmf, levels):
@@ -689,3 +690,85 @@ class TestDistinguisherToInverter:
         b = pseudoentropy.distinguisher_to_inverter(
             puzzle, lambda *a: 0, params, 10, np.random.default_rng(71))
         assert a == b
+
+
+def wpeg_oracle(puzzle, params, seed_samples, rng):
+    """wpeg_entropy_gap with the seed loop outside: one filter call per
+    seed per instance and left-to-right Python sums, as a GapReport."""
+    s_marginal = puzzle.marginal_puzzles()
+    instances = []
+    for s in s_marginal.support():
+        analysis = pseudoentropy.slice_analysis(puzzle.condition_on_puzzle(s), None, params)
+        instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
+    width = instances[0][2]._keys.shape[1]
+    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+    bits = [((a._keys @ rmat.T) & 1).astype(float) for _, _, a in instances]
+    n_out = max(3 * width, max(a.i_s for _, _, a in instances))
+    values = np.empty(seed_samples)
+    trigger = np.empty(seed_samples)
+    per_s_acc = {code: 0.0 for _, code, _ in instances}
+    for t in range(seed_samples):
+        seed = gf2.sample_hash_seed(rng, width, n_out)
+        value = 0.0
+        trig = 0.0
+        for (ps, code, analysis), kbits in zip(instances, bits):
+            labels, _, _, mass, flat, accept = analysis.filter_groups([seed])
+            fired = np.flatnonzero(accept)
+            member = (labels[0] == fired[:, None]) * analysis._probs
+            w = mass[fired, None]
+            p_real = member @ kbits / w
+            p_patch = ((member * ~analysis._flat) @ kbits + 0.5 * flat[fired, None]) / w
+            gain = np.mean(pseudoentropy._h2(p_patch) - pseudoentropy._h2(p_real), axis=1)
+            diff_s = sum((mass[fired] * gain).tolist(), 0.0)
+            trig_s = sum(flat[fired].tolist(), 0.0)
+            value += ps * diff_s / params.i_max
+            trig += ps * trig_s / params.i_max
+            per_s_acc[code] += diff_s / params.i_max
+        values[t] = value
+        trigger[t] = trig
+    values = np.clip(values, -1.0, 1.0)
+    trigger_mass = float(trigger.mean())
+    radius = 0.0 if trigger_mass == 0.0 and not values.any() else \
+        hoeffding_radius(seed_samples, value_range=2.0)
+    per_s = {k: v / seed_samples for k, v in per_s_acc.items()}
+    return pseudoentropy.GapReport(params, float(values.mean()), radius, trigger_mass,
+                                   per_s, seed_samples)
+
+
+def slice_params(n, **change):
+    base = pseudoentropy.SliceParams.default(n)
+    fields = {name: getattr(base, name) for name in base.__slots__}
+    fields.update(change)
+    return pseudoentropy.SliceParams(**fields)
+
+
+class TestSeedBatchedGap:
+    """All seeds at once give the per-seed loop's report byte for byte."""
+
+    @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
+    @pytest.mark.parametrize("params", [
+        slice_params(3), slice_params(3, density_floor=math.inf),
+        slice_params(2), slice_params(4),
+    ], ids=["n3", "floor-inf", "n2", "n4"])
+    def test_report_equals_per_seed_loop(self, fixture, params):
+        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        for stream, seeds in ((2, 200), (5, 200), (11, 1), (13, 40)):
+            got = pseudoentropy.wpeg_entropy_gap(joint, params, seeds,
+                                                 np.random.default_rng(stream))
+            want = wpeg_oracle(joint, params, seeds, np.random.default_rng(stream))
+            assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
+    def test_stacked_filter_equals_one_seed_filter(self, fixture):
+        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        rng = np.random.default_rng(17)
+        for s in joint.marginal_puzzles().support():
+            analysis = pseudoentropy.slice_analysis(joint.condition_on_puzzle(s), None, P3)
+            seeds = [gf2.sample_hash_seed(rng, 3, 9) for _ in range(50)]
+            labels, owner, prefixes, mass, flat, accept = analysis.filter_groups(seeds)
+            for t, seed in enumerate(seeds):
+                one = analysis.filter_groups([seed])
+                groups = np.flatnonzero(owner == t)
+                assert np.array_equal(labels[t] - groups[0], one[0][0])
+                for got, want in zip((prefixes, mass, flat, accept), one[2:]):
+                    assert np.array_equal(got[groups], want)
