@@ -189,7 +189,7 @@ def _run_extractor(m):
     n = _param(m, "n", 6)
     if not 0 <= n <= gf2.EXACT_INPUT_LIMIT:
         raise ValueError(f"source width must lie in [0, {gf2.EXACT_INPUT_LIMIT}], got {n}")
-    atoms = [gf2.bits_from_int(v, n) for v in range(2 ** n)]
+    atoms = list(map(tuple, gf2.bit_table(n).tolist()))
 
     def one(i):
         rng = child_rng(m.seed, "extractor", i)
@@ -311,9 +311,8 @@ def _core_lemma_fixture(name):
     if name == "point":
         return dist.Pmf({(1, 0, 1, 1): 1.0}), (1, 0, 1, 1), 0.9, 0.1
     if name == "n6":
-        atoms = {(0,) * 6: Fraction(3, 10)}
-        for v in range(1, 64):
-            atoms[gf2.bits_from_int(v, 6)] = Fraction(7, 10) / 63
+        atoms = dict.fromkeys(map(tuple, gf2.bit_table(6).tolist()), Fraction(7, 10) / 63)
+        atoms[(0,) * 6] = Fraction(3, 10)
         return dist.Pmf(atoms), (0,) * 6, 0.25, 0.012
     raise ValueError("unknown core-lemma fixture {!r}".format(name))
 
@@ -332,6 +331,9 @@ def _run_concentration(m):
     if not 1 <= support <= dist.SPECTRUM_VALUE_LIMIT:
         raise ValueError(f"support must lie in [1, {dist.SPECTRUM_VALUE_LIMIT}], got {support}")
     t_max = _param(m, "t_max", 12)
+    # the spectra of t = 1 .. t_max walk C(t_max + support, support) - 1 compositions
+    if t_max < 1 or math.comb(t_max + support, support) > dist.SPECTRUM_WALK_LIMIT:
+        raise ValueError(f"t_max {t_max} at support {support} is < 1 or past the walk limit")
     eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
 

@@ -97,8 +97,7 @@ def decommit_probability(scheme, b):
     """Chance the honest opening of b passes the receiver's check."""
     opened = qsim.apply_gate(commit_state(scheme, b), scheme.com.conj().T,
                              list(range(scheme.n_qubits)))
-    want = b << scheme.ell
-    return float(np.abs(opened.vector[want]) ** 2)
+    return float(np.abs(opened.vector[qsim.basis_index((b,) + (0,) * scheme.ell)]) ** 2)
 
 
 def hiding_advantage(scheme):
@@ -196,10 +195,8 @@ def binding_experiment(scheme, adv, rng=None, trials=None):
 
 def superposition_attacker(scheme):
     """Honest commitment to |+>, opened with the optimal measurement."""
-    plus = np.zeros(2 ** scheme.n_qubits, dtype=complex)
-    plus[0] = plus[1 << scheme.ell] = 1 / math.sqrt(2)
-    state = qsim.apply_gate(qsim.PureState(plus), scheme.com,
-                            list(range(scheme.n_qubits)))
+    plus = qsim.apply_gate(qsim.basis_state((0,) * scheme.n_qubits), qsim.H, [0])
+    state = qsim.apply_gate(plus, scheme.com, list(range(scheme.n_qubits)))
     return AdversaryStrategy(state)
 
 
@@ -208,8 +205,7 @@ def _branch_isometry(pmf, width):
     target = np.zeros(dim, dtype=complex)
     for atom, prob in pmf.items_sorted():
         bits = dist.flat_bits(atom)
-        idx = int("".join(map(str, bits)), 2)
-        target[idx * 2 ** width + idx] = math.sqrt(float(prob))
+        target[qsim.basis_index(bits + bits)] = math.sqrt(float(prob))
     cols = [target]
     for j in range(dim):
         cand = np.zeros(dim, dtype=complex)

@@ -14,11 +14,15 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 MASS_TOL = 1e-12
 PRODUCT_ATOM_LIMIT = 2 ** 24
 MATERIALIZE_ATOM_LIMIT = 2 ** 18
 EXACT_SUPPORT_LIMIT = 2 ** 16
 SPECTRUM_VALUE_LIMIT = 64
+# most compositions product_spectrum walks, C(t + k - 1, k - 1) for k values at power t
+SPECTRUM_WALK_LIMIT = 2 ** 16
 
 
 def _is_bits(x):
@@ -205,39 +209,21 @@ def smooth_min_entropy(p, eps):
     return smooth_min_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
-def _greedy_removed(items, eps):
-    # items ascending by (prob, label); returns the removed prefix length
-    removed = 0
-    cum = 0
-    for _, q in items:
-        if cum + q > eps:
-            break
-        cum += q
-        removed += 1
-    return removed
-
-
 def smooth_max_entropy(p, eps):
-    """Smoothed max-entropy: greedily delete the lightest atoms, mass <= eps.
-
-    No renormalization; ties on probability break lexicographically on the
-    atom label. The result is the max sample entropy of what remains, under
-    the original probabilities.
-    """
+    """Smoothed max-entropy: greedily delete the lightest atoms, mass <= eps,
+    and take the max sample entropy of the rest, without renormalizing."""
     _require_normalized(p)
-    _check_eps(eps)
-    items = sorted(p.as_dict().items(), key=lambda kv: (kv[1], _atom_key(kv[0])))
-    removed = _greedy_removed(items, eps)
-    return -math.log2(items[removed][1])
+    return smooth_max_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
 def smooth_max_support(p, eps):
-    """Atoms surviving the smooth_max_entropy deletion, in label order."""
+    """Atoms surviving the smooth_max_entropy deletion, in label order.
+    Atoms tied at the lightest surviving value are deleted in label order."""
     _require_normalized(p)
-    _check_eps(eps)
-    items = sorted(p.as_dict().items(), key=lambda kv: (kv[1], _atom_key(kv[0])))
-    removed = _greedy_removed(items, eps)
-    return tuple(sorted((a for a, _ in items[removed:]), key=_atom_key))
+    v, removed = _lightest_survivor(Counter(p.as_dict().values()).items(), eps)
+    items = p.items_sorted()
+    deleted = set([a for a, q in items if q == v][:removed])
+    return tuple(a for a, q in items if q >= v and a not in deleted)
 
 
 def statistical_distance(p, q):
@@ -296,12 +282,11 @@ def product_spectrum(p, t):
     """
     if t < 1:
         raise ValueError("power must be >= 1")
-    groups = {}
-    for q in p.as_dict().values():
-        groups[q] = groups.get(q, 0) + 1
+    groups = Counter(p.as_dict().values())
     values = sorted(groups, reverse=True)
     mults = [groups[v] for v in values]
-    if len(values) > SPECTRUM_VALUE_LIMIT or t > 4096:
+    if (len(values) > SPECTRUM_VALUE_LIMIT or t > 4096
+            or math.comb(t + len(values) - 1, len(values) - 1) > SPECTRUM_WALK_LIMIT):
         raise ValueError("spectrum enumeration out of range")
 
     spectrum = {}
@@ -346,14 +331,24 @@ def smooth_min_entropy_spectrum(spectrum, eps):
 
 def smooth_max_entropy_spectrum(spectrum, eps):
     """Greedy lightest-first deletion straight off a (value, count) spectrum."""
+    return -math.log2(_lightest_survivor(spectrum, eps)[0])
+
+
+def _lightest_survivor(spectrum, eps):
+    """The greedy deletion behind both smooth max-entropies: the lightest
+    surviving value, and how many atoms of that value are deleted.
+
+    Deletes whole counts of one value at a time, so float masses are never
+    added atom by atom; MASS_TOL of slack lets a float eps such as 0.3
+    delete atoms whose masses sum to it exactly.
+    """
     _check_eps(eps)
-    ordered = sorted(spectrum, key=lambda vc: vc[0])
     cum = 0
-    for v, c in ordered:
+    for v, c in sorted(spectrum, key=lambda vc: vc[0]):
         can_remove = min(c, int((eps - cum) / v + MASS_TOL)) if v > 0 else c
         cum += can_remove * v
         if can_remove < c:
-            return -math.log2(v)
+            return v, can_remove
     raise ValueError("smoothing removed the entire support")
 
 
@@ -366,11 +361,7 @@ def encode_atom(atom):
         if len(field) > 0xFFFF:
             raise ValueError("field too long to encode")
         parts.append(f"{len(field):04x}")
-        chunk = 0
-        nbytes = (len(field) + 7) // 8
-        for i, b in enumerate(field):
-            chunk |= b << (nbytes * 8 - 1 - i)
-        parts.append(chunk.to_bytes(nbytes, "big").hex())
+        parts.append(np.packbits(np.array(field, dtype=np.uint8)).tobytes().hex())
     return "".join(parts)
 
 
@@ -382,10 +373,9 @@ def decode_atom(text):
         nbits = int(text[pos : pos + 4], 16)
         pos += 4
         nbytes = (nbits + 7) // 8
-        raw = bytes.fromhex(text[pos : pos + 2 * nbytes])
+        raw = np.frombuffer(bytes.fromhex(text[pos : pos + 2 * nbytes]), dtype=np.uint8)
         pos += 2 * nbytes
-        chunk = int.from_bytes(raw, "big") if nbytes else 0
-        fields.append(tuple(chunk >> (nbytes * 8 - 1 - i) & 1 for i in range(nbits)))
+        fields.append(tuple(np.unpackbits(raw, count=nbits).tolist()))
     if len(fields) == 1:
         return fields[0]
     return tuple(fields)

@@ -2,8 +2,8 @@
 and list decoding of noisy inner-product predictors.
 
 Bit vectors are tuples of 0/1 ints at API boundaries; hot paths use uint8
-numpy arrays internally.  Integer packing is little-endian (bit 0 is the
-least significant bit) everywhere in this module.
+numpy arrays internally.  Little-endian integer packing (bit 0 is the
+least significant bit) lives only in this module; bit_table tabulates it.
 
 `group_prefixes` is the only place in the package that groups atoms by a
 hash prefix.  It sorts the (S, N, i) bits of S seeds (`hash_eval_stack`)
@@ -25,6 +25,9 @@ from qclab._mc import hoeffding_radius
 
 # Walsh transform materializes a 2^n table; beyond this the caller should sample.
 EXACT_INPUT_LIMIT = 16
+
+# Most entries of GL's (m n, n) query and (m, n, 2^t) vote tables (_gl_candidates).
+GL_TABLE_LIMIT = 2 ** 26
 
 # Exhaustive seed enumeration walks 2^(n^2) rows; only tiny inputs are feasible.
 PAIRWISE_EXACT_LIMIT = 3
@@ -62,6 +65,11 @@ def int_from_bits(bits):
     """Inverse of bits_from_int."""
     _check_bits(bits)
     return sum(b << j for j, b in enumerate(bits))
+
+
+def bit_table(width):
+    """bits_from_int of every width-bit int, in order, as a uint8 matrix."""
+    return ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
 
 
 class HashSeed:
@@ -181,18 +189,10 @@ def _walsh_transform(vec):
     return vec
 
 
-def extractor_distance(p, n):
-    """Exact distance of (R, <X,R>) from uniform for uniform public R.
-
-    Equals 2^-(n+1) * sum_r |E[(-1)^<X,r>]|, computed with a Walsh transform
-    over the 2^n mask table.
-
-    Args:
-        p: Pmf over n-bit tuples.
-        n: bit length of the atoms.
-
-    Returns:
-        The statistical distance as a float.
+def walsh_spectrum(p, n):
+    """Character sums W(r) = E[(-1)^<X,r>] of a Pmf over n-bit tuples, for
+    every mask r indexed by int_from_bits(r); Pr[<X,r> = 1] = (1 - W(r)) / 2.
+    One Walsh-Hadamard transform of the 2^n mass table: n <= EXACT_INPUT_LIMIT.
     """
     if n > EXACT_INPUT_LIMIT:
         raise ValueError(f"exact mode limited to n <= {EXACT_INPUT_LIMIT}")
@@ -203,8 +203,22 @@ def extractor_distance(p, n):
     vec = np.zeros(2 ** n, dtype=np.float64)
     # distinct atoms hit distinct entries, so one assignment replaces +=
     vec[bits.astype(np.int64) @ (1 << np.arange(n))] = [float(q) for q in atoms.values()]
-    _walsh_transform(vec)
-    return float(np.abs(vec).sum()) / 2 ** (n + 1)
+    return _walsh_transform(vec)
+
+
+def extractor_distance(p, n):
+    """Exact distance of (R, <X,R>) from uniform for uniform public R.
+
+    Equals 2^-(n+1) * sum_r |W(r)| over the walsh_spectrum W of p.
+
+    Args:
+        p: Pmf over n-bit tuples.
+        n: bit length of the atoms.
+
+    Returns:
+        The statistical distance as a float.
+    """
+    return float(np.abs(walsh_spectrum(p, n)).sum()) / 2 ** (n + 1)
 
 
 def extractor_bound(k):
@@ -235,9 +249,7 @@ def collision_probability(n, i, diff):
     _check_bits(diff)
     if not any(diff):
         raise ValueError("diff must be nonzero: inputs are required to be distinct")
-    agree = sum(
-        1 for a in range(2 ** n) if inner_product(bits_from_int(a, n), diff) == 0
-    )
+    agree = int((((bit_table(n) @ np.asarray(diff, dtype=np.uint8)) & 1) == 0).sum())
     per_row = Fraction(agree, 2 ** n)
     return per_row ** i
 
@@ -395,11 +407,13 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
         list_cap = math.ceil(4 / eps ** 2)
     t = max(1, int(math.floor(math.log2(list_cap))))
     m = min(2 ** t - 1, max(1, queries // n))
+    if m * n * max(n, 2 ** t) > GL_TABLE_LIMIT:
+        raise ValueError(f"GL tables for n = {n}, eps = {eps} exceed {GL_TABLE_LIMIT} entries")
 
     base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
+    guesses = bit_table(t)
     # nonzero subset masks 1..m; distinct subsets give pairwise-independent sums
-    masks = np.arange(1, m + 1, dtype=np.uint64)
-    subset = ((masks[:, None] >> np.arange(t, dtype=np.uint64)) & 1).astype(np.uint8)
+    subset = guesses[1 : m + 1]
     refs = (subset @ base) & 1
 
     # query (a, j) is refs[a] ^ e_j, asked in row-major (a, j) order
@@ -408,7 +422,6 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
                else [predictor(tuple(q)) for q in asked.tolist()])
     answers = (np.asarray(answers).reshape(m, n) & 1).astype(np.uint8)
 
-    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
     guess_labels = (subset @ guesses.T) & 1  # (m, 2^t)
     votes = answers[:, :, None] ^ guess_labels[:, None, :]
     ones = votes.sum(axis=0)  # (n, 2^t)

@@ -7,6 +7,7 @@ squared overlap with the honest state, computed from the simulator rather
 than estimated.
 """
 
+import itertools
 import json
 import math
 from importlib import resources
@@ -60,8 +61,8 @@ class OwsgScheme:
     def all_keys(self):
         if self.key_bits > PROFILE_KEY_LIMIT:
             raise ValueError(f"key space of {self.key_bits} bits is not enumerable here")
-        for v in range(2 ** self.key_bits):
-            yield tuple((v >> (self.key_bits - 1 - j)) & 1 for j in range(self.key_bits))
+        yield from map(tuple, qsim.basis_bits(np.arange(2 ** self.key_bits),
+                                              self.key_bits).tolist())
 
     def honest_states(self):
         """Every key in all_keys() order and the read-only matrix whose rows
@@ -120,17 +121,15 @@ def random_circuit_owsg(n, depth=4):
     singles, pairs = _load_gate_menu()
     single_bits = int(math.log2(len(singles)))
     pair_bits = int(math.log2(len(pairs)))
+    # a gate choice reads its bits off the key cyclically, as a basis index
+    index_of = {tuple(bits): i for width in (single_bits, pair_bits)
+                for i, bits in enumerate(qsim.basis_bits(np.arange(2 ** width), width).tolist())}
 
     def state_fn(key):
-        pos = 0
+        stream = itertools.cycle(key)
 
         def take(count):
-            nonlocal pos
-            v = 0
-            for _ in range(count):
-                v = (v << 1) | key[pos % n]
-                pos += 1
-            return v
+            return index_of[tuple(itertools.islice(stream, count))]
 
         psi = qsim.basis_state((0,) * CIRCUIT_QUBITS)
         for layer in range(depth):

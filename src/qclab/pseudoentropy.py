@@ -18,10 +18,10 @@ import numpy as np
 from . import dist, gf2
 from ._mc import hoeffding_radius
 
-ENTROPY_ASSIGN_TOL = 1e-9
-ENTROPY_MATCH_TOL = 1e-9
-PRODUCT_EXACT_LIMIT = 2 ** 24
-CORE_WIDTH_LIMIT = 16
+# How far apart two entropies or surprisals (base 2, in bits) computed in
+# floats may be and still count as equal: for bucket edges, for matching
+# conditional entropies and for the bound checks.
+ENTROPY_TOL = 1e-9
 
 def _h2(p):
     """Binary entropy, elementwise, with exact zeros at the endpoints."""
@@ -110,18 +110,14 @@ def find_flat_slice(k_s, params):
         raise ValueError("key distribution has empty support")
     if k_s.subnormal:
         raise ValueError("key distribution must be normalized")
-    buckets = [[] for _ in range(params.levels)]
-    masses = [0.0] * params.levels
-    for atom, p in k_s.items_sorted():
-        j = int(math.floor(-math.log2(float(p)) + ENTROPY_ASSIGN_TOL))
-        if j < params.levels:
-            buckets[j].append(atom)
-            masses[j] += float(p)
-    j_s = 0
-    for j in range(1, params.levels):
-        if masses[j] > masses[j_s]:
-            j_s = j
-    return j_s, tuple(buckets[j_s])
+    items = k_s.items_sorted()
+    probs = np.array([float(p) for _, p in items])
+    js = np.array([math.floor(-math.log2(p) + ENTROPY_TOL) for p in probs.tolist()])
+    kept = js < params.levels
+    # bincount adds in atom order, as a running sum per bucket would; argmax
+    # takes the first, shallowest, of tied buckets
+    j_s = int(np.argmax(np.bincount(js[kept], weights=probs[kept], minlength=1)))
+    return j_s, tuple(atom for (atom, _), j in zip(items, js.tolist()) if j == j_s)
 
 
 class SliceAnalysis:
@@ -189,7 +185,7 @@ def slice_analysis(k_s, seed, params):
     distribution.
     """
     j_s, g_s = find_flat_slice(k_s, params)
-    limit = j_s + params.slack + ENTROPY_ASSIGN_TOL
+    limit = j_s + params.slack + ENTROPY_TOL
     a_s = tuple(atom for atom, p in k_s.items_sorted()
                 if -math.log2(float(p)) <= limit)
     i_s = j_s + params.pad
@@ -306,7 +302,7 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     if len(widths) != 1:
         raise ValueError("key atoms must share one width")
     width = widths.pop()
-    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+    rmat = gf2.bit_table(width)
     # inner products <k, r> of every key with every mask, one row per key
     bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
 
@@ -349,16 +345,11 @@ def core_lemma_gap(x, x_star, theta_heavy, theta_light):
     """Exact entropy gap for a source with one heavy atom.
 
     Compares (R, <X, R>) against (R, fair coin) over all masks R at once:
-    the gap is 1 minus the average conditional bit entropy. Preconditions
+    the gap is 1 minus the average conditional bit entropy, with
+    Pr[<X, R> = 1] = (1 - W(R)) / 2 from gf2.walsh_spectrum. Preconditions
     pin the fixture shape: x_star must carry at least theta_heavy and every
     other atom at most theta_light.
     """
-    support = x.support()
-    width = len(support[0])
-    if width > CORE_WIDTH_LIMIT:
-        raise ValueError(f"source width {width} exceeds {CORE_WIDTH_LIMIT}")
-    if any(len(a) != width for a in support):
-        raise ValueError("source atoms must share one width")
     p_star = float(x.prob(tuple(x_star)))
     if p_star < theta_heavy:
         raise ValueError(
@@ -368,20 +359,8 @@ def core_lemma_gap(x, x_star, theta_heavy, theta_light):
             raise ValueError(
                 f"light-mass clause failed: atom {atom} carries {float(p)}"
                 f" > {theta_light}")
-    ints = np.array([gf2.int_from_bits(a) for a in support], dtype=np.uint32)
-    probs = np.array([float(x.prob(a)) for a in support])
-    total = 0.0
-    r_count = 1 << width
-    chunk = max(1, min(r_count, (1 << 22) // max(1, len(ints))))
-    for start in range(0, r_count, chunk):
-        r = np.arange(start, min(start + chunk, r_count), dtype=np.uint32)
-        v = np.bitwise_and(r[:, None], ints[None, :])
-        for shift in (8, 4, 2, 1):  # fold the 16-bit words down to parity
-            v ^= v >> shift
-        parity = (v & 1).astype(np.uint8)
-        p_one = parity @ probs
-        total += float(np.sum(_h2(p_one)))
-    return 1.0 - total / r_count
+    w = gf2.walsh_spectrum(x, len(x.support()[0]))
+    return 1.0 - float(np.sum(_h2((1 - w) / 2))) / len(w)
 
 
 class BiasedCoinBounds:
@@ -399,9 +378,9 @@ class BiasedCoinBounds:
         self.lower_applies = d <= 0.5
 
     def check(self):
-        ok = self.upper - self.entropy >= -1e-9
+        ok = self.upper - self.entropy >= -ENTROPY_TOL
         if self.lower_applies:
-            ok = ok and self.entropy - self.lower >= -1e-9
+            ok = ok and self.entropy - self.lower >= -ENTROPY_TOL
         return ok
 
 
@@ -420,7 +399,7 @@ class SlicingCheck:
         self.min_gap = min_gap
         self.a_star_mass = a_star_mass
         self.bound = min_gap * a_star_mass
-        self.holds = difference >= self.bound - ENTROPY_MATCH_TOL
+        self.holds = difference >= self.bound - ENTROPY_TOL
 
 
 def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
@@ -437,7 +416,7 @@ def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
         h0 = dist.shannon_entropy(b0_given_a[atom])
         h1 = dist.shannon_entropy(b1_given_a[atom])
         marked = atom in a_star
-        if not marked and abs(h1 - h0) > ENTROPY_MATCH_TOL:
+        if not marked and abs(h1 - h0) > ENTROPY_TOL:
             raise ValueError(
                 f"conditional entropies differ outside the marked set at {atom!r}")
         rows.append((float(p), h0, h1, marked))
@@ -520,7 +499,7 @@ def peg_product(g0, g1, params, n=None):
     for g in (g0, g1):
         if len(g) == 0:
             raise ValueError("generator support is empty")
-        if q * math.log2(len(g)) > math.log2(PRODUCT_EXACT_LIMIT) + 1e-9:
+        if q * math.log2(len(g)) > math.log2(dist.PRODUCT_ATOM_LIMIT) + ENTROPY_TOL:
             raise ValueError(
                 f"{q} copies of {len(g)} atoms would exceed the exact-mode limit")
     spec0 = dist.product_spectrum(g0, q)

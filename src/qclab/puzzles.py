@@ -165,7 +165,7 @@ def shadow_gen(state, t_snapshots, rng):
         cdf = np.cumsum(probs[:, :, 0], axis=1)
         cdf = (cdf / cdf[:, -1:])[row]
         index[blk] = (cdf <= draws[blk, None]).sum(axis=1)
-    return Shadow._of(trits, (index[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+    return Shadow._of(trits, qsim.basis_bits(index, m))
 
 
 def estimate_overlap_many(shadow, targets, k_groups):
@@ -192,7 +192,7 @@ def estimate_overlap_many(shadow, targets, k_groups):
         mat = np.stack([s.vector for s in targets])
     if mat.ndim != 2 or mat.shape[1] != 2 ** m:
         raise ValueError("targets live on a different register than the shadow")
-    index = shadow._bits @ (1 << np.arange(m - 1, -1, -1))
+    index = qsim.basis_index(shadow._bits)
     per_snap = np.empty((t, len(mat)))
     for blk in _blocks(t, mat.size):
         table, row = _drawn_bases(mat, shadow._trits[blk])
@@ -223,7 +223,8 @@ def shadow_to_bytes(shadow):
         )
     trits = shadow._trits
     rows = np.concatenate(
-        [np.stack([trits & 1, trits >> 1], axis=2).reshape(t, 2 * m), shadow._bits],
+        [np.unpackbits(trits[:, :, None], axis=2, count=2, bitorder="little")
+         .reshape(t, 2 * m), shadow._bits],
         axis=1,
     )
     packed = np.packbits(rows, bitorder="little")
@@ -242,7 +243,7 @@ def shadow_from_bytes(raw):
                          count=need_bits, bitorder="little")
     rows = flat.reshape(t, 3 * m)
     pairs = rows[:, : 2 * m].reshape(t, m, 2)
-    trits = pairs[:, :, 0] | (pairs[:, :, 1] << 1)
+    trits = np.packbits(pairs, axis=2, bitorder="little")[:, :, 0]
     if (trits > 2).any():
         raise ValueError("invalid basis trit in shadow stream")
     return Shadow._of(trits, rows[:, 2 * m :])
@@ -324,14 +325,10 @@ class TabulatedPuzzle:
 
 
 def _three_bit_joint(probs_zero, probs_one):
-    rows = {}
-    for i, p in enumerate(probs_zero):
-        key = tuple((i >> (2 - j)) & 1 for j in range(3))
-        rows[(key, (0,))] = Fraction(1, 2) * p
-    for i, p in enumerate(probs_one):
-        key = tuple((i >> (2 - j)) & 1 for j in range(3))
-        rows[(key, (1,))] = Fraction(1, 2) * p
-    return dist.JointPmf(rows)
+    keys = list(map(tuple, qsim.basis_bits(np.arange(8), 3).tolist()))
+    return dist.JointPmf({(key, (s,)): Fraction(1, 2) * p
+                          for s, probs in enumerate((probs_zero, probs_one))
+                          for key, p in zip(keys, probs)})
 
 
 def tabulated_puzzles():

@@ -1,7 +1,8 @@
 """Dense statevector and density-matrix simulator for small registers.
 
 Qubit 0 is the most significant position: basis_state((1, 0)) has its
-amplitude at index 2.  Everything is exact linear algebra on numpy complex
+amplitude at index 2; basis_index and basis_bits are the package's
+big-endian bit packing.  Everything is exact linear algebra on numpy complex
 arrays; no approximation beyond float64 happens anywhere in this module.
 
 Caller input is checked once, where it enters: the PureState and
@@ -102,13 +103,26 @@ def _result(cls, array):
     return state
 
 
+def basis_index(bits):
+    """Basis index of a bit string, qubit 0 most significant; on an (..., n)
+    array, the index of each row."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def basis_bits(index, n):
+    """Inverse of basis_index: the n bits of a basis index, or an (..., n)
+    array of them for an index array."""
+    return (np.asarray(index)[..., None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def basis_state(bits):
     """Computational basis state |bits>."""
     if not all(b in (0, 1) for b in bits):
         raise ValueError(f"not a bit string: {bits!r}")
     _qubits_of(2 ** len(bits), QUBIT_LIMIT, "statevector")
     vec = np.zeros(2 ** len(bits), dtype=complex)
-    vec[sum(b << (len(bits) - 1 - j) for j, b in enumerate(bits))] = 1.0
+    vec[basis_index(bits)] = 1.0
     return _result(PureState, vec)
 
 
@@ -168,16 +182,12 @@ def apply_unitary(state, u, targets):
     return apply_gate(state, u, targets)
 
 
-def _target_bits(index, targets, n):
-    """Bits of a basis index (an int or an index array) on the targets."""
-    return [(index >> (n - 1 - t)) & 1 for t in targets]
-
-
-def _outcome_mask(n, targets, bits):
-    mask = np.ones(2 ** n, dtype=bool)
-    for got, b in zip(_target_bits(np.arange(2 ** n), targets, n), bits):
-        mask &= got == b
-    return mask
+def _target_code(n, targets):
+    # each basis index's bits on the targets, in target order, as one index
+    index, code = np.arange(2 ** n), np.zeros(2 ** n, dtype=np.int64)
+    for t in targets:
+        code = code << 1 | (index >> (n - 1 - t)) & 1
+    return code
 
 
 def project(state, targets, bits):
@@ -186,10 +196,10 @@ def project(state, targets, bits):
     Returns (probability, post_state); outcomes with probability below
     OUTCOME_FLOOR are rejected since the conditional state is undefined.
     """
-    if len(targets) != len(bits):
+    if len(targets) != len(bits) or not set(bits) <= {0, 1}:
         raise ValueError("one outcome bit per target required")
     _check_targets(state, targets)
-    mask = _outcome_mask(state.n_qubits, targets, bits)
+    mask = _target_code(state.n_qubits, targets) == basis_index(bits)
     pure = isinstance(state, PureState)
     if pure:
         sub = np.where(mask, state.vector, 0.0)
@@ -210,9 +220,7 @@ def measure_decompose(state, targets):
     """All measurement branches on the targets as (bits, prob, post_state)."""
     _check_targets(state, targets)  # project's own errors mean "skip this branch"
     out = []
-    k = len(targets)
-    for v in range(2 ** k):
-        bits = tuple(_target_bits(v, range(k), k))
+    for bits in map(tuple, basis_bits(np.arange(2 ** len(targets)), len(targets)).tolist()):
         try:
             prob, post = project(state, targets, bits)
         except ValueError:
@@ -239,11 +247,8 @@ def dephase(state, targets):
     """
     rho = state.to_density() if isinstance(state, PureState) else state
     _check_targets(rho, targets)
-    n = rho.n_qubits
-    agree = np.ones((2 ** n, 2 ** n), dtype=bool)
-    for bit in _target_bits(np.arange(2 ** n), targets, n):
-        agree &= bit[:, None] == bit[None, :]
-    return _result(DensityMatrix, np.where(agree, rho.matrix, 0.0))
+    code = _target_code(rho.n_qubits, targets)
+    return _result(DensityMatrix, np.where(code[:, None] == code, rho.matrix, 0.0))
 
 
 def partial_trace(state, keep):

@@ -379,11 +379,26 @@ class TestBadParameters:
         ("extractor", {"n": 40}),
         ("concentration", {"support": 4000000000}),
         ("efi-sweep", {"s_max": -1}),
+        ("concentration", {"support": 16}),
+        ("concentration", {"support": 4, "t_max": 4096}),
+        ("concentration", {"t_max": 0}),
+        ("gl", {"n": 100000}),
+        ("gl", {"noise": 0.49999}),
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "parameter-rejection"
+
+    def test_wpeg_levels_beyond_the_keys_run(self, tmp_path):
+        # buckets no key reaches are never built, so 10^8 levels cost what 8 do
+        reports = [json.loads(run_to_file(tmp_path, {
+            "subcommand": "wpeg-gap", "seed": 3, "trials": 20,
+            "params": {"levels": levels}}, tag=f"{levels}.json")[1].read_text())
+            for levels in (8, 10 ** 8)]
+        for report in reports:
+            del report["manifest"]["params"], report["results"]["params"]["levels"]
+        assert reports[0] == reports[1]
 
     def test_integral_floats_still_read_as_integers(self, capsys):
         assert exit_code({"subcommand": "gl", "seed": 0, "trials": 1,

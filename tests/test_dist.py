@@ -7,9 +7,11 @@ removal.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,34 @@ class TestSmoothMaxEntropy:
         assert lo <= hi + ENTROPY_TOL
         assert hi <= dist.max_entropy(p) + ENTROPY_TOL
 
+    def test_float_and_fraction_masses_agree(self):
+        # the per-atom running sum 0.05 + 0.05 + 0.1 + 0.1 overshoots 0.3 in
+        # floats and spared one atom of 0.1; the exact deletion removes both
+        weights = [2, 3, 3, 2, 5, 1, 1, 3]
+        atoms = [tuple(int(b) for b in f"{i:03b}") for i in range(8)]
+        as_float = dist.Pmf({a: w / 20 for a, w in zip(atoms, weights)})
+        as_fraction = dist.Pmf({a: Fraction(w, 20) for a, w in zip(atoms, weights)})
+        want = -math.log2(0.15)
+        assert dist.smooth_max_entropy(as_float, 0.3) == want
+        assert dist.smooth_max_entropy(as_fraction, 0.3) == want
+        assert dist.smooth_max_entropy(as_fraction, Fraction(3, 10)) == want
+        spectrum = [(0.05, 2), (0.1, 2), (0.15, 3), (0.25, 1)]
+        assert dist.smooth_max_entropy_spectrum(spectrum, 0.3) == want
+
+    @given(simple_pmfs(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_support_and_entropy_share_one_deletion(self, p, eps):
+        try:
+            want = dist.smooth_max_entropy(p, eps)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dist.smooth_max_support(p, eps)
+            return
+        kept = dist.smooth_max_support(p, eps)
+        assert list(kept) == sorted(kept, key=dist._atom_key)
+        assert -math.log2(min(p.prob(a) for a in kept)) == want
+        assert sum(p.prob(a) for a in p.support() if a not in kept) <= eps + 1e-12
+
 
 class TestStatisticalDistance:
     def test_disjoint_supports(self):
@@ -318,6 +348,31 @@ class TestJointAndTransforms:
         assert as_map == {0.25: 1, 0.125: 4, 0.0625: 4}
         assert sum(v * c for v, c in spectrum) == pytest.approx(1.0, abs=1e-12)
 
+    def test_product_spectrum_matches_fraction_product(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            weights = rng.integers(1, 9, size=k).tolist()
+            p = dist.Pmf({(i & 1, i >> 1): Fraction(w, sum(weights))
+                          for i, w in enumerate(weights)})
+            for t in range(1, 5):
+                want = Counter(dist.product_power(p, t).as_dict().values())
+                got = dist.product_spectrum(p, t)
+                assert dict(got) == want
+                assert all(isinstance(v, Fraction) for v, _ in got)
+
+    def test_product_spectrum_walk_limit(self):
+        # 4 values at power 12 walk C(15, 3) = 455 compositions, the
+        # concentration default; 16 values at power 12 walk C(27, 15)
+        p4 = dist.Pmf({(i & 1, i >> 1): w / 10 for i, w in enumerate([1, 2, 3, 4])})
+        assert sum(c for _, c in dist.product_spectrum(p4, 12)) == 4 ** 12
+        p16 = dist.Pmf({tuple(int(b) for b in f"{i:04b}"): (i + 1) / 136 for i in range(16)})
+        assert math.comb(27, 15) > dist.SPECTRUM_WALK_LIMIT
+        with pytest.raises(ValueError, match="out of range"):
+            dist.product_spectrum(p16, 12)
+        with pytest.raises(ValueError, match="out of range"):
+            dist.product_spectrum(p4, 4096)
+
     def test_spectrum_entropies_match_materialized(self):
         p = dist.Pmf({(0,): 0.5, (1,): 0.3, (0, 1): 0.2})
         cube = dist.product_power(p, 3)
@@ -357,6 +412,25 @@ class TestSerialization:
         text = dist.joint_to_json(j)
         back = dist.joint_from_json(text)
         assert back.as_pmf().prob(((0,), (0, 1))) == pytest.approx(0.5)
+
+    def test_atom_hex_matches_bytewise_packing(self):
+        """The hex fields against a packer that shifts each bit into an
+        int, most significant bit first."""
+        def packed(field):
+            nbytes = (len(field) + 7) // 8
+            chunk = 0
+            for i, b in enumerate(field):
+                chunk |= b << (nbytes * 8 - 1 - i)
+            return f"{len(field):04x}" + chunk.to_bytes(nbytes, "big").hex()
+
+        assert dist.encode_atom((1, 0, 1, 1, 0, 0, 0, 0, 1)) == "0009b080"
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            fields = tuple(tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, 20))))
+                           for _ in range(int(rng.integers(1, 4))))
+            atom = fields[0] if len(fields) == 1 else fields
+            assert dist.encode_atom(atom) == "".join(map(packed, fields))
+            assert dist.decode_atom(dist.encode_atom(atom)) == atom
 
     def test_non_bit_atom_rejected(self):
         with pytest.raises(TypeError):

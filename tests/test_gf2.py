@@ -30,6 +30,20 @@ def bit_pmf(masses, n):
     return dist.Pmf({gf2.bits_from_int(v, n): q for v, q in masses.items()})
 
 
+def character_sum_fraction(p, r_bits):
+    """E[(-1)^<X,r>] of a Pmf with Fraction masses, exactly."""
+    return sum((Fraction(q) * (-1) ** gf2.inner_product(atom, r_bits)
+                for atom, q in p.as_dict().items()), Fraction(0))
+
+
+def random_rational_pmf(rng, n):
+    size = int(rng.integers(1, 2 ** n + 1))
+    support = rng.choice(2 ** n, size=size, replace=False)
+    weights = rng.integers(1, 50, size=size)
+    return bit_pmf({int(v): Fraction(int(w), int(weights.sum()))
+                    for v, w in zip(support, weights)}, n)
+
+
 class TestBitOps:
     def test_xor_and_inner_product(self):
         assert gf2.xor_bits((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
@@ -45,6 +59,13 @@ class TestBitOps:
     def test_int_round_trip(self):
         for v in range(16):
             assert gf2.int_from_bits(gf2.bits_from_int(v, 4)) == v
+
+    def test_bit_table_rows_are_bits_from_int(self):
+        for width in range(0, 7):
+            table = gf2.bit_table(width)
+            assert table.dtype == np.uint8 and table.shape == (2 ** width, width)
+            assert [tuple(row) for row in table.tolist()] == [
+                gf2.bits_from_int(v, width) for v in range(2 ** width)]
 
 
 class TestHashSeed:
@@ -126,6 +147,25 @@ class TestExtractor:
         p = bit_pmf({0: 1.0}, 17)
         with pytest.raises(ValueError):
             gf2.extractor_distance(p, 17)
+
+    def test_walsh_spectrum_matches_fraction_character_sums(self):
+        rng = np.random.default_rng(59)
+        for n in range(0, 6):
+            for _ in range(5):
+                p = random_rational_pmf(rng, n)
+                w = gf2.walsh_spectrum(p, n)
+                want = [character_sum_fraction(p, gf2.bits_from_int(r, n)) for r in range(2 ** n)]
+                assert w == pytest.approx([float(v) for v in want], abs=1e-15)
+
+    def test_distance_matches_fraction_oracle(self):
+        # 2^-(n+1) sum_r |E[(-1)^<X,r>]|, every term an exact rational
+        rng = np.random.default_rng(61)
+        for n in range(0, 6):
+            for _ in range(5):
+                p = random_rational_pmf(rng, n)
+                want = sum(abs(character_sum_fraction(p, gf2.bits_from_int(r, n)))
+                           for r in range(2 ** n)) / 2 ** (n + 1)
+                assert gf2.extractor_distance(p, n) == pytest.approx(float(want), abs=1e-15)
 
 
 class TestPairwiseIndependence:
@@ -236,6 +276,19 @@ class TestGlDecode:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             gf2.gl_decode(lambda r: 0, 4, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n,eps", [(100_000, 0.5), (6, 1e-5)])
+    def test_tables_over_the_limit_rejected_before_any_work(self, n, eps):
+        # n = 10^5 needs a 10^10-entry query matrix, eps = 1e-5 2^25 guesses
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+
+        def never(queries):
+            raise AssertionError("the predictor must not be asked")
+
+        with pytest.raises(ValueError, match="GL tables"):
+            gf2.gl_decode(gf2.BatchPredictor(never), n, eps, rng)
+        assert rng.bit_generator.state == state
 
     def test_scored_puts_clean_target_first(self):
         target = (1, 0, 1, 1, 0, 1)

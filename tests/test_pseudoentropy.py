@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -93,6 +94,58 @@ def core_gap_oracle(x):
     pm0 = dist.Pmf({a: p for a, p in a0.items() if p > 0})
     pm1 = dist.Pmf(a1)
     return dist.shannon_entropy(pm1) - dist.shannon_entropy(pm0)
+
+
+def parity_fold_gap(x):
+    """core_lemma_gap before the Walsh transform: Pr[<x, r> = 1] from the
+    parity of r & x, folded down from 16-bit words, in chunks of masks."""
+    support = x.support()
+    width = len(support[0])
+    ints = np.array([gf2.int_from_bits(a) for a in support], dtype=np.uint32)
+    probs = np.array([float(x.prob(a)) for a in support])
+    total = 0.0
+    r_count = 1 << width
+    chunk = max(1, min(r_count, (1 << 22) // max(1, len(ints))))
+    for start in range(0, r_count, chunk):
+        r = np.arange(start, min(start + chunk, r_count), dtype=np.uint32)
+        v = np.bitwise_and(r[:, None], ints[None, :])
+        for shift in (8, 4, 2, 1):
+            v ^= v >> shift
+        total += float(np.sum(pseudoentropy._h2((v & 1).astype(np.uint8) @ probs)))
+    return 1.0 - total / r_count
+
+
+def core_gap_fraction_oracle(x):
+    """1 - mean_r h(Pr[<X, r> = 1]) with each probability an exact Fraction
+    and the binary entropy taken at 50 digits."""
+    n = len(next(iter(x.support())))
+    total = mp.mpf(0)
+    with mp.workdps(50):
+        for ridx in range(2 ** n):
+            r = gf2.bits_from_int(ridx, n)
+            p = sum((Fraction(q) for a, q in x.as_dict().items() if gf2.inner_product(a, r)),
+                    Fraction(0))
+            for q in (p, 1 - p):
+                if q:
+                    q = mp.mpf(q.numerator) / q.denominator
+                    total -= q * mp.log(q, 2)
+        return float(1 - total / 2 ** n)
+
+
+def flat_slice_loop(k_s, params):
+    """find_flat_slice as it kept one list and one running sum per level."""
+    buckets = [[] for _ in range(params.levels)]
+    masses = [0.0] * params.levels
+    for atom, p in k_s.items_sorted():
+        j = int(math.floor(-math.log2(float(p)) + 1e-9))
+        if j < params.levels:
+            buckets[j].append(atom)
+            masses[j] += float(p)
+    j_s = 0
+    for j in range(1, params.levels):
+        if masses[j] > masses[j_s]:
+            j_s = j
+    return j_s, tuple(buckets[j_s]), masses[j_s]
 
 
 def slicing_oracle(a, b0, b1):
@@ -230,6 +283,23 @@ class TestFindFlatSlice:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             pseudoentropy.find_flat_slice(dist.Pmf({}, subnormal=True), P3)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 6, 12])
+    def test_matches_per_level_loop(self, levels):
+        rng = np.random.default_rng(levels)
+        params = slice_params(3, levels=levels)
+        for _ in range(40):
+            w = rng.random(8) ** 6 + 1e-6 * (rng.random(8) < 0.3)
+            p = dist.Pmf({gf2.bits_from_int(v, 3): float(x) for v, x in enumerate(w / w.sum())})
+            j, g = pseudoentropy.find_flat_slice(p, params)
+            want_j, want_g, want_mass = flat_slice_loop(p, params)
+            assert (j, g) == (want_j, want_g)
+            assert math.fsum(float(p.prob(k)) for k in g) == pytest.approx(want_mass, abs=1e-15)
+
+    def test_levels_far_beyond_the_support_cost_nothing(self):
+        # only occupied buckets are summed: 10^8 levels select what 8 do
+        huge = pseudoentropy.find_flat_slice(geometric_keys(), slice_params(3, levels=10 ** 8))
+        assert huge == pseudoentropy.find_flat_slice(geometric_keys(), slice_params(3, levels=8))
 
 
 class TestSliceAnalysis:
@@ -490,6 +560,33 @@ class TestCoreLemmaGap:
         x = dist.Pmf({(0,) * 17: 1.0})
         with pytest.raises(ValueError):
             pseudoentropy.core_lemma_gap(x, (0,) * 17, 0.5, 0.5)
+
+    def test_matches_fraction_oracle(self):
+        # theta 0 and 1 leave the heavy and light clauses vacuous
+        rng = np.random.default_rng(17)
+        for n in range(1, 5):
+            for _ in range(6):
+                size = int(rng.integers(1, 2 ** n + 1))
+                picks = rng.choice(2 ** n, size=size, replace=False)
+                weights = rng.integers(1, 20, size=size)
+                x = dist.Pmf({gf2.bits_from_int(int(v), n): Fraction(int(w), int(weights.sum()))
+                              for v, w in zip(picks, weights)})
+                gap = pseudoentropy.core_lemma_gap(x, next(iter(x.support())), 0.0, 1.0)
+                assert gap == pytest.approx(core_gap_fraction_oracle(x), abs=1e-13)
+
+    def test_walsh_sums_match_parity_fold(self):
+        # (1 - W(r)) / 2 rounds differently from a parity-weighted sum, so
+        # the gaps agree to float precision, not bit for bit
+        rng = np.random.default_rng(19)
+        for n in (1, 3, 6, 10, 16):
+            for _ in range(4):
+                size = int(rng.integers(1, min(2 ** n, 300) + 1))
+                picks = rng.choice(2 ** n, size=size, replace=False)
+                w = rng.random(size)
+                x = dist.Pmf({gf2.bits_from_int(int(v), n): float(q)
+                              for v, q in zip(picks, w / w.sum())})
+                gap = pseudoentropy.core_lemma_gap(x, next(iter(x.support())), 0.0, 1.0)
+                assert gap == pytest.approx(parity_fold_gap(x), abs=1e-12)
 
 
 class TestBiasedCoinBounds:

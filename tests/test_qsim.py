@@ -162,6 +162,36 @@ class TestMeasurement:
         assert {bits for bits, _, _ in branches} == {(0,), (1,)}
         assert sum(prob for _, prob, _ in branches) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("targets", [[0], [2], [2, 0], [1, 3, 0]])
+    def test_project_keeps_the_indices_showing_the_outcome(self, targets):
+        rng = np.random.default_rng(67)
+        psi = random_state(rng, 4)
+        rho = qsim.DensityMatrix(psi.to_density().matrix)
+        for v in range(2 ** len(targets)):
+            bits = bits_of(v, len(targets))
+            keep = np.array([all(bits_of(i, 4)[t] == b for t, b in zip(targets, bits))
+                             for i in range(16)])
+            sub = np.where(keep, psi.vector, 0.0)
+            want = np.vdot(sub, sub).real
+            prob, post = qsim.project(psi, targets, bits)
+            assert prob == pytest.approx(want, abs=1e-12)
+            assert np.allclose(post.vector, sub / np.sqrt(want))
+            prob, post = qsim.project(rho, targets, bits)
+            assert prob == pytest.approx(want, abs=1e-12)
+            assert np.allclose(post.matrix, np.outer(sub, sub.conj()) / want)
+
+    def test_project_rejects_outcomes_that_are_not_bits(self):
+        with pytest.raises(ValueError, match="outcome bit"):
+            qsim.project(qsim.basis_state((0, 0)), [0, 1], (0, 2))
+
+    def test_basis_index_and_bits_are_big_endian_inverses(self):
+        for n in range(1, 6):
+            index = np.arange(2 ** n)
+            bits = qsim.basis_bits(index, n)
+            assert [tuple(row) for row in bits.tolist()] == [bits_of(v, n) for v in index]
+            assert np.array_equal(qsim.basis_index(bits), index)
+            assert [qsim.basis_index(bits_of(v, n)) for v in index] == index.tolist()
+
     def test_dephase_kills_coherence(self):
         plus = qsim.apply_unitary(qsim.basis_state((0,)), qsim.H, [0])
         rho = qsim.dephase(plus.to_density(), [0])
