@@ -6,6 +6,10 @@ distinguisher on the sent half, binding by an opening game in which the
 committer either measures the message qubit before revealing or does not.
 Both experiments reduce to trace distances of small density matrices, so
 every reported advantage is exact up to floating point.
+
+COMMIT_TOL is how far a given measurement may be from Hermitian, positive
+and resolving the identity, and the least residual norm at which the
+Gram-Schmidt completion of a purification keeps a new column.
 """
 
 import hashlib
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import dist, qsim
 
-MEASUREMENT_TOL = 1e-9
+COMMIT_TOL = 1e-9
 ALPHABET_LIMIT = 6
 
 
@@ -73,11 +77,11 @@ class AdversaryStrategy:
             if e0.shape != e1.shape or e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
                 raise ValueError("measurement operators must be square and matched")
             for op in (e0, e1):
-                if np.abs(op - op.conj().T).max() > MEASUREMENT_TOL:
+                if np.abs(op - op.conj().T).max() > COMMIT_TOL:
                     raise ValueError("measurement operators must be Hermitian")
-                if np.linalg.eigvalsh(op).min() < -MEASUREMENT_TOL:
+                if np.linalg.eigvalsh(op).min() < -COMMIT_TOL:
                     raise ValueError("measurement operators must be positive")
-            if np.abs(e0 + e1 - np.eye(e0.shape[0])).max() > MEASUREMENT_TOL:
+            if np.abs(e0 + e1 - np.eye(e0.shape[0])).max() > COMMIT_TOL:
                 raise ValueError("measurement operators must resolve the identity")
             measurement = (e0, e1)
         self.state = state
@@ -112,12 +116,16 @@ def binding_states(scheme, adv, redundant=False):
 
     Returns (accept probability, unmeasured branch, measured branch) with
     the branches reduced to the kept-plus-private qubits, or (0, None,
-    None) when the validity check never passes.  The redundant flag
-    splices a cancelling commit/uncommit pair and repeats each projection,
-    which must not change anything.
+    None) when the validity check never passes.  The measured branch is
+    kept pure: measuring the message qubit is a CNOT copying it onto a
+    fresh environment qubit, which the reduction then traces out with the
+    sent register.  The redundant flag splices a cancelling
+    commit/uncommit pair, repeats the projection and makes a second copy,
+    none of which may change anything.
     """
     n = scheme.n_qubits
-    if adv.state.n_qubits != n + adv.e_qubits:
+    width = adv.state.n_qubits
+    if width != n + adv.e_qubits:
         raise ValueError("strategy state does not cover scheme plus private qubits")
     every = list(range(n))
     state = qsim.apply_gate(adv.state, scheme.com.conj().T, every)
@@ -134,12 +142,14 @@ def binding_states(scheme, adv, redundant=False):
             _, opened = qsim.project(opened, wires, (0,) * len(wires))
     else:
         accept, opened = 1.0, state
-    keep = list(scheme.d_qubits) + list(range(n, adv.state.n_qubits))
+    keep = list(scheme.d_qubits) + list(range(n, width))
     plain = qsim.apply_gate(opened, scheme.com, every)
     sigma0 = qsim.partial_trace(plain, keep)
-    measured = qsim.dephase(opened, [0])
-    if redundant:
-        measured = qsim.dephase(measured, [0])
+    copies = 2 if redundant else 1
+    env = qsim.basis_state((0,) * copies).vector
+    measured = qsim.PureState(np.kron(opened.vector, env))
+    for copy in range(width, width + copies):
+        measured = qsim.apply_gate(measured, qsim.CNOT, [0, copy])
     measured = qsim.apply_gate(measured, scheme.com, every)
     sigma1 = qsim.partial_trace(measured, keep)
     return float(accept), sigma0, sigma1
@@ -178,18 +188,18 @@ def binding_experiment(scheme, adv, rng=None, trials=None):
     trials = int(trials)
     if trials < 1:
         raise ValueError("trial count must be positive")
-    if accept > 0.0 and meas is None:
-        meas = _helstrom(sigma0, sigma1)
+    if accept > 0.0:
+        if meas is None:
+            meas = _helstrom(sigma0, sigma1)
+        p_one = [min(max(float(np.trace(meas[1] @ sigma.matrix).real), 0.0), 1.0)
+                 for sigma in (sigma0, sigma1)]
     hits = 0
     for _ in range(trials):
         b = int(rng.integers(0, 2))
         if accept == 0.0 or rng.random() >= accept:
             hits += int(rng.integers(0, 2)) == b
             continue
-        sigma = (sigma0, sigma1)[b]
-        p_one = float(np.trace(meas[1] @ sigma.matrix).real)
-        guess = int(rng.random() < min(max(p_one, 0.0), 1.0))
-        hits += guess == b
+        hits += int(rng.random() < p_one[b]) == b
     return hits / trials
 
 
@@ -214,7 +224,7 @@ def _branch_isometry(pmf, width):
             for col in cols:
                 cand = cand - col * np.vdot(col, cand)
         norm = np.linalg.norm(cand)
-        if norm > 1e-9:
+        if norm > COMMIT_TOL:
             cols.append(cand / norm)
         if len(cols) == dim:
             break

@@ -3,7 +3,8 @@
 Frozen values (basis scheme hiding 1, swap attack 3/4, leaky tau, the
 Bernoulli purification at 5/8) come from hand-computed reduced states; the
 binding experiment is additionally cross-checked by a raw index-shuffling
-oracle that never touches the simulator helpers.
+oracle that never touches the simulator helpers, and by the former
+density-matrix opening game.
 """
 
 import json
@@ -46,6 +47,36 @@ def basis_binding_oracle():
     sigma1 = rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     td = 0.5 * np.abs(np.linalg.eigvalsh(sigma0 - sigma1)).sum()
     return accept, sigma0, sigma1, 0.5 + accept * td / 2
+
+
+def binding_states_dense(scheme, adv, redundant=False):
+    """The former binding_states: the measured branch as a dephased density
+    matrix over every qubit, with the commit map conjugating it."""
+    n = scheme.n_qubits
+    every = list(range(n))
+    state = qsim.apply_gate(adv.state, scheme.com.conj().T, every)
+    if redundant:
+        state = qsim.apply_gate(state, scheme.com, every)
+        state = qsim.apply_gate(state, scheme.com.conj().T, every)
+    wires = list(range(1, n))
+    if wires:
+        try:
+            accept, opened = qsim.project(state, wires, (0,) * len(wires))
+        except ValueError:
+            return 0.0, None, None
+        if redundant:
+            _, opened = qsim.project(opened, wires, (0,) * len(wires))
+    else:
+        accept, opened = 1.0, state
+    keep = list(scheme.d_qubits) + list(range(n, adv.state.n_qubits))
+    plain = qsim.apply_gate(opened, scheme.com, every)
+    sigma0 = qsim.partial_trace(plain, keep)
+    measured = qsim.dephase(opened, [0])
+    if redundant:
+        measured = qsim.dephase(measured, [0])
+    measured = qsim.apply_gate(measured, scheme.com, every)
+    sigma1 = qsim.partial_trace(measured, keep)
+    return float(accept), sigma0, sigma1
 
 
 def plus_commit(scheme):
@@ -252,6 +283,92 @@ class TestBindingExperiment:
         adv = plus_commit(CATALOG["swap"])
         with pytest.raises(ValueError):
             commit.binding_experiment(CATALOG["swap"], adv, trials=10)
+
+
+def random_adversary(scheme, e_qubits, seed):
+    """A random joint state on scheme plus private qubits, with a random
+    two-outcome measurement on the kept-plus-private register."""
+    rng = np.random.default_rng(seed)
+    width = scheme.n_qubits + e_qubits
+    vec = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+    dim = 2 ** (len(scheme.d_qubits) + e_qubits)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+    weights = rng.random(dim)
+    e1 = (basis * weights) @ basis.conj().T
+    e1 = (e1 + e1.conj().T) / 2
+    return commit.AdversaryStrategy(qsim.PureState(vec / np.linalg.norm(vec)),
+                                    e_qubits=e_qubits,
+                                    measurement=(np.eye(dim) - e1, e1))
+
+
+ORACLE_CASES = {
+    **{name + "-plus": (name, plus_commit) for name in CATALOG},
+    "dual-plus": ("dual", plus_commit),
+    "xor3-plus": ("xor3", plus_commit),
+    "leaky-random-e2": ("leaky", lambda s: random_adversary(s, 2, 5)),
+    "purified-coins-random-e1": ("purified-coins",
+                                 lambda s: random_adversary(s, 1, 6)),
+    "dual-random-e1": ("dual", lambda s: random_adversary(s, 1, 7)),
+}
+
+
+def oracle_scheme(name):
+    if name == "dual":
+        return commit.dual_commit(CATALOG["leaky"], CATALOG["purified-coins"])
+    if name == "xor3":
+        return commit.xor_combine([CATALOG["purified-coins"], CATALOG["basis"],
+                                   CATALOG["hiding"]])
+    return CATALOG[name]
+
+
+class TestBindingMatchesDensityOracle:
+    @pytest.mark.parametrize("redundant", [False, True])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_states_match(self, case, redundant):
+        name, attacker = ORACLE_CASES[case]
+        scheme = oracle_scheme(name)
+        adv = attacker(scheme)
+        want = binding_states_dense(scheme, adv, redundant=redundant)
+        got = commit.binding_states(scheme, adv, redundant=redundant)
+        assert want[0] > 0.0
+        assert got[0] == pytest.approx(want[0], abs=1e-12)
+        for g, w in zip(got[1:], want[1:]):
+            assert g.n_qubits == w.n_qubits
+            assert np.abs(g.matrix - w.matrix).max() < 1e-12
+
+    def test_given_measurement_scores_the_oracle_states(self):
+        scheme = CATALOG["leaky"]
+        adv = random_adversary(scheme, 2, 5)
+        accept, s0, s1 = binding_states_dense(scheme, adv)
+        e0, e1 = adv.measurement
+        win = 0.5 * (np.trace(e0 @ s0.matrix) + np.trace(e1 @ s1.matrix)).real
+        assert commit.binding_experiment(scheme, adv) == pytest.approx(
+            (1 - accept) / 2 + accept * win, abs=1e-12)
+
+    def test_invalid_opening_agrees(self):
+        adv = commit.AdversaryStrategy(qsim.basis_state((0, 1)))
+        for redundant in (False, True):
+            assert (commit.binding_states(CATALOG["basis"], adv, redundant)
+                    == binding_states_dense(CATALOG["basis"], adv, redundant))
+
+    def test_no_full_density_matrix(self, monkeypatch):
+        # the 8-qubit XOR scheme of the benchmark: only the kept register's
+        # reduced states are ever materialized
+        scheme = oracle_scheme("xor3")
+        adv = plus_commit(scheme)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-register density matrix built")
+
+        monkeypatch.setattr(qsim, "dephase", refuse)
+        monkeypatch.setattr(qsim.PureState, "to_density", refuse)
+        for redundant in (False, True):
+            sigma1 = commit.binding_states(scheme, adv, redundant)[2]
+            assert sigma1.n_qubits == len(scheme.d_qubits)
+        commit.binding_experiment(scheme, adv)
+        commit.binding_experiment(scheme, adv, rng=np.random.default_rng(3),
+                                  trials=50)
 
 
 class TestDualCommit:

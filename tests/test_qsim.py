@@ -162,6 +162,29 @@ class TestMeasurement:
         assert {bits for bits, _, _ in branches} == {(0,), (1,)}
         assert sum(prob for _, prob, _ in branches) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("targets", [[0], [3], [2, 0], [4, 1, 3], [0, 1, 2, 3, 4]])
+    def test_decompose_matches_project_per_outcome(self, targets):
+        # the one-pass branch probabilities against one project per outcome,
+        # on a state whose first qubit is |0>, so half the outcomes vanish
+        rng = np.random.default_rng(73)
+        psi = qsim.PureState(np.kron([1.0, 0.0], random_state(rng, 4).vector))
+        rho = qsim.DensityMatrix(psi.to_density().matrix)
+        for state, field in ((psi, "vector"), (rho, "matrix")):
+            want = {}
+            for v in range(2 ** len(targets)):
+                bits = bits_of(v, len(targets))
+                try:
+                    want[bits] = qsim.project(state, targets, bits)
+                except ValueError:
+                    continue
+            got = qsim.measure_decompose(state, targets)
+            assert [bits for bits, _, _ in got] == sorted(want)
+            for bits, prob, post in got:
+                assert prob == pytest.approx(want[bits][0], abs=1e-12)
+                assert type(post) is type(state)
+                assert np.abs(getattr(post, field)
+                              - getattr(want[bits][1], field)).max() < 1e-12
+
     @pytest.mark.parametrize("targets", [[0], [2], [2, 0], [1, 3, 0]])
     def test_project_keeps_the_indices_showing_the_outcome(self, targets):
         rng = np.random.default_rng(67)
