@@ -217,28 +217,15 @@ def project(state, targets, bits):
 
 
 def measure_decompose(state, targets):
-    """All measurement branches on the targets as (bits, prob, post_state).
-
-    One bincount over the target code gives every branch probability;
-    branches below OUTCOME_FLOOR are left out, as project rejects them.
-    """
-    _check_targets(state, targets)
-    k = len(targets)
-    code = _target_code(state.n_qubits, targets)
-    pure = isinstance(state, PureState)
-    weight = np.abs(state.vector) ** 2 if pure else state.matrix.diagonal().real
-    probs = np.bincount(code, weights=weight, minlength=2 ** k)
+    """All measurement branches on the targets as (bits, prob, post_state)."""
+    _check_targets(state, targets)  # project's own errors mean "skip this branch"
     out = []
-    for value in np.flatnonzero(probs >= OUTCOME_FLOOR):
-        mask, prob = code == value, float(probs[value])
-        if pure:
-            post = _result(PureState, np.where(mask, state.vector, 0.0) / math.sqrt(prob))
-        else:
-            try:  # checked as in project: see the note there
-                post = DensityMatrix(state.matrix * np.outer(mask, mask) / prob)
-            except ValueError:
-                continue
-        out.append((tuple(basis_bits(value, k).tolist()), prob, post))
+    for bits in map(tuple, basis_bits(np.arange(2 ** len(targets)), len(targets)).tolist()):
+        try:
+            prob, post = project(state, targets, bits)
+        except ValueError:
+            continue
+        out.append((bits, prob, post))
     return out
 
 

@@ -164,8 +164,8 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("targets", [[0], [3], [2, 0], [4, 1, 3], [0, 1, 2, 3, 4]])
     def test_decompose_matches_project_per_outcome(self, targets):
-        # the one-pass branch probabilities against one project per outcome,
-        # on a state whose first qubit is |0>, so half the outcomes vanish
+        # every branch against one project per outcome, on a state whose
+        # first qubit is |0>, so half the outcomes vanish
         rng = np.random.default_rng(73)
         psi = qsim.PureState(np.kron([1.0, 0.0], random_state(rng, 4).vector))
         rho = qsim.DensityMatrix(psi.to_density().matrix)
