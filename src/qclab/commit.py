@@ -287,6 +287,18 @@ def toy_schemes():
     }
 
 
+def _copy_parity(u, sources, target):
+    """Follow u by a CNOT from each source qubit onto the target qubit.
+
+    The CNOTs flip each basis index's target bit by the parity of its
+    source bits, so their product permutes u's rows exactly.
+    """
+    n = u.shape[0].bit_length() - 1
+    index = np.arange(2 ** n)
+    parity = qsim.basis_bits(index, n)[:, sources].sum(axis=1) & 1
+    return u[index ^ parity << (n - 1 - target)]
+
+
 def dual_commit(com1, com2, name=None):
     """Chain two schemes behind a shared message via a copy wire.
 
@@ -298,8 +310,7 @@ def dual_commit(com1, com2, name=None):
     n = n1 + n2
     if n > qsim.QUBIT_LIMIT:
         raise ValueError("combined register exceeds the qubit budget")
-    u = np.eye(2 ** n, dtype=complex)
-    u = qsim.apply_gate(u, qsim.CNOT, [0, n1])
+    u = _copy_parity(np.eye(2 ** n, dtype=complex), [0], n1)
     u = qsim.apply_gate(u, com2.com, list(range(n1, n)))
     u = qsim.apply_gate(u, com1.com, list(range(n1)))
     c = tuple(sorted(com1.c_qubits + tuple(n1 + q for q in com2.c_qubits)))
@@ -333,8 +344,8 @@ def xor_combine(schemes, name=None):
     u = np.eye(2 ** n, dtype=complex)
     for o in offsets[:-1]:
         u = qsim.apply_gate(u, qsim.H, [o])
-    for o in [0] + offsets[:-1]:  # the last share takes the parity of the rest
-        u = qsim.apply_gate(u, qsim.CNOT, [o, offsets[-1]])
+    # the last share takes the parity of the rest
+    u = _copy_parity(u, [0] + offsets[:-1], offsets[-1])
     for s, o in zip(schemes, offsets):
         u = qsim.apply_gate(u, s.com, list(range(o, o + s.n_qubits)))
     c = []

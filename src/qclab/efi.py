@@ -6,6 +6,10 @@ truncations make the branches statistically close (the extractor regime),
 long ones make them nearly disjoint because the generator's support cannot
 cover the output space. The crossing point sits half a gap above the
 generator's max-entropy, and every distance here is exact per seed.
+
+EFI_TOL is how far past an integer the crossover may fall and still place
+the truncation at that integer, so float noise in the max-entropy cannot
+push the truncation one bit longer.
 """
 
 import math
@@ -14,6 +18,8 @@ import numpy as np
 
 from . import dist, gf2
 from ._mc import hoeffding_radius
+
+EFI_TOL = 1e-9
 
 
 def _support(g0):
@@ -53,7 +59,7 @@ class EfiParams:
     def from_generator(cls, g0, gap_inst, gap_exponent, eps):
         """Place the truncation at the first integer at or past the crossover."""
         star = crossover_truncation(g0, gap_inst)
-        return cls(max(0, math.ceil(star - 1e-9)), star, gap_exponent, eps)
+        return cls(max(0, math.ceil(star - EFI_TOL)), star, gap_exponent, eps)
 
     def __repr__(self):
         return (f"EfiParams(truncation={self.truncation}, "

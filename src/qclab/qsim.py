@@ -11,7 +11,11 @@ targets, the other calls their targets, bits and sizes.  The states qsim
 returns are computed from checked states and skip the constructors' checks.
 apply_gate applies a gate unchecked: it assumes a complex unitary of the
 right size and distinct in-range targets, as the library gates, the basis
-rotations and checked commit maps are.
+rotations and checked commit maps are.  It views the register as
+(2^p, 2^k, rest), p the lowest of its k targets, and multiplies the gate
+into the middle axis.  Targets that run p, p+1, ..., p+k-1 need no
+transpose; any other order is moved to those positions and back, which
+copies the register twice.
 
 CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
 from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
@@ -161,12 +165,14 @@ def apply_gate(state, u, targets):
         right = apply_gate(left, u.conj(), [t + n for t in targets])
         return _result(DensityMatrix, right.reshape(state.matrix.shape))
     targets = list(targets)
-    n, k = state.shape[0].bit_length() - 1, len(targets)
-    tail = state.shape[1:]
-    tensor = np.moveaxis(state.reshape((2,) * n + tail), targets, range(k))
-    block = u @ tensor.reshape(2 ** k, -1)
-    tensor = np.moveaxis(block.reshape((2,) * n + tail), range(k), targets)
-    return tensor.reshape(state.shape)
+    k, p = len(targets), min(targets)
+    run = list(range(p, p + k))
+    if targets == run:
+        return np.matmul(u, state.reshape(2 ** p, 2 ** k, -1)).reshape(state.shape)
+    shape = (2,) * (state.shape[0].bit_length() - 1) + state.shape[1:]
+    tensor = np.moveaxis(state.reshape(shape), targets, run)
+    block = np.matmul(u, tensor.reshape(2 ** p, 2 ** k, -1))
+    return np.moveaxis(block.reshape(shape), run, targets).reshape(state.shape)
 
 
 def apply_unitary(state, u, targets):

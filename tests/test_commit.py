@@ -4,9 +4,11 @@ Frozen values (basis scheme hiding 1, swap attack 3/4, leaky tau, the
 Bernoulli purification at 5/8) come from hand-computed reduced states; the
 binding experiment is additionally cross-checked by a raw index-shuffling
 oracle that never touches the simulator helpers, and by the former
-density-matrix opening game.
+density-matrix opening game.  The combiners' row-gather copy wiring is
+checked against the former gate-by-gate composition.
 """
 
+import itertools
 import json
 import math
 
@@ -369,6 +371,77 @@ class TestBindingMatchesDensityOracle:
         commit.binding_experiment(scheme, adv)
         commit.binding_experiment(scheme, adv, rng=np.random.default_rng(3),
                                   trials=50)
+
+
+def dual_commit_gates(com1, com2):
+    """The former dual_commit unitary: every gate, the copy CNOT included,
+    applied to the columns of the identity."""
+    n1, n = com1.n_qubits, com1.n_qubits + com2.n_qubits
+    u = np.eye(2 ** n, dtype=complex)
+    u = qsim.apply_gate(u, qsim.CNOT, [0, n1])
+    u = qsim.apply_gate(u, com2.com, list(range(n1, n)))
+    return qsim.apply_gate(u, com1.com, list(range(n1)))
+
+
+def xor_combine_gates(schemes):
+    """The former xor_combine unitary, one CNOT per share in the fan-in."""
+    offsets = list(itertools.accumulate([1] + [s.n_qubits for s in schemes]))
+    n = offsets.pop()
+    u = np.eye(2 ** n, dtype=complex)
+    for o in offsets[:-1]:
+        u = qsim.apply_gate(u, qsim.H, [o])
+    for o in [0] + offsets[:-1]:
+        u = qsim.apply_gate(u, qsim.CNOT, [o, offsets[-1]])
+    for s, o in zip(schemes, offsets):
+        u = qsim.apply_gate(u, s.com, list(range(o, o + s.n_qubits)))
+    return u
+
+
+class TestCopyWiring:
+    """The combiners' copy wiring is an exact row gather: bit-identical to
+    composing the CNOTs gate by gate."""
+
+    def test_xor_every_ordered_triple(self):
+        for names in itertools.permutations(CATALOG, 3):
+            schemes = [CATALOG[name] for name in names]
+            assert np.array_equal(commit.xor_combine(schemes).com,
+                                  xor_combine_gates(schemes)), names
+
+    def test_xor_every_ordered_pair(self):
+        for names in itertools.product(CATALOG, repeat=2):
+            schemes = [CATALOG[name] for name in names]
+            assert np.array_equal(commit.xor_combine(schemes).com,
+                                  xor_combine_gates(schemes)), names
+
+    def test_xor_four_basis_shares(self):
+        schemes = [CATALOG["basis"]] * 4
+        assert np.array_equal(commit.xor_combine(schemes).com,
+                              xor_combine_gates(schemes))
+
+    def test_dual_every_ordered_pair(self):
+        for first, second in itertools.product(CATALOG, repeat=2):
+            got = commit.dual_commit(CATALOG[first], CATALOG[second]).com
+            assert np.array_equal(got, dual_commit_gates(CATALOG[first],
+                                                         CATALOG[second]))
+
+    def test_every_gate_acts_on_an_ascending_run(self, monkeypatch):
+        # so apply_gate never transposes the composed unitary
+        seen = []
+        apply_gate = qsim.apply_gate
+
+        def record(state, u, targets):
+            seen.append(list(targets))
+            return apply_gate(state, u, targets)
+
+        monkeypatch.setattr(qsim, "apply_gate", record)
+        components = ["purified-coins", "basis", "hiding"]
+        for names in itertools.permutations(components):
+            commit.xor_combine([CATALOG[name] for name in names])
+        for first, second in itertools.permutations(components, 2):
+            commit.dual_commit(CATALOG[first], CATALOG[second])
+        assert seen
+        for targets in seen:
+            assert targets == list(range(targets[0], targets[0] + len(targets)))
 
 
 class TestDualCommit:

@@ -73,6 +73,13 @@ class TestEfiParams:
         assert p.crossover == pytest.approx(5.0)
         assert p.truncation == 5
 
+    def test_from_generator_forgives_noise_up_to_efi_tol(self):
+        g = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(1, 8) for v in range(8)})
+        for past, truncation in ((efi.EFI_TOL / 10, 5), (efi.EFI_TOL * 10, 6)):
+            p = efi.EfiParams.from_generator(g, gap_inst=4.0 + 2 * past,
+                                             gap_exponent=2, eps=0.01)
+            assert p.truncation == truncation
+
     def test_from_generator_point_mass(self):
         p = efi.EfiParams.from_generator(dist.Pmf({(1, 1): 1.0}), gap_inst=0.0,
                                          gap_exponent=1, eps=0.0)

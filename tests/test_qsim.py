@@ -1,8 +1,9 @@
 """Tests for the dense statevector simulator.
 
 apply_unitary and partial_trace are checked against slow full-matrix oracles
-built by explicit basis-index bookkeeping, trace_distance against the pure
-state closed form and an SVD-based nuclear norm.
+built by explicit basis-index bookkeeping, apply_gate against the former
+moveaxis kernel, trace_distance against the pure state closed form and an
+SVD-based nuclear norm.
 """
 
 import numpy as np
@@ -276,6 +277,103 @@ class TestPartialTraceAndDistance:
 def random_unitary(rng, k):
     raw = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
     return np.linalg.qr(raw)[0]
+
+
+def apply_gate_moveaxis(state, u, targets):
+    """The former apply_gate kernel: move the targets to the front of the
+    (2,)*n tensor, multiply, move them back.  Returns a bare array."""
+    if isinstance(state, qsim.PureState):
+        return apply_gate_moveaxis(state.vector, u, targets)
+    if isinstance(state, qsim.DensityMatrix):
+        n = state.n_qubits
+        left = apply_gate_moveaxis(state.matrix.reshape(-1), u, targets)
+        right = apply_gate_moveaxis(left, u.conj(), [t + n for t in targets])
+        return right.reshape(state.matrix.shape)
+    targets = list(targets)
+    n, k = state.shape[0].bit_length() - 1, len(targets)
+    tail = state.shape[1:]
+    tensor = np.moveaxis(state.reshape((2,) * n + tail), targets, range(k))
+    block = u @ tensor.reshape(2 ** k, -1)
+    tensor = np.moveaxis(block.reshape((2,) * n + tail), range(k), targets)
+    return tensor.reshape(state.shape)
+
+
+class _NumpyWithoutMoveaxis:
+    """numpy as qsim sees it, except that a transpose of the register fails."""
+
+    def __getattr__(self, name):
+        if name == "moveaxis":
+            raise AssertionError("apply_gate transposed the register")
+        return getattr(np, name)
+
+
+class TestGateKernel:
+    """apply_gate against the former moveaxis kernel.
+
+    The two are bit-identical wherever the new kernel's blocks are wide.
+    When the targets' run p..p+k-1 ends at the register's last qubit, each
+    block is only as wide as the tail (1, 3 or 6 columns here), the former
+    kernel's one block is 2^p times wider, and BLAS may round the last bit
+    differently; those shapes are compared to 1e-12.
+    """
+
+    N = 6
+    TARGETS = {
+        "one-low": [0], "one-mid": [2], "one-high": [5],
+        "run-pair": [1, 2], "run-triple": [3, 4, 5],
+        "descending": [2, 1], "descending-triple": [5, 4, 3],
+        "gapped": [0, 5], "gapped-triple": [4, 0, 2],
+        "full": [0, 1, 2, 3, 4, 5], "full-reversed": [5, 4, 3, 2, 1, 0],
+    }
+
+    @staticmethod
+    def field(state):
+        return state.vector if isinstance(state, qsim.PureState) else state.matrix
+
+    @staticmethod
+    def assert_same(got, want, exact):
+        assert got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(TARGETS))
+    def test_matches_moveaxis_kernel(self, case):
+        targets = self.TARGETS[case]
+        p, k = min(targets), len(targets)
+        narrow = p + k == self.N  # a density matrix's column pass has p >= N
+        rng = np.random.default_rng(sorted(self.TARGETS).index(case))
+        u = random_unitary(rng, k)
+        psi = random_state(rng, self.N)
+        mixed = qsim.partial_trace(random_state(rng, self.N + 2), list(range(self.N)))
+        for state in (psi, psi.to_density(), mixed):
+            got = qsim.apply_gate(state, u, targets)
+            assert type(got) is type(state)
+            exact = not narrow or (p == 0 and state is psi)
+            self.assert_same(self.field(got), apply_gate_moveaxis(state, u, targets),
+                             exact)
+        for tail in ((), (3,), (3, 2)):
+            bare = rng.normal(size=(2 ** self.N,) + tail) + 0j
+            bare += 1j * rng.normal(size=bare.shape)
+            self.assert_same(qsim.apply_gate(bare, u, targets),
+                             apply_gate_moveaxis(bare, u, targets),
+                             not narrow or p == 0)
+
+    def test_ascending_runs_never_transpose(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        psi = random_state(rng, 8)
+        mixed = qsim.partial_trace(random_state(rng, 5), list(range(4)))
+        square = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        monkeypatch.setattr(qsim, "np", _NumpyWithoutMoveaxis())
+        for targets in ([0], [5], [7], [1, 2], [4, 5, 6], list(range(8))):
+            u = random_unitary(rng, len(targets))
+            qsim.apply_gate(psi, u, targets)
+            qsim.apply_gate(square, u, targets)
+            if max(targets) < 4:
+                qsim.apply_gate(mixed, u, targets)
+        with pytest.raises(AssertionError, match="transposed"):
+            qsim.apply_gate(psi, qsim.CNOT, [1, 0])
 
 
 def dephase_masked_sum(rho, targets):
