@@ -197,7 +197,7 @@ def _run_extractor(m):
         pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
         d = gf2.extractor_distance(pmf, n)
         bound = gf2.extractor_bound(dist.min_entropy(pmf))
-        return int(d > bound + 1e-12), bound - d
+        return int(d > bound + dist.MASS_TOL), bound - d
 
     rows = _run_trials(one, m)
     return {
@@ -351,7 +351,7 @@ def _run_concentration(m):
             margin = have - pseudoentropy.concentration_bound(shannon, t, eps,
                                                               support)
             worst = min(worst, margin)
-            violations += margin < -1e-9
+            violations += margin < -pseudoentropy.ENTROPY_TOL
         return violations, worst
 
     rows = _run_trials(one, m)

@@ -29,10 +29,12 @@ class CommitScheme:
 
     Qubit 0 is the message, qubits 1..n-1 the work register.  `c_qubits`
     go to the receiver at commit time, `d_qubits` stay with the committer
-    and are handed over at opening.
+    and are handed over at opening.  `uncom` is the adjoint of `com`, built
+    once here for every opening to apply.
     """
 
-    __slots__ = ("name", "com", "n_qubits", "c_qubits", "d_qubits", "flavor")
+    __slots__ = ("name", "com", "uncom", "n_qubits", "c_qubits", "d_qubits",
+                 "flavor")
 
     def __init__(self, name, com, c_qubits, d_qubits, flavor=""):
         com = np.asarray(com, dtype=complex)
@@ -45,6 +47,7 @@ class CommitScheme:
             raise ValueError("sent and kept registers must partition the qubits")
         self.name = str(name)
         self.com = com
+        self.uncom = com.conj().T
         self.n_qubits = n
         self.c_qubits = c
         self.d_qubits = d
@@ -99,7 +102,7 @@ def commit_state(scheme, b):
 
 def decommit_probability(scheme, b):
     """Chance the honest opening of b passes the receiver's check."""
-    opened = qsim.apply_gate(commit_state(scheme, b), scheme.com.conj().T,
+    opened = qsim.apply_gate(commit_state(scheme, b), scheme.uncom,
                              list(range(scheme.n_qubits)))
     return float(np.abs(opened.vector[qsim.basis_index((b,) + (0,) * scheme.ell)]) ** 2)
 
@@ -128,10 +131,10 @@ def binding_states(scheme, adv, redundant=False):
     if width != n + adv.e_qubits:
         raise ValueError("strategy state does not cover scheme plus private qubits")
     every = list(range(n))
-    state = qsim.apply_gate(adv.state, scheme.com.conj().T, every)
+    state = qsim.apply_gate(adv.state, scheme.uncom, every)
     if redundant:
         state = qsim.apply_gate(state, scheme.com, every)
-        state = qsim.apply_gate(state, scheme.com.conj().T, every)
+        state = qsim.apply_gate(state, scheme.uncom, every)
     wires = list(range(1, n))
     if wires:
         try:

@@ -3,13 +3,17 @@
 Atoms are bit-string labels: a flat tuple of 0/1 ints, or a tuple of such
 tuples for structured records. Probabilities are floats by default; Fractions
 are accepted and survive untouched through the operations that stay rational
-(statistical distance in particular), which is the exact-rational mode.
+(push-forwards, conditionals, products and their spectra), which is the
+exact-rational mode.
 
 All entropies are base 2. Max-entropy here is the largest sample entropy of
 the support, not the log of the support size.
+
+MASS_TOL is how far a float probability mass may be from the value it is
+compared with: a total from 1, an atom's mass or a statistical distance
+from its bound, or a smoothing budget from the masses it deletes.
 """
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +23,6 @@ import numpy as np
 MASS_TOL = 1e-12
 PRODUCT_ATOM_LIMIT = 2 ** 24
 MATERIALIZE_ATOM_LIMIT = 2 ** 18
-EXACT_SUPPORT_LIMIT = 2 ** 16
 SPECTRUM_VALUE_LIMIT = 64
 # most compositions product_spectrum walks, C(t + k - 1, k - 1) for k values at power t
 SPECTRUM_WALK_LIMIT = 2 ** 16
@@ -172,13 +175,6 @@ def shannon_entropy(p):
     return -sum(q * math.log2(q) for q in p.as_dict().values())
 
 
-def sample_entropy(p, atom):
-    q = p.prob(atom)
-    if q == 0:
-        raise ValueError(f"atom {atom!r} outside the support")
-    return -math.log2(q)
-
-
 def min_entropy(p):
     _require_normalized(p)
     return -math.log2(max(p.as_dict().values()))
@@ -216,29 +212,6 @@ def smooth_max_entropy(p, eps):
     return smooth_max_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
-def smooth_max_support(p, eps):
-    """Atoms surviving the smooth_max_entropy deletion, in label order.
-    Atoms tied at the lightest surviving value are deleted in label order."""
-    _require_normalized(p)
-    v, removed = _lightest_survivor(Counter(p.as_dict().values()).items(), eps)
-    items = p.items_sorted()
-    deleted = set([a for a, q in items if q == v][:removed])
-    return tuple(a for a, q in items if q >= v and a not in deleted)
-
-
-def statistical_distance(p, q):
-    """Half the L1 distance. Exact (Fraction) when both inputs are rational."""
-    atoms = set(p.as_dict()) | set(q.as_dict())
-    exact = all(isinstance(v, Fraction) for v in p.as_dict().values()) and all(
-        isinstance(v, Fraction) for v in q.as_dict().values()
-    )
-    if exact:
-        if len(atoms) > EXACT_SUPPORT_LIMIT:
-            raise ValueError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT} atoms")
-        return Fraction(1, 2) * sum(abs(p.prob(a) - q.prob(a)) for a in atoms)
-    return 0.5 * sum(abs(p.prob(a) - q.prob(a)) for a in atoms)
-
-
 def push_forward(p, f):
     """Image distribution under f, masses merged."""
     out = {}
@@ -246,20 +219,6 @@ def push_forward(p, f):
         image = f(atom)
         out[image] = out.get(image, 0) + q
     return Pmf(out, subnormal=p.subnormal)
-
-
-def mixture(weighted):
-    """Convex combination of Pmfs given as (weight, pmf) pairs."""
-    total_w = sum(w for w, _ in weighted)
-    if abs(total_w - 1) > MASS_TOL:
-        raise ValueError(f"mixture weights sum to {total_w!r}, not 1")
-    out = {}
-    for w, p in weighted:
-        if w < 0:
-            raise ValueError("negative mixture weight")
-        for atom, q in p.as_dict().items():
-            out[atom] = out.get(atom, 0) + w * q
-    return Pmf(out)
 
 
 def product_power(p, t):
@@ -363,51 +322,3 @@ def encode_atom(atom):
         parts.append(f"{len(field):04x}")
         parts.append(np.packbits(np.array(field, dtype=np.uint8)).tobytes().hex())
     return "".join(parts)
-
-
-def decode_atom(text):
-    """Inverse of encode_atom; single-field atoms come back as flat tuples."""
-    fields = []
-    pos = 0
-    while pos < len(text):
-        nbits = int(text[pos : pos + 4], 16)
-        pos += 4
-        nbytes = (nbits + 7) // 8
-        raw = np.frombuffer(bytes.fromhex(text[pos : pos + 2 * nbytes]), dtype=np.uint8)
-        pos += 2 * nbytes
-        fields.append(tuple(np.unpackbits(raw, count=nbits).tolist()))
-    if len(fields) == 1:
-        return fields[0]
-    return tuple(fields)
-
-
-def pmf_to_json(p):
-    rows = sorted((encode_atom(a), repr(float(q))) for a, q in p.as_dict().items())
-    doc = {"format": "pmf-v1", "subnormal": p.subnormal, "atoms": rows}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def pmf_from_json(text):
-    doc = json.loads(text)
-    if doc.get("format") != "pmf-v1":
-        raise ValueError("not a pmf-v1 document")
-    atoms = {decode_atom(hexa): float(q) for hexa, q in doc["atoms"]}
-    return Pmf(atoms, subnormal=doc.get("subnormal", False))
-
-
-def joint_to_json(j):
-    rows = sorted(
-        (encode_atom(k), encode_atom(s), repr(float(q))) for (k, s), q in j.as_pmf().as_dict().items()
-    )
-    doc = {"format": "joint-pmf-v1", "atoms": rows}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def joint_from_json(text):
-    doc = json.loads(text)
-    if doc.get("format") != "joint-pmf-v1":
-        raise ValueError("not a joint-pmf-v1 document")
-    atoms = {}
-    for key_hex, puz_hex, q in doc["atoms"]:
-        atoms[(decode_atom(key_hex), decode_atom(puz_hex))] = float(q)
-    return JointPmf(atoms)

@@ -38,15 +38,6 @@ def _check_bits(x):
         raise ValueError(f"not a bit vector: {x!r}")
 
 
-def xor_bits(a, b):
-    """Componentwise XOR of two equal-length bit tuples."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    _check_bits(a)
-    _check_bits(b)
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
 def inner_product(a, b):
     """GF(2) inner product of two equal-length bit tuples."""
     if len(a) != len(b):
@@ -112,44 +103,6 @@ def sample_hash_seed(rng, n_in, n_out=None):
     rows = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
     offsets = rng.integers(0, 2, size=n_out, dtype=np.uint8)
     return HashSeed(rows, offsets)
-
-
-def toeplitz_hash_seed(rng, n_in, n_out=None):
-    """Toeplitz-structured alternative: constant diagonals, n_out + n_in - 1
-    free row bits plus the offsets.  Same pairwise-independence guarantee with
-    a shorter seed."""
-    if n_out is None:
-        n_out = 3 * n_in
-    diag = rng.integers(0, 2, size=n_out + n_in - 1, dtype=np.uint8)
-    idx = np.arange(n_out)[:, None] - np.arange(n_in)[None, :] + n_in - 1
-    offsets = rng.integers(0, 2, size=n_out, dtype=np.uint8)
-    return HashSeed(diag[idx], offsets)
-
-
-def seed_bit_length(n_in, n_out=None):
-    """Bits needed to describe a dense affine seed."""
-    if n_out is None:
-        n_out = 3 * n_in
-    return n_out * n_in + n_out
-
-
-def seed_to_bytes(seed):
-    """Pack rows (row-major) then offsets, little-endian within each byte."""
-    flat = np.concatenate([seed.rows.ravel(), seed.offsets])
-    return np.packbits(flat, bitorder="little").tobytes()
-
-
-def seed_from_bytes(raw, n_in, n_out=None):
-    """Inverse of seed_to_bytes."""
-    if n_out is None:
-        n_out = 3 * n_in
-    need = seed_bit_length(n_in, n_out)
-    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    if len(flat) < need:
-        raise ValueError("byte string too short for this seed shape")
-    flat = flat[:need]
-    rows = flat[: n_out * n_in].reshape(n_out, n_in)
-    return HashSeed(rows, flat[n_out * n_in:])
 
 
 def hash_eval(seed, x, i):

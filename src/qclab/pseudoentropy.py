@@ -355,7 +355,7 @@ def core_lemma_gap(x, x_star, theta_heavy, theta_light):
         raise ValueError(
             f"heavy-mass clause failed: Pr[x_star] = {p_star} < {theta_heavy}")
     for atom, p in x.as_dict().items():
-        if atom != tuple(x_star) and float(p) > theta_light + 1e-12:
+        if atom != tuple(x_star) and float(p) > theta_light + dist.MASS_TOL:
             raise ValueError(
                 f"light-mass clause failed: atom {atom} carries {float(p)}"
                 f" > {theta_light}")

@@ -256,12 +256,6 @@ def preimage_list(shadow, scheme, eps, k_groups):
     return [k for k, e in zip(keys, ests) if e >= 1.0 - eps]
 
 
-def brute_force_invert(shadow, scheme, eps, k_groups):
-    """Lexicographically first listed key, or None when the list is empty."""
-    listed = preimage_list(shadow, scheme, eps, k_groups)
-    return listed[0] if listed else None
-
-
 class ShadowPuzzle:
     """Puzzle whose instance is a serialized shadow of the honest state.
 

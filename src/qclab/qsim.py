@@ -7,7 +7,8 @@ arrays; no approximation beyond float64 happens anywhere in this module.
 
 Caller input is checked once, where it enters: the PureState and
 DensityMatrix constructors check their array, apply_unitary its gate and
-targets, the other calls their targets, bits and sizes.  The states qsim
+targets, the other calls their targets, bits and sizes.  project takes a
+PureState only; every other state operation takes either kind.  The states qsim
 returns are computed from checked states and skip the constructors' checks.
 apply_gate applies a gate unchecked: it assumes a complex unitary of the
 right size and distinct in-range targets, as the library gates, the basis
@@ -197,53 +198,23 @@ def _target_code(n, targets):
 
 
 def project(state, targets, bits):
-    """Project the targets onto a computational outcome and renormalize.
+    """Project the targets of a pure state onto a computational outcome and
+    renormalize.
 
     Returns (probability, post_state); outcomes with probability below
     OUTCOME_FLOOR are rejected since the conditional state is undefined.
     """
+    if not isinstance(state, PureState):
+        raise TypeError(f"project takes a PureState, not {type(state).__name__}")
     if len(targets) != len(bits) or not set(bits) <= {0, 1}:
         raise ValueError("one outcome bit per target required")
     _check_targets(state, targets)
     mask = _target_code(state.n_qubits, targets) == basis_index(bits)
-    pure = isinstance(state, PureState)
-    if pure:
-        sub = np.where(mask, state.vector, 0.0)
-        prob = float(np.vdot(sub, sub).real)
-    else:
-        sub = state.matrix * np.outer(mask, mask)
-        prob = float(sub.trace().real)
+    sub = np.where(mask, state.vector, 0.0)
+    prob = float(np.vdot(sub, sub).real)
     if prob < OUTCOME_FLOOR:
         raise ValueError(f"outcome {bits!r} has probability {prob} below the floor")
-    if pure:
-        return prob, _result(PureState, sub / math.sqrt(prob))
-    # dividing by a probability near the floor can break a density matrix,
-    # so this result alone goes through the checking constructor
-    return prob, DensityMatrix(sub / prob)
-
-
-def measure_decompose(state, targets):
-    """All measurement branches on the targets as (bits, prob, post_state)."""
-    _check_targets(state, targets)  # project's own errors mean "skip this branch"
-    out = []
-    for bits in map(tuple, basis_bits(np.arange(2 ** len(targets)), len(targets)).tolist()):
-        try:
-            prob, post = project(state, targets, bits)
-        except ValueError:
-            continue
-        out.append((bits, prob, post))
-    return out
-
-
-def measure(state, targets, rng):
-    """Sample a computational measurement of the targets.
-
-    Returns (bits, probability, post_state) for the sampled branch.
-    """
-    branches = measure_decompose(state, targets)
-    probs = np.array([p for _, p, _ in branches])
-    pick = rng.choice(len(branches), p=probs / probs.sum())
-    return branches[pick]
+    return prob, _result(PureState, sub / math.sqrt(prob))
 
 
 def dephase(state, targets):

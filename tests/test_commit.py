@@ -17,6 +17,8 @@ import pytest
 
 from qclab import commit, dist, qsim
 
+import oracles
+
 
 def bern(p_one):
     return dist.Pmf({(0,): 1 - p_one, (1,): p_one})
@@ -166,7 +168,7 @@ class TestPurificationCommit:
             p1 = dist.Pmf({(v >> 1 & 1, v & 1): float(x) for v, x in
                            enumerate(w1 / w1.sum())})
             s = commit.purification_commit(p0, p1)
-            want = 0.5 + float(dist.statistical_distance(p0, p1)) / 2
+            want = 0.5 + float(oracles.statistical_distance(p0, p1)) / 2
             assert commit.hiding_advantage(s) == pytest.approx(want, abs=1e-9)
 
     def test_commit_state_amplitudes(self):
@@ -495,8 +497,15 @@ class TestXorCombine:
         x = commit.xor_combine([CATALOG["basis"], CATALOG["basis"]])
         for b in (0, 1):
             state = commit.commit_state(x, b)
-            for bits, _, _ in qsim.measure_decompose(state, [1, 3]):
+            seen = 0.0
+            for bits in itertools.product((0, 1), repeat=2):
+                try:
+                    prob, _ = qsim.project(state, [1, 3], bits)
+                except ValueError:  # an outcome below the floor
+                    continue
                 assert bits[0] ^ bits[1] == b
+                seen += prob
+            assert seen == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_completeness(self, b):

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from qclab import dist, efi, gf2
 from qclab._mc import hoeffding_radius
 
+import oracles
+
 
 def flat_bits(atom):
     out = []
@@ -38,7 +40,7 @@ def sd_oracle(pmf, seed, s):
     if s == 0:
         return 0.0
     pushed = dist.push_forward(pmf, lambda a: gf2.hash_eval(seed, flat_bits(a), s))
-    return float(dist.statistical_distance(pushed, uniform_pmf(s)))
+    return float(oracles.statistical_distance(pushed, uniform_pmf(s)))
 
 
 def coin(p_one):

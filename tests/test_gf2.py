@@ -45,14 +45,11 @@ def random_rational_pmf(rng, n):
 
 
 class TestBitOps:
-    def test_xor_and_inner_product(self):
-        assert gf2.xor_bits((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
+    def test_inner_product(self):
         assert gf2.inner_product((1, 0, 1), (1, 1, 1)) == 0
         assert gf2.inner_product((1, 0, 1), (1, 1, 0)) == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            gf2.xor_bits((1, 0), (1,))
         with pytest.raises(ValueError):
             gf2.inner_product((1, 0), (1,))
 
@@ -84,17 +81,6 @@ class TestHashSeed:
         with pytest.raises(ValueError):
             gf2.hash_eval(seed, (0, 0, 0), 1)
 
-    def test_seed_bit_length(self):
-        # 3n rows of n bits plus 3n offsets
-        n = 5
-        seed = gf2.sample_hash_seed(np.random.default_rng(1), n)
-        assert gf2.seed_bit_length(n) == 3 * n * (n + 1)
-        raw = gf2.seed_to_bytes(seed)
-        assert len(raw) == (gf2.seed_bit_length(n) + 7) // 8
-        back = gf2.seed_from_bytes(raw, n)
-        assert np.array_equal(back.rows, seed.rows)
-        assert np.array_equal(back.offsets, seed.offsets)
-
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
         seed = gf2.sample_hash_seed(rng, 3)
@@ -102,14 +88,6 @@ class TestHashSeed:
         batch = gf2.hash_eval_batch(seed, xs, 5)
         for row, x in zip(batch, xs):
             assert tuple(row) == gf2.hash_eval(seed, tuple(int(b) for b in x), 5)
-
-    def test_toeplitz_structure(self):
-        seed = gf2.toeplitz_hash_seed(np.random.default_rng(3), 4)
-        rows = seed.rows
-        assert rows.shape == (12, 4)
-        for i in range(rows.shape[0] - 1):
-            for j in range(rows.shape[1] - 1):
-                assert rows[i, j] == rows[i + 1, j + 1]
 
 
 class TestExtractor:

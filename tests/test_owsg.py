@@ -6,12 +6,13 @@ different basis -> 1/2) and against a swap-test circuit built by hand.
 """
 
 import json
-from importlib import resources
 
 import numpy as np
 import pytest
 
 from qclab import owsg, qsim
+
+import oracles
 
 
 def wiesner_accept_oracle(key_a, key_b, n):
@@ -91,20 +92,20 @@ class TestWiesner:
 class TestRandomCircuit:
     def test_key_length_guard(self):
         with pytest.raises(ValueError):
-            owsg.random_circuit_owsg(13)
+            oracles.random_circuit_owsg(13)
 
     def test_depth_zero_is_all_zeros(self):
-        scheme = owsg.random_circuit_owsg(6, depth=0)
+        scheme = oracles.random_circuit_owsg(6, depth=0)
         psi = scheme.state_gen((1, 0, 1, 1, 0, 1))
         assert psi.vector[0] == pytest.approx(1.0)
 
     def test_state_gen_deterministic(self):
-        scheme = owsg.random_circuit_owsg(8, depth=4)
+        scheme = oracles.random_circuit_owsg(8, depth=4)
         key = (1, 0, 0, 1, 1, 1, 0, 0)
         assert np.allclose(scheme.state_gen(key).vector, scheme.state_gen(key).vector)
 
     def test_distinct_keys_rarely_collide(self):
-        scheme = owsg.random_circuit_owsg(6, depth=4)
+        scheme = oracles.random_circuit_owsg(6, depth=4)
         rng = np.random.default_rng(11)
         separated = 0
         for _ in range(100):
@@ -117,8 +118,7 @@ class TestRandomCircuit:
         assert separated >= 90
 
     def test_menu_file_well_formed(self):
-        raw = resources.files("qclab").joinpath("data/gate_menu.json").read_text()
-        menu = json.loads(raw)
+        menu = json.loads(oracles.GATE_MENU.read_text())
         assert menu["version"] == 1
         for field in ("singles", "pairs"):
             count = len(menu[field])
@@ -127,14 +127,14 @@ class TestRandomCircuit:
 
 class TestCorrectnessProfile:
     def test_wiesner_profile_is_complete(self):
-        profile = owsg.correctness_profile(owsg.wiesner_owsg(4))
+        profile = oracles.correctness_profile(owsg.wiesner_owsg(4))
         assert len(profile.set_c) == 16
         assert profile.fraction_correct == pytest.approx(1.0)
 
     def test_noisy_scheme_loses_heavy_keys(self):
         base = owsg.wiesner_owsg(6)
-        noisy = owsg.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
-        profile = owsg.correctness_profile(noisy)
+        noisy = oracles.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
+        profile = oracles.correctness_profile(noisy)
         # cos^2(0.05 w) >= 0.98 holds exactly for Hamming weight w <= 2
         assert len(profile.set_c) == 1 + 6 + 15
         for key in profile.set_c:
@@ -142,7 +142,7 @@ class TestCorrectnessProfile:
 
     def test_noisy_verify_is_deterministic(self):
         base = owsg.wiesner_owsg(4)
-        noisy = owsg.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
+        noisy = oracles.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
         rng = np.random.default_rng(13)
         key = (1, 1, 1, 1)
         results = {noisy.verify(key, noisy.state_gen(key), rng) for _ in range(10)}
@@ -151,13 +151,13 @@ class TestCorrectnessProfile:
     def test_profile_size_guard(self):
         scheme = owsg.wiesner_owsg(18)
         with pytest.raises(ValueError):
-            owsg.correctness_profile(scheme)
+            oracles.correctness_profile(scheme)
 
     def test_threshold_is_respected(self):
         base = owsg.wiesner_owsg(4)
-        noisy = owsg.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
-        profile = owsg.correctness_profile(noisy, threshold=0.5)
-        strict = owsg.correctness_profile(noisy, threshold=0.9999)
+        noisy = oracles.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
+        profile = oracles.correctness_profile(noisy, threshold=0.5)
+        strict = oracles.correctness_profile(noisy, threshold=0.9999)
         assert len(strict.set_c) <= len(profile.set_c)
 
 
@@ -174,8 +174,8 @@ class TestSchemeInterface:
         assert len(seen) == 4
 
     @pytest.mark.parametrize("make", [lambda: owsg.wiesner_owsg(4),
-                                      lambda: owsg.random_circuit_owsg(3),
-                                      lambda: owsg.thresholded_noisy_scheme(owsg.wiesner_owsg(4))])
+                                      lambda: oracles.random_circuit_owsg(3),
+                                      lambda: oracles.thresholded_noisy_scheme(owsg.wiesner_owsg(4))])
     def test_honest_states_are_built_once_in_key_order(self, make):
         scheme = make()
         keys, states = scheme.honest_states()

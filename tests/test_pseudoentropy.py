@@ -309,7 +309,7 @@ class TestSliceAnalysis:
         assert a.i_s == 5
         assert set(a.g_s) <= set(a.a_s) <= set(geometric_keys().support())
         for k in a.g_s:
-            h = dist.sample_entropy(geometric_keys(), k)
+            h = -math.log2(geometric_keys().prob(k))
             assert a.j_s <= h <= a.j_s + 1
 
     def test_point_mass_filter_accepts_every_seed(self):
@@ -475,8 +475,8 @@ class TestWpegEntropyGap:
         report = pseudoentropy.wpeg_entropy_gap(
             joint, P3, 200, np.random.default_rng(47))
         s_marginal = joint.marginal_puzzles()
-        recombined = sum(float(s_marginal.prob(dist.decode_atom(s))) * v
-                         for s, v in report.per_s.items())
+        recombined = sum(float(q) * report.per_s[dist.encode_atom(s)]
+                         for s, q in s_marginal.as_dict().items())
         assert recombined == pytest.approx(report.gap, abs=1e-9)
 
     def test_report_serialization_is_deterministic(self):

@@ -143,54 +143,10 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             qsim.project(qsim.basis_state((0,)), [0], (1,))
 
-    def test_measure_deterministic_under_seed(self):
-        plus2 = qsim.apply_unitary(
-            qsim.apply_unitary(qsim.basis_state((0, 0)), qsim.H, [0]), qsim.H, [1]
-        )
-        a = qsim.measure(plus2, [0, 1], np.random.default_rng(41))
-        b = qsim.measure(plus2, [0, 1], np.random.default_rng(41))
-        assert a[0] == b[0] and a[1] == pytest.approx(b[1])
-
-    def test_measure_statistics(self):
-        plus = qsim.apply_unitary(qsim.basis_state((0,)), qsim.H, [0])
-        rng = np.random.default_rng(43)
-        ones = sum(qsim.measure(plus, [0], rng)[0][0] for _ in range(2000))
-        assert 850 < ones < 1150
-
-    def test_decompose_covers_all_outcomes(self):
-        psi = qsim.apply_unitary(qsim.basis_state((0, 1)), qsim.H, [0])
-        branches = qsim.measure_decompose(psi, [0])
-        assert {bits for bits, _, _ in branches} == {(0,), (1,)}
-        assert sum(prob for _, prob, _ in branches) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("targets", [[0], [3], [2, 0], [4, 1, 3], [0, 1, 2, 3, 4]])
-    def test_decompose_matches_project_per_outcome(self, targets):
-        # every branch against one project per outcome, on a state whose
-        # first qubit is |0>, so half the outcomes vanish
-        rng = np.random.default_rng(73)
-        psi = qsim.PureState(np.kron([1.0, 0.0], random_state(rng, 4).vector))
-        rho = qsim.DensityMatrix(psi.to_density().matrix)
-        for state, field in ((psi, "vector"), (rho, "matrix")):
-            want = {}
-            for v in range(2 ** len(targets)):
-                bits = bits_of(v, len(targets))
-                try:
-                    want[bits] = qsim.project(state, targets, bits)
-                except ValueError:
-                    continue
-            got = qsim.measure_decompose(state, targets)
-            assert [bits for bits, _, _ in got] == sorted(want)
-            for bits, prob, post in got:
-                assert prob == pytest.approx(want[bits][0], abs=1e-12)
-                assert type(post) is type(state)
-                assert np.abs(getattr(post, field)
-                              - getattr(want[bits][1], field)).max() < 1e-12
-
     @pytest.mark.parametrize("targets", [[0], [2], [2, 0], [1, 3, 0]])
     def test_project_keeps_the_indices_showing_the_outcome(self, targets):
         rng = np.random.default_rng(67)
         psi = random_state(rng, 4)
-        rho = qsim.DensityMatrix(psi.to_density().matrix)
         for v in range(2 ** len(targets)):
             bits = bits_of(v, len(targets))
             keep = np.array([all(bits_of(i, 4)[t] == b for t, b in zip(targets, bits))
@@ -200,13 +156,15 @@ class TestMeasurement:
             prob, post = qsim.project(psi, targets, bits)
             assert prob == pytest.approx(want, abs=1e-12)
             assert np.allclose(post.vector, sub / np.sqrt(want))
-            prob, post = qsim.project(rho, targets, bits)
-            assert prob == pytest.approx(want, abs=1e-12)
-            assert np.allclose(post.matrix, np.outer(sub, sub.conj()) / want)
 
     def test_project_rejects_outcomes_that_are_not_bits(self):
         with pytest.raises(ValueError, match="outcome bit"):
             qsim.project(qsim.basis_state((0, 0)), [0, 1], (0, 2))
+
+    def test_project_rejects_density_matrices(self):
+        rho = qsim.basis_state((0, 0)).to_density()
+        with pytest.raises(TypeError, match="PureState"):
+            qsim.project(rho, [0], (0,))
 
     def test_basis_index_and_bits_are_big_endian_inverses(self):
         for n in range(1, 6):
@@ -425,14 +383,17 @@ class TestResultsPassConstructorChecks:
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_measurement_and_reduction(self, seed, n):
-        rng, psi, u, targets = self.draw(seed, n)
+        _, psi, u, targets = self.draw(seed, n)
         psi = qsim.apply_gate(psi, u, targets)
         rho = psi.to_density()
         assert passes_checks(rho)
+        for v in range(2 ** len(targets)):
+            try:
+                _, post = qsim.project(psi, targets, bits_of(v, len(targets)))
+            except ValueError:  # an outcome below the floor
+                continue
+            assert passes_checks(post)
         for state in (psi, rho):
-            for bits, prob, post in qsim.measure_decompose(state, targets):
-                assert passes_checks(post)
-            assert passes_checks(qsim.measure(state, targets, rng)[2])
             assert passes_checks(qsim.dephase(state, targets))
             assert passes_checks(qsim.partial_trace(state, targets))
         assert passes_checks(qsim.basis_state(bits_of(seed, n)))
@@ -477,9 +438,7 @@ class TestResultsPassConstructorChecks:
             qsim.dephase(psi, [0, 0])
         for targets in ([0, 0], [0, 5]):
             with pytest.raises(ValueError, match="target"):
-                qsim.measure_decompose(psi, targets)
-            with pytest.raises(ValueError, match="target"):
-                qsim.measure(psi, targets, np.random.default_rng(0))
+                qsim.project(psi, targets, (0, 0))
 
 
 class TestWiesner:
