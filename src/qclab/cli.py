@@ -4,7 +4,9 @@ Reports are canonical JSON (sorted keys, no whitespace), so a manifest run
 twice produces byte-identical output.  Timing goes to stderr only.  Child
 random streams are derived as sha256("seed:subcommand:trial")[:8], read as
 a big-endian unsigned 64-bit integer and fed to numpy's default generator,
-so any single trial can be reproduced outside this module.
+so any single trial can be reproduced outside this module.  Manifests are
+checked against data/manifest.schema.json by a small interpreter of the few
+JSON Schema keywords it uses, whose errors read as jsonschema's would.
 """
 
 import argparse
@@ -19,7 +21,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, commit, dist, efi, gf2, owsg, pseudoentropy, puzzles, qsim
@@ -78,13 +79,80 @@ def _load_schema():
     return json.loads(raw)
 
 
+# the JSON Schema types the schema names (Draft 2020-12): an integral float
+# is an integer, and a bool is neither an integer nor a number
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+# the keywords _schema_errors interprets; "$schema" and "title" only annotate
+_SCHEMA_KEYWORDS = {"$schema", "title", "type", "enum", "required",
+                    "additionalProperties", "properties", "minimum", "maximum"}
+
+
+def _type_names(schema):
+    names = schema.get("type", [])
+    return [names] if isinstance(names, str) else names
+
+
+def _check_schema(schema):
+    """Refuse a schema that _schema_errors would read wrongly."""
+    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
+    if unknown:
+        raise ValueError("manifest schema keywords {} are not supported".format(unknown))
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("manifest schema: additionalProperties must be false")
+    if not set(_type_names(schema)) <= set(_JSON_TYPES):
+        raise ValueError("manifest schema: unknown type {!r}".format(schema["type"]))
+    if not all(isinstance(e, str) for e in schema.get("enum", [])):
+        raise ValueError("manifest schema: enum values must be strings")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+
+
 @functools.cache
-def _validator():
-    # checking the schema itself costs more than a manifest: once per process
+def _schema():
+    # read and checked once per process
     schema = _load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _check_schema(schema)
+    return schema
+
+
+def _schema_errors(schema, value, path=()):
+    """(path, message) of each error jsonschema finds in `value`, in the
+    order it yields them."""
+    number = _JSON_TYPES["number"](value)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            names = _type_names(schema)
+            if not any(_JSON_TYPES[t](value) for t in names):
+                yield path, "{!r} is not of type {}".format(
+                    value, ", ".join(map(repr, names)))
+        elif keyword == "enum" and value not in arg:
+            yield path, "{!r} is not one of {!r}".format(value, arg)
+        elif keyword == "minimum" and number and value < arg:
+            yield path, "{!r} is less than the minimum of {!r}".format(value, arg)
+        elif keyword == "maximum" and number and value > arg:
+            yield path, "{!r} is greater than the maximum of {!r}".format(value, arg)
+        elif not isinstance(value, dict):
+            continue
+        elif keyword == "required":
+            for name in arg:
+                if name not in value:
+                    yield path, "{!r} is a required property".format(name)
+        elif keyword == "additionalProperties":
+            extras = sorted(set(value) - set(schema.get("properties", {})))
+            if extras:
+                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        elif keyword == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], path + (name,))
 
 
 def _parser():
@@ -124,10 +192,14 @@ def _resolve(args):
     for field, value in overrides:
         if value is not None:
             body[field] = value
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(body))
+    # the error jsonschema.validate would raise, by best_match's relevance:
+    # the shallowest path, then the greatest, then the first yielded (its
+    # type-match criterion never decides, as one subschema makes all the
+    # errors at a path)
+    error = max(_schema_errors(_schema(), body),
+                key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        raise ManifestError(error.message)
+        raise ManifestError(error[1])
     sub = body["subcommand"]
     return ExperimentManifest(
         sub, body.get("params", {}), int(body["seed"]),

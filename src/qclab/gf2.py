@@ -100,9 +100,11 @@ def sample_hash_seed(rng, n_in, n_out=None):
     """Uniform affine hash seed; n_out defaults to 3 * n_in."""
     if n_out is None:
         n_out = 3 * n_in
-    rows = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
-    offsets = rng.integers(0, 2, size=n_out, dtype=np.uint8)
-    return HashSeed(rows, offsets)
+    # rng bits are bits of the right shapes: skip the constructor's re-check
+    seed = object.__new__(HashSeed)
+    seed.rows = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
+    seed.offsets = rng.integers(0, 2, size=n_out, dtype=np.uint8)
+    return seed
 
 
 def hash_eval(seed, x, i):

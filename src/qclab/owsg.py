@@ -17,20 +17,18 @@ PROFILE_KEY_LIMIT = 16
 class OwsgScheme:
     """Key sampling, deterministic state preparation, and verification.
 
-    accept_fn(key, state) must return the exact acceptance probability of the
-    verifier; the default is the squared overlap with the honest state, which
-    a single-trial Bernoulli verifier realizes.
+    accept_prob(key, state) is the exact acceptance probability of the
+    verifier: the squared overlap with the honest state, which a single-trial
+    Bernoulli verifier realizes.
     """
 
-    __slots__ = ("name", "key_bits", "n_qubits", "_state_fn", "_accept_fn",
-                 "_honest")
+    __slots__ = ("name", "key_bits", "n_qubits", "_state_fn", "_honest")
 
-    def __init__(self, name, key_bits, n_qubits, state_fn, accept_fn=None):
+    def __init__(self, name, key_bits, n_qubits, state_fn):
         self.name = name
         self.key_bits = key_bits
         self.n_qubits = n_qubits
         self._state_fn = state_fn
-        self._accept_fn = accept_fn
         self._honest = None
 
     def key_gen(self, rng):
@@ -42,8 +40,6 @@ class OwsgScheme:
         return self._state_fn(key)
 
     def accept_prob(self, key, state):
-        if self._accept_fn is not None:
-            return self._accept_fn(key, state)
         return qsim.overlap(self.state_gen(key), state)
 
     def verify(self, key, state, rng):

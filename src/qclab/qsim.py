@@ -35,10 +35,6 @@ EIGENVALUE_FLOOR = -1e-8
 OUTCOME_FLOOR = 1e-12
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )

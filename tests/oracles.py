@@ -5,7 +5,8 @@ two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
 The schemes are state generators beyond conjugate coding: a key-selected
 brick circuit, whose states are not product states, and a noisy variant
 whose verifier thresholds the overlap, with an exact per-key correctness
-profile.
+profile.  The single-qubit gates beyond H that the circuit menu offers live
+here too, since the library uses none of them.
 """
 
 import itertools
@@ -27,6 +28,11 @@ CIRCUIT_KEY_LIMIT = 12
 _PAIR_ACTIONS = {"CNOT": (0, 1), "CNOT_REVERSED": (1, 0)}
 
 GATE_MENU = Path(__file__).with_name("gate_menu.json")
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+S = np.array([[1, 0], [0, 1j]], dtype=complex)
+T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 
 
 def smooth_max_support(p, eps):
@@ -56,7 +62,7 @@ def _load_gate_menu():
     menu = json.loads(GATE_MENU.read_text())
     if menu.get("version") != 1:
         raise ValueError(f"unsupported gate menu version {menu.get('version')!r}")
-    gates = {"H": qsim.H, "S": qsim.S, "T": qsim.T, "X": qsim.X, "Z": qsim.Z}
+    gates = {"H": qsim.H, "S": S, "T": T, "X": X, "Z": Z}
     singles = [gates[name] for name in menu["singles"]]
     pairs = [_PAIR_ACTIONS[name] for name in menu["pairs"]]
     for group in (singles, pairs):
@@ -110,6 +116,22 @@ def _rotation_y(angle):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+class _ThresholdedScheme(owsg.OwsgScheme):
+    """Accepts exactly when the overlap with the base scheme's honest state
+    reaches the threshold."""
+
+    __slots__ = ("_base", "_threshold")
+
+    def __init__(self, base, threshold, state_fn):
+        super().__init__(f"{base.name}-noisy", key_bits=base.key_bits,
+                         n_qubits=base.n_qubits, state_fn=state_fn)
+        self._base, self._threshold = base, threshold
+
+    def accept_prob(self, key, state):
+        honest = self._base.state_gen(key)
+        return 1.0 if qsim.overlap(honest, state) >= self._threshold else 0.0
+
+
 def thresholded_noisy_scheme(base, threshold=0.98, noise=0.05):
     """Variant of base whose states drift with key weight and whose verifier
     thresholds the exact overlap instead of flipping a coin.
@@ -125,11 +147,7 @@ def thresholded_noisy_scheme(base, threshold=0.98, noise=0.05):
         angle = 2.0 * noise * sum(key)
         return qsim.apply_gate(base.state_gen(key), _rotation_y(angle), [0])
 
-    def accept_fn(key, state):
-        return 1.0 if qsim.overlap(base.state_gen(key), state) >= threshold else 0.0
-
-    return owsg.OwsgScheme(f"{base.name}-noisy", key_bits=base.key_bits,
-                           n_qubits=base.n_qubits, state_fn=state_fn, accept_fn=accept_fn)
+    return _ThresholdedScheme(base, threshold, state_fn)
 
 
 class CorrectnessProfile:

@@ -5,8 +5,11 @@ cover flag resolution, schema validation, exit codes, and the byte-level
 determinism contract in one place.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -444,8 +447,60 @@ class TestGlBatchedPredictor:
         assert got == want
 
 
+SCHEMA = cli._load_schema()
+_FIELDS = SCHEMA["properties"]
+_ENUM_VALUES = [v for f in _FIELDS.values() for v in f.get("enum", [])]
+# every integer bound, one either side of it, and the same as floats
+_NEAR_BOUNDS = sorted({bound + d for f in _FIELDS.values()
+                       for bound in (f.get("minimum"), f.get("maximum"))
+                       if bound is not None for d in (-1, 0, 1)})
+_EDGE_VALUES = (_NEAR_BOUNDS + [float(b) for b in _NEAR_BOUNDS] + _ENUM_VALUES
+                + ["xml", "", "Entropy", None, True, False, math.inf, -math.inf, 0.5])
+_JSON_SCALARS = (st.sampled_from(_EDGE_VALUES) | st.integers(-3, 3) | st.floats()
+                 | st.text(max_size=3))
+_JSON_VALUES = (_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+
+
+@st.composite
+def manifest_bodies(draw):
+    """Top-level manifests over the schema's names and a few unknown keys.
+    Three bodies in four start with both required fields, a valid
+    subcommand and a seed near its bounds, so that errors below the top
+    level are drawn often too."""
+    body = {}
+    if draw(st.integers(0, 3)):
+        body = {"subcommand": draw(st.sampled_from(_FIELDS["subcommand"]["enum"])),
+                "seed": draw(st.sampled_from(_NEAR_BOUNDS + [7, 2.0, 0.5, 2.0 ** 64]))}
+    keys = st.sampled_from(sorted(_FIELDS) * 3 + ["bogus", "Seed", "a", "zz"])
+    body.update(draw(st.dictionaries(keys, _JSON_VALUES, max_size=4)))
+    return body
+
+
+def assert_validated_as_jsonschema_would(body):
+    """A body jsonschema accepts resolves to a manifest; any other exits 2
+    with jsonschema.validate's message as the detail."""
+    try:
+        jsonschema.validate(body, SCHEMA)
+    except jsonschema.ValidationError as exc:
+        want = exc.message
+    else:
+        want = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(body))
+        if want is None:
+            cli._resolve(cli._parser().parse_args(["--manifest", str(path)]))
+            return
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--manifest", str(path)]) == 2
+    assert json.loads(out.getvalue())["detail"] == want
+
+
 class TestValidatorBuiltOnce:
-    """The cached validator reports what jsonschema.validate would."""
+    """The schema interpreter reports what jsonschema.validate would, and
+    refuses a schema keyword it does not interpret."""
 
     @pytest.mark.parametrize("body", [
         {"subcommand": "entropy"},
@@ -455,36 +510,53 @@ class TestValidatorBuiltOnce:
         {"subcommand": "gl", "seed": 0, "params": [1], "workers": 0},
         {"subcommand": 3, "seed": "x", "out": 5},
     ])
-    def test_error_message_matches_validate(self, body, tmp_path, capsys):
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(body, cli._load_schema())
-        assert cli.main(["--manifest", write_manifest(tmp_path, body)]) == 2
-        assert json.loads(capsys.readouterr().out)["detail"] == want.value.message
+    def test_error_message_matches_validate(self, body):
+        assert_validated_as_jsonschema_would(body)
 
-    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
-        cli._validator()
-        checks = []
-        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
-                            classmethod(lambda cls, schema: checks.append(schema)))
-        for seed in range(3):
-            body = {"subcommand": "entropy", "seed": seed}
-            assert cli.main(["--manifest", write_manifest(tmp_path, body),
-                             "--out", str(tmp_path / "r")]) == 0
-        assert checks == []
+    @given(manifest_bodies())
+    @settings(max_examples=400, deadline=None, database=None)
+    def test_corpus_matches_validate(self, body):
+        assert_validated_as_jsonschema_would(body)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "pattern": "^m"},
+        {"properties": {"seed": {"type": "integer", "multipleOf": 2}}},
+        {"additionalProperties": {"type": "string"}},
+        {"properties": {"seed": {"type": "int"}}},
+        {"properties": {"seed": {"enum": [0, 1]}}},
+    ])
+    def test_unsupported_schema_refused(self, schema, monkeypatch):
+        monkeypatch.setattr(cli, "_load_schema", lambda: schema)
+        cli._schema.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="manifest schema"):
+                cli._schema()
+        finally:
+            cli._schema.cache_clear()
 
 
 class TestModuleEntryPoint:
-    """python -m qclab.cli runs main() and exits with its code."""
+    """python -m qclab.cli runs main() and exits with its code; importing
+    the module loads no jsonschema."""
 
     @staticmethod
-    def run_module(*argv, cwd):
+    def python(*argv, cwd):
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "qclab.cli", *argv],
-                              cwd=cwd, env=env, capture_output=True,
-                              timeout=120)
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=120)
+
+    def run_module(self, *argv, cwd):
+        return self.python("-m", "qclab.cli", *argv, cwd=cwd)
+
+    def test_import_leaves_jsonschema_unloaded(self, tmp_path):
+        proc = self.python("-c", "import sys, qclab.cli; print(sorted("
+                           "m for m in sys.modules if m.startswith('jsonschema')))",
+                           cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == b"[]"
 
     def test_missing_seed_exits_two(self, tmp_path):
         m = write_manifest(tmp_path, {"subcommand": "entropy"})

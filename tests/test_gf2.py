@@ -89,6 +89,24 @@ class TestHashSeed:
         for row, x in zip(batch, xs):
             assert tuple(row) == gf2.hash_eval(seed, tuple(int(b) for b in x), 5)
 
+    @pytest.mark.parametrize("n_in,n_out", [(1, None), (4, None), (3, 5), (6, 0)])
+    def test_sampled_seed_is_the_rng_bits(self, n_in, n_out):
+        # sample_hash_seed skips the constructor's check, so check its output
+        seed = gf2.sample_hash_seed(np.random.default_rng(12), n_in, n_out)
+        rows_want = 3 * n_in if n_out is None else n_out
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, 2, size=(rows_want, n_in), dtype=np.uint8)
+        offsets = rng.integers(0, 2, size=rows_want, dtype=np.uint8)
+        for got, want in ((seed.rows, rows), (seed.offsets, offsets)):
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert set(got.ravel().tolist()) <= {0, 1}
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows,offsets", [([[0, 2]], [0]), ([[0, 1]], [2])])
+    def test_constructor_rejects_non_bits(self, rows, offsets):
+        with pytest.raises(ValueError, match="bits"):
+            gf2.HashSeed(rows, offsets)
+
 
 class TestExtractor:
     def test_point_mass_is_half(self):
