@@ -80,11 +80,11 @@ class AdversaryStrategy:
             if e0.shape != e1.shape or e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
                 raise ValueError("measurement operators must be square and matched")
             for op in (e0, e1):
-                if np.abs(op - op.conj().T).max() > COMMIT_TOL:
+                if not np.abs(op - op.conj().T).max() <= COMMIT_TOL:
                     raise ValueError("measurement operators must be Hermitian")
-                if np.linalg.eigvalsh(op).min() < -COMMIT_TOL:
+                if not np.linalg.eigvalsh(op).min() >= -COMMIT_TOL:
                     raise ValueError("measurement operators must be positive")
-            if np.abs(e0 + e1 - np.eye(e0.shape[0])).max() > COMMIT_TOL:
+            if not np.abs(e0 + e1 - np.eye(e0.shape[0])).max() <= COMMIT_TOL:
                 raise ValueError("measurement operators must resolve the identity")
             measurement = (e0, e1)
         self.state = state

@@ -18,6 +18,13 @@ into the middle axis.  Targets that run p, p+1, ..., p+k-1 need no
 transpose; any other order is moved to those positions and back, which
 copies the register twice.
 
+check_unitary requires max |u u^H - I| <= CHECK_TOL and takes it block by
+block of u's nonzero pattern: rows and columns joined through a nonzero
+entry form one block, every entry of u u^H between two blocks is an exact
+zero, and blocks of equal size share one batched Gram product.  A dense gate
+is one block and one product.  A zero row or column, a block with more rows
+than columns or the reverse, or a non-finite entry rejects the gate.
+
 CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
 from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
 may have; OUTCOME_FLOOR the least probability project conditions on.
@@ -60,7 +67,7 @@ class PureState:
             raise ValueError("statevector must be 1-d")
         self.n_qubits = _qubits_of(len(vector), QUBIT_LIMIT, "statevector")
         norm = np.linalg.norm(vector)
-        if abs(norm - 1.0) > CHECK_TOL:
+        if not abs(norm - 1.0) <= CHECK_TOL:
             raise ValueError(f"statevector norm {norm} is not 1")
         self.vector = vector
 
@@ -83,12 +90,12 @@ class DensityMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
         self.n_qubits = _qubits_of(matrix.shape[0], DENSITY_QUBIT_LIMIT, "density matrix")
-        if np.abs(matrix - matrix.conj().T).max() > CHECK_TOL:
+        if not np.abs(matrix - matrix.conj().T).max() <= CHECK_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = matrix.trace().real
-        if abs(trace - 1.0) > CHECK_TOL:
+        if not abs(trace - 1.0) <= CHECK_TOL:
             raise ValueError(f"density matrix trace {trace} is not 1")
-        if np.linalg.eigvalsh(matrix).min() < EIGENVALUE_FLOOR:
+        if not np.linalg.eigvalsh(matrix).min() >= EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         self.matrix = matrix
 
@@ -142,9 +149,43 @@ def check_unitary(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"gate shape {u.shape} is not square")
     n = _qubits_of(u.shape[0], QUBIT_LIMIT, "gate")
-    if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > CHECK_TOL:
+    if not _unitary_deviation(u) <= CHECK_TOL:
         raise ValueError("gate is not unitary")
     return n
+
+
+def _unitary_deviation(u):
+    # max |u u^H - I| block by block of u's nonzero pattern (see the module
+    # docstring); inf when the pattern alone rules out a unitary
+    dim = u.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(u != 0), dim)
+    # min-label propagation: each column takes the least label of its rows,
+    # each row the least of its own and its columns' labels and then that
+    # label's label, until no row label moves.  A zero row keeps its own
+    # label, a zero column the label dim, so neither block is square.
+    label = np.arange(dim)
+    while True:
+        col_label = np.full(dim, dim)
+        np.minimum.at(col_label, cols, label[rows])
+        moved = label.copy()
+        np.minimum.at(moved, rows, col_label[cols])
+        if (moved == label).all():
+            break
+        label = moved[moved]
+    size = np.bincount(label, minlength=dim + 1)
+    if not np.array_equal(size, np.bincount(col_label, minlength=dim + 1)):
+        return math.inf
+    # blocks sorted by label line up row for column; stack equal sizes
+    row_order = np.argsort(label, kind="stable")
+    col_order = np.argsort(col_label, kind="stable")
+    sizes = size[label[row_order]]
+    worst = 0.0
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        pick = sizes == s
+        block = u[row_order[pick].reshape(-1, s, 1), col_order[pick].reshape(-1, 1, s)]
+        gram = block @ block.conj().swapaxes(1, 2)
+        worst = np.maximum(worst, np.abs(gram - np.eye(s)).max())  # keeps a NaN
+    return worst
 
 
 def apply_gate(state, u, targets):

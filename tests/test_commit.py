@@ -560,3 +560,43 @@ class TestSchemeJson:
         payload["com_re"][0] = 0.123
         with pytest.raises(ValueError, match="checksum"):
             commit.scheme_from_json(json.dumps(payload))
+
+
+class TestUnitarityCheckMatchesDenseOracle:
+    """The commit maps check_unitary sees, checked block by block, against
+    the dense product."""
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(["purified-coins", "basis", "hiding"])))
+    def test_xor_component_orders(self, order):
+        x = commit.xor_combine([CATALOG[name] for name in order])
+        assert np.count_nonzero(x.com) < x.com.size
+        assert oracles.assert_unitarity_agrees(x.com) <= qsim.CHECK_TOL
+
+    def test_dual_basis_swap(self):
+        dual = commit.dual_commit(CATALOG["basis"], CATALOG["swap"])
+        assert oracles.assert_unitarity_agrees(dual.com) <= qsim.CHECK_TOL
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert oracles.assert_unitarity_agrees(CATALOG[name].com) <= qsim.CHECK_TOL
+
+
+class TestNonFiniteInputRejected:
+    def test_commit_map(self):
+        for com in (np.full((4, 4), np.nan), np.diag([1.0, 1.0, np.inf, 1.0])):
+            with pytest.raises(ValueError, match="gate is not unitary"):
+                commit.CommitScheme("bad", com, (1,), (0,))
+
+    def test_adversary_measurement(self):
+        state = commit.commit_state(CATALOG["basis"], 0)
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError):
+            commit.AdversaryStrategy(state, measurement=(nan, nan))
+        e0 = np.diag([1.0, np.nan])
+        with pytest.raises(ValueError):
+            commit.AdversaryStrategy(state, measurement=(e0, np.eye(2) - e0))
+
+    def test_adversary_state(self):
+        with pytest.raises(ValueError):
+            commit.AdversaryStrategy([np.nan, 0.0, 0.0, 0.0])

@@ -3,8 +3,10 @@
 apply_unitary and partial_trace are checked against slow full-matrix oracles
 built by explicit basis-index bookkeeping, apply_gate against the former
 moveaxis kernel, trace_distance against the pure state closed form and an
-SVD-based nuclear norm.
+SVD-based nuclear norm, check_unitary against the dense product u u^H.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -464,3 +466,119 @@ class TestWiesner:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             qsim.wiesner_encode((0, 1), (1,))
+
+
+def haar_unitary(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def permuted_blocks(rng, dim, largest=64):
+    """A unitary that is block diagonal, with Haar blocks of random sizes,
+    up to a permutation of its rows and another of its columns."""
+    u = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    while at < dim:
+        size = min(dim - at, int(rng.integers(2, largest + 1)))
+        u[at:at + size, at:at + size] = haar_unitary(rng, size)
+        at += size
+    return u[rng.permutation(dim)][:, rng.permutation(dim)]
+
+
+def perturbed(rng, u, eps):
+    """u with one row scaled by 1 + eps and eps added to one entry, which
+    may join two blocks."""
+    u = u.copy()
+    u[rng.integers(len(u))] *= 1 + eps
+    u[tuple(rng.integers(len(u), size=2))] += eps
+    return u
+
+
+class TestUnitarityByBlocks:
+    """check_unitary's block-by-block deviation against the dense product."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_permuted_blocks_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        u = permuted_blocks(rng, 2 ** int(rng.integers(1, 8)))
+        assert oracles.assert_unitarity_agrees(u) <= qsim.CHECK_TOL
+        assert qsim.check_unitary(u) == len(u).bit_length() - 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_perturbed_blocks_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        u = permuted_blocks(rng, 2 ** int(rng.integers(1, 8)))
+        assert oracles.assert_unitarity_agrees(perturbed(rng, u, 1e-9)) > qsim.CHECK_TOL
+        assert oracles.assert_unitarity_agrees(perturbed(rng, u, 1e-11)) <= qsim.CHECK_TOL
+
+    @pytest.mark.parametrize("qubits", range(1, 8))
+    def test_dense_haar_is_one_block(self, qubits):
+        u = haar_unitary(np.random.default_rng(qubits), 2 ** qubits)
+        assert np.count_nonzero(u) == u.size
+        assert oracles.assert_unitarity_agrees(u) <= qsim.CHECK_TOL
+
+    @pytest.mark.parametrize("zero", [0, 2, 3])
+    def test_zero_row_rejected(self, zero):
+        u = np.eye(4, dtype=complex)
+        u[zero] = 0.0
+        u[1 - zero % 2, zero] = 1.0
+        assert qsim._unitary_deviation(u) == math.inf
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            qsim.check_unitary(u)
+
+    @pytest.mark.parametrize("zero", [0, 2, 3])
+    def test_zero_column_rejected(self, zero):
+        u = np.eye(4, dtype=complex)
+        u[:, zero] = 0.0
+        u[zero, 1 - zero % 2] = 1.0
+        assert qsim._unitary_deviation(u) == math.inf
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            qsim.check_unitary(u)
+
+    @staticmethod
+    def two_rows_over_one_column():
+        # blocks: rows 0, 1 over column 0; row 2 over column 1; row 3 over
+        # columns 2, 3
+        r = math.sqrt(0.5)
+        return np.array([[r, 0, 0, 0], [r, 0, 0, 0], [0, 1, 0, 0], [0, 0, r, r]],
+                        dtype=complex)
+
+    def test_two_rows_over_one_column_rejected(self):
+        u = self.two_rows_over_one_column()
+        assert qsim._unitary_deviation(u) == math.inf
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            qsim.check_unitary(u)
+
+    def test_one_row_over_two_columns_rejected(self):
+        u = self.two_rows_over_one_column().T
+        assert qsim._unitary_deviation(u) == math.inf
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            qsim.check_unitary(u)
+
+    def test_nan_rejected(self):
+        for u in (np.full((2, 2), np.nan), np.where(np.eye(4) == 1, 1.0, np.nan),
+                  np.diag([1.0, np.nan, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="gate is not unitary"):
+                qsim.check_unitary(u)
+
+    def test_inf_rejected(self):
+        dense = qsim.H.copy()
+        dense[0, 1] = np.inf
+        for u in (dense, np.diag([1.0, 1.0, np.inf, 1.0]),
+                  np.diag([1.0, 1.0, 1.0, -np.inf * 1j])):
+            with pytest.raises(ValueError, match="gate is not unitary"):
+                qsim.check_unitary(u)
+
+
+class TestNonFiniteInputRejected:
+    def test_pure_state(self):
+        for vector in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                qsim.PureState(vector)
+
+    def test_density_matrix(self):
+        for matrix in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]),
+                       np.diag([np.inf, 0.0])):
+            with pytest.raises(ValueError):
+                qsim.DensityMatrix(matrix)
