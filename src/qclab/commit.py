@@ -8,8 +8,7 @@ Both experiments reduce to trace distances of small density matrices, so
 every reported advantage is exact up to floating point.
 
 COMMIT_TOL is how far a given measurement may be from Hermitian, positive
-and resolving the identity, and the least residual norm at which the
-Gram-Schmidt completion of a purification keeps a new column.
+and resolving the identity.
 """
 
 import hashlib
@@ -215,23 +214,21 @@ def superposition_attacker(scheme):
 
 def _branch_isometry(pmf, width):
     dim = 2 ** (2 * width)
-    target = np.zeros(dim, dtype=complex)
+    t = np.zeros(dim)
     for atom, prob in pmf.items_sorted():
         bits = dist.flat_bits(atom)
-        target[qsim.basis_index(bits + bits)] = math.sqrt(float(prob))
-    cols = [target]
-    for j in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[j] = 1.0
-        for _ in range(2):  # re-orthogonalize to keep the unitarity check tight
-            for col in cols:
-                cand = cand - col * np.vdot(col, cand)
-        norm = np.linalg.norm(cand)
-        if norm > COMMIT_TOL:
-            cols.append(cand / norm)
-        if len(cols) == dim:
-            break
-    return np.stack(cols, axis=1)
+        t[qsim.basis_index(bits + bits)] = math.sqrt(float(prob))
+    rest = t[1:]
+    if not rest.any():  # t is e_0, up to its float norm
+        return np.eye(dim, dtype=complex)
+    # the reflection swapping e_0 and t: row and column 0 are t, entry (i, j)
+    # for i, j >= 1 is delta_ij - t_i t_j / (1 - t_0), and 1 - t_0 is taken
+    # as sum_{i>=1} t_i^2 / (1 + t_0) so that it does not cancel
+    gap = math.fsum((rest * rest).tolist()) / (1 + t[0])
+    out = np.eye(dim, dtype=complex)
+    out[1:, 1:] -= np.outer(rest, rest) / gap
+    out[0] = out[:, 0] = t
+    return out
 
 
 def purification_commit(pmf0, pmf1, name="purification"):

@@ -75,7 +75,7 @@ class Pmf:
             entropy operations refuse such objects.
 
     Raises:
-        ValueError: on negative probabilities, or total mass outside
+        ValueError: on negative or NaN probabilities, or total mass outside
             1 +- 1e-12 without the subnormal flag.
     """
 
@@ -84,16 +84,16 @@ class Pmf:
     def __init__(self, atoms, subnormal=False):
         cleaned = {}
         for atom, p in atoms.items():
-            if p < 0:
-                raise ValueError(f"negative probability {p!r} for atom {atom!r}")
+            if not p >= 0:
+                raise ValueError(f"negative or NaN probability {p!r} for atom {atom!r}")
             if p == 0:
                 continue
             cleaned[atom] = p
         total = sum(cleaned.values())
         if subnormal:
-            if total > 1 + MASS_TOL:
+            if not total <= 1 + MASS_TOL:
                 raise ValueError(f"subnormal mass exceeds 1: {total!r}")
-        elif abs(total - 1) > MASS_TOL:
+        elif not abs(total - 1) <= MASS_TOL:
             raise ValueError(f"total mass {total!r} not within {MASS_TOL} of 1")
         self._p = cleaned
         self.subnormal = bool(subnormal)

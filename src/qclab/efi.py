@@ -5,7 +5,8 @@ bits, the other emits s uniform bits; both publish the hash seed. Short
 truncations make the branches statistically close (the extractor regime),
 long ones make them nearly disjoint because the generator's support cannot
 cover the output space. The crossing point sits half a gap above the
-generator's max-entropy, and every distance here is exact per seed.
+generator's max-entropy, and every distance here is computed in closed form
+per seed.
 
 EFI_TOL is how far past an integer the crossover may fall and still place
 the truncation at that integer, so float noise in the max-entropy cannot

@@ -266,14 +266,8 @@ def hashed_distances(ys, probs):
     u = 2.0 ** -m
     dev = np.abs(np.bincount(labels.ravel(), weights=np.tile(probs, s)) - u)
     counts = np.bincount(owner, minlength=s)
-    start = np.cumsum(counts) - counts
-    total = np.empty(s)
-    # seeds with c groups sum as rows of one (k, c) array, which numpy adds
-    # in the pairwise order of each seed's own slice (reduceat would not);
-    # bincount lists the counts without np.unique's import of numpy.ma
-    for c in np.flatnonzero(np.bincount(counts)):
-        pick = counts == c
-        total[pick] = dev[start[pick, None] + np.arange(c)].sum(axis=1)
+    # bincount adds each seed's groups left to right
+    total = np.bincount(owner, weights=dev, minlength=s)
     return 0.5 * (total + (1.0 - counts * u))
 
 

@@ -269,12 +269,12 @@ class GapReport:
         return f"GapReport(gap={self.gap:.6f}, radius={self.radius:.6f})"
 
 
-def _group_sums(member, kbits, lone):
-    # member @ kbits, rounded as per seed: numpy takes a seed's lone accepted
-    # group as a vector-matrix product, which adds in another order
-    out = member @ kbits
-    out[lone] = (member[lone, None, :] @ kbits)[:, 0]
-    return out
+def _group_sums(bins, probs, kbits):
+    # one bincount adds probs[i] * kbits[i, r] into bin bins[i * R + r],
+    # R = kbits.shape[1], taking the rows i in order: key by key in atom
+    # order within each group
+    weights = (probs[:, None] * kbits).ravel()
+    return np.bincount(bins, weights=weights).reshape(-1, kbits.shape[1])
 
 
 def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
@@ -314,12 +314,16 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     for (ps, code, analysis), kbits in zip(instances, bits):
         labels, owner, _, mass, flat, accept = analysis.filter_groups(seeds)
         fired = np.flatnonzero(accept)
-        # member[g, k]: mass of key k if it lies in the g-th accepted group
-        member = (labels[owner[fired]] == fired[:, None]) * analysis._probs
-        lone = np.bincount(owner[fired])[owner[fired]] == 1
+        # the (seed, key) pairs in accepted groups, and one bin per mask r
+        # and place of the pair's group among the accepted groups
+        hit = accept[labels]
+        _, keys = np.nonzero(hit)
+        place = (np.cumsum(accept) - 1)[labels[hit]]
+        bins = (place[:, None] * len(rmat) + np.arange(len(rmat))).ravel()
+        probs, kbits = analysis._probs[keys], kbits[keys]
         w = mass[fired, None]
-        p_real = _group_sums(member, kbits, lone) / w
-        p_patch = (_group_sums(member * ~analysis._flat, kbits, lone)
+        p_real = _group_sums(bins, probs, kbits) / w
+        p_patch = (_group_sums(bins, probs * ~analysis._flat[keys], kbits)
                    + 0.5 * flat[fired, None]) / w
         gain = np.mean(_h2(p_patch) - _h2(p_real), axis=1)
         # bincount adds each seed's groups left to right, as the report

@@ -160,9 +160,9 @@ def _unitary_deviation(u):
     dim = u.shape[0]
     rows, cols = np.divmod(np.flatnonzero(u != 0), dim)
     # min-label propagation: each column takes the least label of its rows,
-    # each row the least of its own and its columns' labels and then that
-    # label's label, until no row label moves.  A zero row keeps its own
-    # label, a zero column the label dim, so neither block is square.
+    # each row the least of its own and its columns' labels, until no row
+    # label moves.  A zero row keeps its own label, a zero column the label
+    # dim, so neither block is square.
     label = np.arange(dim)
     while True:
         col_label = np.full(dim, dim)
@@ -171,7 +171,7 @@ def _unitary_deviation(u):
         np.minimum.at(moved, rows, col_label[cols])
         if (moved == label).all():
             break
-        label = moved[moved]
+        label = moved
     size = np.bincount(label, minlength=dim + 1)
     if not np.array_equal(size, np.bincount(col_label, minlength=dim + 1)):
         return math.inf

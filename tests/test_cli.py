@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -163,6 +164,47 @@ class TestDeterminism:
         _, first = run_to_file(tmp_path, body, tag="a.json")
         _, second = run_to_file(tmp_path, body, tag="b.json")
         assert first.read_bytes() == second.read_bytes()
+
+
+def openblas_kernels_skip_reason():
+    """Why OPENBLAS_CORETYPE cannot pick numpy's BLAS kernel here, or None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", "")
+    if "DYNAMIC_ARCH" not in config:
+        return f"numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH: {blas}"
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"the Haswell and Prescott kernels are x86 kernels, not {platform.machine()}"
+    return None
+
+
+class TestReportBytesAcrossBlasKernels:
+    """tools/report_digests.py prints the same digests whichever BLAS kernel
+    OpenBLAS runs: the machine's own, Haswell (AVX2) or Prescott (SSE3).  On
+    an AVX-512 machine the machine's own kernel is SkylakeX, not Haswell."""
+
+    def test_digests_equal_across_kernels(self):
+        reason = openblas_kernels_skip_reason()
+        if reason:
+            pytest.skip(reason)
+        repo = Path(__file__).resolve().parents[1]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = {}
+        for kernel in (None, "Haswell", "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            runs[kernel] = subprocess.Popen(
+                [sys.executable, str(repo / "tools" / "report_digests.py"), src],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out = {}
+        for kernel, proc in runs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr.decode()
+            out[kernel] = stdout.decode().splitlines()
+        assert out[None] and all(" exit=0 " in line for line in out[None])
+        for kernel in ("Haswell", "Prescott"):
+            moved = [(a, b) for a, b in zip(out[None], out[kernel]) if a != b]
+            assert out[kernel] == out[None], moved
 
 
 class TestSampledSubcommands:

@@ -179,6 +179,30 @@ class TestPurificationCommit:
         assert vec[0b111] == pytest.approx(math.sqrt(0.75), abs=1e-12)
         assert np.abs(np.delete(vec, [0b100, 0b111])).max() < 1e-12
 
+    @pytest.mark.parametrize("pmf", [
+        bern(0.5), bern(0.75), bern(0.3), dist.Pmf({(1,): 1.0}),
+        dist.Pmf({(0, 1): 0.125, (1, 0): 0.375, (1, 1): 0.5}),
+        dist.Pmf({(v >> 2 & 1, v >> 1 & 1, v & 1): (v + 1) / 36 for v in range(8)}),
+    ], ids=["coins0", "coins1", "bern-0.3", "point-1", "two-bit", "three-bit"])
+    def test_branch_isometry_is_a_unitary_with_column_zero_t(self, pmf):
+        width = len(pmf.support()[0])
+        t = np.zeros(2 ** (2 * width))
+        for atom, p in pmf.as_dict().items():
+            t[int("".join(map(str, atom * 2)), 2)] = math.sqrt(p)
+        u = commit._branch_isometry(pmf, width)
+        assert np.array_equal(u[:, 0], t)
+        assert qsim.check_unitary(u) == 2 * width
+        assert np.array_equal(u, u.T)  # a reflection
+
+    @pytest.mark.parametrize("pmf", [
+        dist.Pmf({(0,): 1.0}), dist.Pmf({(0, 0): 1.0}),
+        dist.Pmf({(0,): 1.0 - 1e-13}),
+    ], ids=["one-bit", "two-bit", "short-of-one"])
+    def test_branch_isometry_of_all_zeros_point_mass_is_identity(self, pmf):
+        width = len(pmf.support()[0])
+        assert np.array_equal(commit._branch_isometry(pmf, width),
+                              np.eye(2 ** (2 * width)))
+
     def test_oversize_alphabet_rejected(self):
         wide = dist.Pmf({(0,) * 7: 1.0})
         with pytest.raises(ValueError):

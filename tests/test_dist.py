@@ -91,6 +91,16 @@ class TestPmfValidation:
         with pytest.raises(ValueError, match="negative"):
             dist.Pmf({(0,): 1.2, (1,): -0.2})
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            dist.Pmf({(0,): math.nan, (1,): 1.0})
+        with pytest.raises(ValueError, match="NaN"):
+            dist.Pmf({(0,): math.nan})
+
+    def test_nan_probability_rejected_when_subnormal(self):
+        with pytest.raises(ValueError, match="NaN"):
+            dist.Pmf({(0,): math.nan, (1,): 0.5}, subnormal=True)
+
     def test_zero_atoms_dropped(self):
         p = dist.Pmf({(0,): 1.0, (1,): 0.0})
         assert p.support() == ((0,),)

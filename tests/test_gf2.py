@@ -353,7 +353,7 @@ def hashed_distance_oracle(seed, xs, probs, m):
     labels, _ = prefix_groups_oracle(seed, xs, m)
     mass = np.bincount(labels, weights=probs)
     u = 2.0 ** -m
-    return 0.5 * (float(np.abs(mass - u).sum()) + (1.0 - len(mass) * u))
+    return 0.5 * (sum(np.abs(mass - u).tolist(), 0.0) + (1.0 - len(mass) * u))
 
 
 def gl_oracle(predictor, n, eps, rng, queries=None, list_cap=None):

@@ -789,9 +789,17 @@ class TestDistinguisherToInverter:
         assert a == b
 
 
+def key_sums(member, kbits):
+    """member @ kbits, added key by key in atom order."""
+    out = np.zeros((member.shape[0], kbits.shape[1]))
+    for k in range(member.shape[1]):
+        out = out + member[:, k, None] * kbits[k]
+    return out
+
+
 def wpeg_oracle(puzzle, params, seed_samples, rng):
     """wpeg_entropy_gap with the seed loop outside: one filter call per
-    seed per instance and left-to-right Python sums, as a GapReport."""
+    seed per instance and left-to-right sums, as a GapReport."""
     s_marginal = puzzle.marginal_puzzles()
     instances = []
     for s in s_marginal.support():
@@ -813,8 +821,8 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
             fired = np.flatnonzero(accept)
             member = (labels[0] == fired[:, None]) * analysis._probs
             w = mass[fired, None]
-            p_real = member @ kbits / w
-            p_patch = ((member * ~analysis._flat) @ kbits + 0.5 * flat[fired, None]) / w
+            p_real = key_sums(member, kbits) / w
+            p_patch = (key_sums(member * ~analysis._flat, kbits) + 0.5 * flat[fired, None]) / w
             gain = np.mean(pseudoentropy._h2(p_patch) - pseudoentropy._h2(p_real), axis=1)
             diff_s = sum((mass[fired] * gain).tolist(), 0.0)
             trig_s = sum(flat[fired].tolist(), 0.0)
