@@ -30,6 +30,12 @@ class CommitScheme:
     go to the receiver at commit time, `d_qubits` stay with the committer
     and are handed over at opening.  `uncom` is the adjoint of `com`, built
     once here for every opening to apply.
+
+    The constructor checks that `com` is unitary, and so do the schemes
+    built through it: purification_commit, leaky_commit, toy_schemes and
+    scheme_from_json.  xor_combine and dual_commit compose checked schemes'
+    maps, a product of unitaries and so unitary by construction, and check
+    only the partition.
     """
 
     __slots__ = ("name", "com", "uncom", "n_qubits", "c_qubits", "d_qubits",
@@ -38,6 +44,9 @@ class CommitScheme:
     def __init__(self, name, com, c_qubits, d_qubits, flavor=""):
         com = np.asarray(com, dtype=complex)
         n = qsim.check_unitary(com)
+        self._fill(name, com, n, c_qubits, d_qubits, flavor)
+
+    def _fill(self, name, com, n, c_qubits, d_qubits, flavor):
         c = tuple(int(q) for q in c_qubits)
         d = tuple(int(q) for q in d_qubits)
         if not c or not d:
@@ -55,6 +64,15 @@ class CommitScheme:
     @property
     def ell(self):
         return self.n_qubits - 1
+
+
+def _composed(name, com, c_qubits, d_qubits, flavor):
+    # a map composed from checked commit maps: wrap it without the
+    # constructor's unitarity check
+    scheme = object.__new__(CommitScheme)
+    scheme._fill(name, com, com.shape[0].bit_length() - 1, c_qubits, d_qubits,
+                 flavor)
+    return scheme
 
 
 class AdversaryStrategy:
@@ -171,12 +189,12 @@ def binding_experiment(scheme, adv, rng=None, trials=None):
     With `trials` unset the value is exact; otherwise the game is played
     that many times with `rng` and the hit rate is returned.
     """
-    accept, sigma0, sigma1 = binding_states(scheme, adv)
     meas = adv.measurement
     if meas is not None:
         dim = 2 ** (len(scheme.d_qubits) + adv.e_qubits)
         if meas[0].shape != (dim, dim):
             raise ValueError("measurement does not act on the opened qubits")
+    accept, sigma0, sigma1 = binding_states(scheme, adv)
     if trials is None:
         if accept == 0.0:
             return 0.5
@@ -318,7 +336,7 @@ def dual_commit(com1, com2, name=None):
     if name is None:
         name = "dual({},{})".format(com1.name, com2.name)
     flavor = "dual: {} / {}".format(com1.flavor, com2.flavor)
-    return CommitScheme(name, u, c, d, flavor=flavor)
+    return _composed(name, u, c, d, flavor)
 
 
 def xor_combine(schemes, name=None):
@@ -355,8 +373,8 @@ def xor_combine(schemes, name=None):
         d.extend(o + q for q in s.d_qubits)
     if name is None:
         name = "xor({})".format(",".join(s.name for s in schemes))
-    return CommitScheme(name, u, tuple(sorted(c)), tuple(sorted(d)),
-                        flavor="xor of {} components".format(t))
+    return _composed(name, u, tuple(sorted(c)), tuple(sorted(d)),
+                     "xor of {} components".format(t))
 
 
 def scheme_to_json(scheme):
@@ -376,16 +394,34 @@ def scheme_to_json(scheme):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_PAYLOAD_FIELDS = {"name": str, "flavor": str, "c_qubits": list,
+                   "d_qubits": list, "com_re": list, "com_im": list,
+                   "checksum": str}
+
+
 def scheme_from_json(text):
+    """Rebuild and check a scheme_to_json scheme; a malformed payload raises
+    a ValueError naming what is wrong."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("scheme payload is not a JSON object")
+    for key, kind in _PAYLOAD_FIELDS.items():
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"scheme payload needs a {kind.__name__} {key!r}")
+    if not all(type(q) is int for q in payload["c_qubits"] + payload["d_qubits"]):
+        raise ValueError("scheme payload qubits must be integers")
     re, im = payload["com_re"], payload["com_im"]
+    if not all(type(v) is float for v in re + im):
+        raise ValueError("scheme payload map entries must be floats")
     if _unitary_checksum(re, im) != payload["checksum"]:
         raise ValueError("unitary checksum mismatch")
     dim = math.isqrt(len(re))
+    if len(im) != len(re) or dim * dim != len(re):
+        raise ValueError("scheme payload map is not square")
     com = (np.asarray(re, dtype=float)
            + 1j * np.asarray(im, dtype=float)).reshape(dim, dim)
-    return CommitScheme(payload["name"], com, tuple(payload["c_qubits"]),
-                        tuple(payload["d_qubits"]), flavor=payload["flavor"])
+    return CommitScheme(payload["name"], com, payload["c_qubits"],
+                        payload["d_qubits"], flavor=payload["flavor"])
 
 
 def _unitary_checksum(re, im):

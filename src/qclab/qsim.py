@@ -12,18 +12,14 @@ PureState only; every other state operation takes either kind.  The states qsim
 returns are computed from checked states and skip the constructors' checks.
 apply_gate applies a gate unchecked: it assumes a complex unitary of the
 right size and distinct in-range targets, as the library gates, the basis
-rotations and checked commit maps are.  It views the register as
-(2^p, 2^k, rest), p the lowest of its k targets, and multiplies the gate
-into the middle axis.  Targets that run p, p+1, ..., p+k-1 need no
-transpose; any other order is moved to those positions and back, which
-copies the register twice.
+rotations, checked commit maps and maps composed from them are.  It views
+the register as (2^p, 2^k, rest), p the lowest of its k targets, and
+multiplies the gate into the middle axis.  Targets that run p, p+1, ...,
+p+k-1 need no transpose; any other order is moved to those positions and
+back, which copies the register twice.
 
-check_unitary requires max |u u^H - I| <= CHECK_TOL and takes it block by
-block of u's nonzero pattern: rows and columns joined through a nonzero
-entry form one block, every entry of u u^H between two blocks is an exact
-zero, and blocks of equal size share one batched Gram product.  A dense gate
-is one block and one product.  A zero row or column, a block with more rows
-than columns or the reverse, or a non-finite entry rejects the gate.
+check_unitary requires max |u u^H - I| <= CHECK_TOL from one dense product
+u u^H; a non-finite entry rejects the gate.
 
 CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
 from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
@@ -149,43 +145,9 @@ def check_unitary(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"gate shape {u.shape} is not square")
     n = _qubits_of(u.shape[0], QUBIT_LIMIT, "gate")
-    if not _unitary_deviation(u) <= CHECK_TOL:
+    if not np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= CHECK_TOL:
         raise ValueError("gate is not unitary")
     return n
-
-
-def _unitary_deviation(u):
-    # max |u u^H - I| block by block of u's nonzero pattern (see the module
-    # docstring); inf when the pattern alone rules out a unitary
-    dim = u.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(u != 0), dim)
-    # min-label propagation: each column takes the least label of its rows,
-    # each row the least of its own and its columns' labels, until no row
-    # label moves.  A zero row keeps its own label, a zero column the label
-    # dim, so neither block is square.
-    label = np.arange(dim)
-    while True:
-        col_label = np.full(dim, dim)
-        np.minimum.at(col_label, cols, label[rows])
-        moved = label.copy()
-        np.minimum.at(moved, rows, col_label[cols])
-        if (moved == label).all():
-            break
-        label = moved
-    size = np.bincount(label, minlength=dim + 1)
-    if not np.array_equal(size, np.bincount(col_label, minlength=dim + 1)):
-        return math.inf
-    # blocks sorted by label line up row for column; stack equal sizes
-    row_order = np.argsort(label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
-    sizes = size[label[row_order]]
-    worst = 0.0
-    for s in np.flatnonzero(np.bincount(sizes)).tolist():
-        pick = sizes == s
-        block = u[row_order[pick].reshape(-1, s, 1), col_order[pick].reshape(-1, 1, s)]
-        gram = block @ block.conj().swapaxes(1, 2)
-        worst = np.maximum(worst, np.abs(gram - np.eye(s)).max())  # keeps a NaN
-    return worst
 
 
 def apply_gate(state, u, targets):

@@ -2,7 +2,6 @@
 
 The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
-The unitarity oracle forms the whole product u u^H, zeros and all.
 The schemes are state generators beyond conjugate coding: a key-selected
 brick circuit, whose states are not product states, and a noisy variant
 whose verifier thresholds the overlap, with an exact per-key correctness
@@ -44,21 +43,6 @@ def smooth_max_support(p, eps):
     items = p.items_sorted()
     deleted = set([a for a, q in items if q == v][:removed])
     return tuple(a for a, q in items if q >= v and a not in deleted)
-
-
-def unitary_deviation(u):
-    """max |u u^H - I| from one dense product: qsim.check_unitary's measure
-    before it went block by block."""
-    return np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-
-
-def assert_unitarity_agrees(u, within=1e-14):
-    """qsim's block-by-block deviation of u takes the oracle's accept or
-    reject decision and lies within `within` of the oracle's value."""
-    got, want = qsim._unitary_deviation(u), unitary_deviation(u)
-    assert (got <= qsim.CHECK_TOL) == (want <= qsim.CHECK_TOL)
-    assert abs(got - want) <= within
-    return got
 
 
 def statistical_distance(p, q):

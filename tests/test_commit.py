@@ -94,7 +94,7 @@ class TestCommitScheme:
     def test_rejects_non_unitary(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 0] = 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gate is not unitary"):
             commit.CommitScheme("bad", bad, (1,), (0,))
 
     def test_rejects_broken_partition(self):
@@ -225,6 +225,16 @@ class TestAdversaryStrategy:
         with pytest.raises(ValueError):
             commit.AdversaryStrategy(commit.commit_state(CATALOG["basis"], 0),
                                      measurement=(e0, e0))
+
+    def test_measurement_shape_checked_before_the_game(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("opening game played")
+        monkeypatch.setattr(commit, "binding_states", refuse)
+        wide = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))
+        adv = commit.AdversaryStrategy(commit.commit_state(CATALOG["basis"], 0),
+                                       measurement=wide)
+        with pytest.raises(ValueError, match="does not act on the opened qubits"):
+            commit.binding_experiment(CATALOG["basis"], adv)
 
     def test_state_size_checked_in_experiment(self):
         adv = commit.AdversaryStrategy(qsim.basis_state((0, 0, 0)))
@@ -579,6 +589,32 @@ class TestSchemeJson:
         s = CATALOG["basis"]
         assert commit.scheme_to_json(s) == commit.scheme_to_json(s)
 
+    @pytest.mark.parametrize("change,problem", [
+        (lambda p: [], "not a JSON object"),
+        (lambda p: {}, "'name'"),
+        (lambda p: {k: v for k, v in p.items() if k != "flavor"}, "'flavor'"),
+        (lambda p: {**p, "c_qubits": None}, "'c_qubits'"),
+        (lambda p: {**p, "d_qubits": [0.0]}, "qubits must be integers"),
+        (lambda p: {**p, "com_im": p["com_im"][:-1]}, "map is not square"),
+    ], ids=["list", "empty", "no-flavor", "null-c-qubits", "float-qubit",
+            "short-map"])
+    def test_malformed_payload_named(self, change, problem):
+        payload = change(json.loads(commit.scheme_to_json(CATALOG["basis"])))
+        if isinstance(payload, dict) and "com_re" in payload:
+            payload["checksum"] = commit._unitary_checksum(payload["com_re"],
+                                                           payload["com_im"])
+        with pytest.raises(ValueError, match=problem):
+            commit.scheme_from_json(json.dumps(payload))
+
+    def test_non_float_map_entry_named(self):
+        payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
+        for entry in ({}, None, "1.0", True):
+            payload["com_re"][0] = entry
+            payload["checksum"] = commit._unitary_checksum(payload["com_re"],
+                                                           payload["com_im"])
+            with pytest.raises(ValueError, match="map entries must be floats"):
+                commit.scheme_from_json(json.dumps(payload))
+
     def test_tampered_unitary_detected(self):
         payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
         payload["com_re"][0] = 0.123
@@ -587,23 +623,60 @@ class TestSchemeJson:
 
 
 class TestUnitarityCheckMatchesDenseOracle:
-    """The commit maps check_unitary sees, checked block by block, against
-    the dense product."""
+    """The combiners' maps and the catalog's pass check_unitary."""
 
     @pytest.mark.parametrize(
         "order", list(itertools.permutations(["purified-coins", "basis", "hiding"])))
     def test_xor_component_orders(self, order):
         x = commit.xor_combine([CATALOG[name] for name in order])
         assert np.count_nonzero(x.com) < x.com.size
-        assert oracles.assert_unitarity_agrees(x.com) <= qsim.CHECK_TOL
+        assert qsim.check_unitary(x.com) == x.n_qubits
 
     def test_dual_basis_swap(self):
         dual = commit.dual_commit(CATALOG["basis"], CATALOG["swap"])
-        assert oracles.assert_unitarity_agrees(dual.com) <= qsim.CHECK_TOL
+        assert qsim.check_unitary(dual.com) == dual.n_qubits
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog(self, name):
-        assert oracles.assert_unitarity_agrees(CATALOG[name].com) <= qsim.CHECK_TOL
+        assert qsim.check_unitary(CATALOG[name].com) == CATALOG[name].n_qubits
+
+
+def refuse_check(u):
+    raise AssertionError("check_unitary called on a composed map")
+
+
+class TestUnitarityCheckedWhereMapsEnter:
+    """The combiners compose checked maps and do not re-check them; the
+    constructors that take a map from outside still reject a non-unitary
+    one (CommitScheme itself: TestCommitScheme)."""
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(["purified-coins", "basis", "hiding"])))
+    def test_xor_combine_skips_check(self, monkeypatch, order):
+        with monkeypatch.context() as patch:
+            patch.setattr(qsim, "check_unitary", refuse_check)
+            x = commit.xor_combine([CATALOG[name] for name in order])
+        assert qsim.check_unitary(x.com) == x.n_qubits
+
+    def test_dual_commit_skips_check(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(qsim, "check_unitary", refuse_check)
+            dual = commit.dual_commit(CATALOG["basis"], CATALOG["swap"])
+        assert qsim.check_unitary(dual.com) == dual.n_qubits
+
+    def test_purification_commit_checks(self, monkeypatch):
+        monkeypatch.setattr(commit, "_branch_isometry",
+                            lambda pmf, width: 2 * np.eye(4 ** width, dtype=complex))
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            commit.purification_commit(bern(0.5), bern(0.25))
+
+    def test_scheme_from_json_checks(self):
+        payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
+        payload["com_re"][0] = 0.5
+        payload["checksum"] = commit._unitary_checksum(payload["com_re"],
+                                                       payload["com_im"])
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            commit.scheme_from_json(json.dumps(payload))
 
 
 class TestNonFiniteInputRejected:
