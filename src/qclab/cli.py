@@ -240,8 +240,8 @@ def _indexed_pmf(weights):
     if not weights or min(weights) < 0 or total == 0:
         raise ValueError("weights must be non-negative with a positive total")
     width = max(1, (len(weights) - 1).bit_length())
-    return dist.Pmf({gf2.bits_from_int(j, width): Fraction(w, total)
-                     for j, w in enumerate(weights) if w}), width
+    atoms = map(tuple, dist.bits_of(np.arange(len(weights)), width).tolist())
+    return dist.Pmf({a: Fraction(w, total) for a, w in zip(atoms, weights) if w}), width
 
 
 def _run_entropy(m):
@@ -261,7 +261,7 @@ def _run_extractor(m):
     n = _param(m, "n", 6)
     if not 0 <= n <= gf2.EXACT_INPUT_LIMIT:
         raise ValueError(f"source width must lie in [0, {gf2.EXACT_INPUT_LIMIT}], got {n}")
-    atoms = list(map(tuple, gf2.bit_table(n).tolist()))
+    atoms = list(map(tuple, dist.bits_of(np.arange(2 ** n), n).tolist()))
 
     def one(i):
         rng = child_rng(m.seed, "extractor", i)
@@ -383,7 +383,8 @@ def _core_lemma_fixture(name):
     if name == "point":
         return dist.Pmf({(1, 0, 1, 1): 1.0}), (1, 0, 1, 1), 0.9, 0.1
     if name == "n6":
-        atoms = dict.fromkeys(map(tuple, gf2.bit_table(6).tolist()), Fraction(7, 10) / 63)
+        atoms = dict.fromkeys(map(tuple, dist.bits_of(np.arange(64), 6).tolist()),
+                              Fraction(7, 10) / 63)
         atoms[(0,) * 6] = Fraction(3, 10)
         return dist.Pmf(atoms), (0,) * 6, 0.25, 0.012
     raise ValueError("unknown core-lemma fixture {!r}".format(name))
@@ -413,8 +414,8 @@ def _run_concentration(m):
         rng = child_rng(m.seed, "concentration", i)
         raw = rng.random(support) + 0.05
         probs = raw / raw.sum()
-        pmf = dist.Pmf({gf2.bits_from_int(v, width): float(q)
-                        for v, q in enumerate(probs)})
+        atoms = map(tuple, dist.bits_of(np.arange(support), width).tolist())
+        pmf = dist.Pmf(dict(zip(atoms, probs.tolist())))
         shannon = dist.shannon_entropy(pmf)
         violations, worst = 0, math.inf
         for t in range(1, t_max + 1):

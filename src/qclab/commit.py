@@ -121,7 +121,7 @@ def decommit_probability(scheme, b):
     """Chance the honest opening of b passes the receiver's check."""
     opened = qsim.apply_gate(commit_state(scheme, b), scheme.uncom,
                              list(range(scheme.n_qubits)))
-    return float(np.abs(opened.vector[qsim.basis_index((b,) + (0,) * scheme.ell)]) ** 2)
+    return float(np.abs(opened.vector[dist.index_of((b,) + (0,) * scheme.ell)]) ** 2)
 
 
 def hiding_advantage(scheme):
@@ -235,7 +235,7 @@ def _branch_isometry(pmf, width):
     t = np.zeros(dim)
     for atom, prob in pmf.items_sorted():
         bits = dist.flat_bits(atom)
-        t[qsim.basis_index(bits + bits)] = math.sqrt(float(prob))
+        t[dist.index_of(bits + bits)] = math.sqrt(float(prob))
     rest = t[1:]
     if not rest.any():  # t is e_0, up to its float norm
         return np.eye(dim, dtype=complex)
@@ -312,9 +312,9 @@ def _copy_parity(u, sources, target):
     source bits, so their product permutes u's rows exactly.
     """
     n = u.shape[0].bit_length() - 1
-    index = np.arange(2 ** n)
-    parity = qsim.basis_bits(index, n)[:, sources].sum(axis=1) & 1
-    return u[index ^ parity << (n - 1 - target)]
+    bits = dist.bits_of(np.arange(2 ** n), n)
+    bits[:, target] ^= np.bitwise_xor.reduce(bits[:, sources], axis=1)
+    return u[dist.index_of(bits)]
 
 
 def dual_commit(com1, com2, name=None):

@@ -6,6 +6,9 @@ are accepted and survive untouched through the operations that stay rational
 (push-forwards, conditionals, products and their spectra), which is the
 exact-rational mode.
 
+index_of and bits_of are the package's one bit packing, big endian: bit 0
+of a string is the most significant bit of its integer.
+
 All entropies are base 2. Max-entropy here is the largest sample entropy of
 the support, not the log of the support size.
 
@@ -30,6 +33,19 @@ SPECTRUM_WALK_LIMIT = 2 ** 16
 
 def _is_bits(x):
     return isinstance(x, tuple) and all(isinstance(b, int) and b in (0, 1) for b in x)
+
+
+def index_of(bits):
+    """The integer of a bit string, bit 0 most significant; on an (..., n)
+    array, the int64 integer of each row."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+def bits_of(index, n):
+    """Inverse of index_of: the n bits of an integer as a uint8 array, or an
+    (..., n) array of them for an index array."""
+    return ((np.asarray(index)[..., None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def _normalize_atom(atom):
@@ -312,7 +328,8 @@ def _lightest_survivor(spectrum, eps):
 
 
 def encode_atom(atom):
-    """Hex encoding: per field, 4 hex digits of bit length then packed bits."""
+    """Hex encoding: per field, 4 hex digits of bit length then its bits
+    packed into bytes, bit 0 the most significant bit of the first byte."""
     norm = _normalize_atom(atom)
     fields = (norm,) if _is_bits(norm) else norm
     parts = []

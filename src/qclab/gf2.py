@@ -2,14 +2,14 @@
 and list decoding of noisy inner-product predictors.
 
 Bit vectors are tuples of 0/1 ints at API boundaries; hot paths use uint8
-numpy arrays internally.  Little-endian integer packing (bit 0 is the
-least significant bit) lives only in this module; bit_table tabulates it.
+numpy arrays internally.  Where a vector stands for an integer (a Walsh
+mask, a GL subset), the integer is dist.index_of's: bit 0 most significant.
 
 `group_prefixes` is the only place in the package that groups atoms by a
 hash prefix.  It sorts the (S, N, i) bits of S seeds (`hash_eval_stack`)
-once, by seed and then by prefix as a little-endian integer, so each seed's
-groups stay contiguous and in order: `np.bincount` over the global group
-ids adds per seed exactly as a one-seed call (`prefix_groups`) would.
+once, by seed and then by prefix, so each seed's groups stay contiguous
+and in order: `np.bincount` over the global group ids adds per seed
+exactly as a one-seed call (`prefix_groups`) would.
 
 A GL predictor maps an n-bit tuple to a bit and is called once per query,
 in order; a `BatchPredictor` answers the whole (Q, n) query matrix at once.
@@ -43,24 +43,6 @@ def inner_product(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return sum(x & y for x, y in zip(a, b)) & 1
-
-
-def bits_from_int(v, width):
-    """Little-endian bit tuple of v, padded to width."""
-    if v < 0 or v >= 1 << width:
-        raise ValueError(f"{v} does not fit in {width} bits")
-    return tuple((v >> j) & 1 for j in range(width))
-
-
-def int_from_bits(bits):
-    """Inverse of bits_from_int."""
-    _check_bits(bits)
-    return sum(b << j for j, b in enumerate(bits))
-
-
-def bit_table(width):
-    """bits_from_int of every width-bit int, in order, as a uint8 matrix."""
-    return ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
 
 
 class HashSeed:
@@ -146,7 +128,7 @@ def _walsh_transform(vec):
 
 def walsh_spectrum(p, n):
     """Character sums W(r) = E[(-1)^<X,r>] of a Pmf over n-bit tuples, for
-    every mask r indexed by int_from_bits(r); Pr[<X,r> = 1] = (1 - W(r)) / 2.
+    every mask r at index dist.index_of(r); Pr[<X,r> = 1] = (1 - W(r)) / 2.
     One Walsh-Hadamard transform of the 2^n mass table: n <= EXACT_INPUT_LIMIT.
     """
     if n > EXACT_INPUT_LIMIT:
@@ -157,7 +139,7 @@ def walsh_spectrum(p, n):
         raise ValueError(f"atoms must be {n}-bit vectors")
     vec = np.zeros(2 ** n, dtype=np.float64)
     # distinct atoms hit distinct entries, so one assignment replaces +=
-    vec[bits.astype(np.int64) @ (1 << np.arange(n))] = [float(q) for q in atoms.values()]
+    vec[dist.index_of(bits)] = [float(q) for q in atoms.values()]
     return _walsh_transform(vec)
 
 
@@ -204,7 +186,8 @@ def collision_probability(n, i, diff):
     _check_bits(diff)
     if not any(diff):
         raise ValueError("diff must be nonzero: inputs are required to be distinct")
-    agree = int((((bit_table(n) @ np.asarray(diff, dtype=np.uint8)) & 1) == 0).sum())
+    table = dist.bits_of(np.arange(2 ** n), n)
+    agree = int((((table @ np.asarray(diff, dtype=np.uint8)) & 1) == 0).sum())
     per_row = Fraction(agree, 2 ** n)
     return per_row ** i
 
@@ -230,12 +213,12 @@ def group_prefixes(ys):
     Returns:
         (labels, owner, prefixes): labels[s, r] is the group of row r under
         seed s, owner[g] the seed of group g, and prefixes the (G, i) bits
-        of each group, ordered by seed and then little-endian prefix.
+        of each group, ordered by seed and then by prefix.
     """
     s, n, i = ys.shape
-    # the big-endian seed index, then the reversed prefix packed big-endian,
-    # compare in (seed, little-endian prefix) order
-    packed = np.packbits(ys[:, :, ::-1], axis=2)
+    # the big-endian seed index, then the packed prefix: keys compare in
+    # (seed, prefix) order
+    packed = np.packbits(ys, axis=2)
     keys = np.empty((s, n, 4 + packed.shape[2]), dtype=np.uint8)
     keys[:, :, :4] = np.arange(s, dtype=">u4").view(np.uint8).reshape(s, 1, 4)
     keys[:, :, 4:] = packed
@@ -360,7 +343,7 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
         raise ValueError(f"GL tables for n = {n}, eps = {eps} exceed {GL_TABLE_LIMIT} entries")
 
     base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
-    guesses = bit_table(t)
+    guesses = dist.bits_of(np.arange(2 ** t), t)
     # nonzero subset masks 1..m; distinct subsets give pairwise-independent sums
     subset = guesses[1 : m + 1]
     refs = (subset @ base) & 1

@@ -9,7 +9,7 @@ than estimated.
 
 import numpy as np
 
-from qclab import qsim
+from qclab import dist, qsim
 
 PROFILE_KEY_LIMIT = 16
 
@@ -48,8 +48,8 @@ class OwsgScheme:
     def all_keys(self):
         if self.key_bits > PROFILE_KEY_LIMIT:
             raise ValueError(f"key space of {self.key_bits} bits is not enumerable here")
-        yield from map(tuple, qsim.basis_bits(np.arange(2 ** self.key_bits),
-                                              self.key_bits).tolist())
+        yield from map(tuple, dist.bits_of(np.arange(2 ** self.key_bits),
+                                           self.key_bits).tolist())
 
     def honest_states(self):
         """Every key in all_keys() order and the read-only matrix whose rows

@@ -302,7 +302,7 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     if len(widths) != 1:
         raise ValueError("key atoms must share one width")
     width = widths.pop()
-    rmat = gf2.bit_table(width)
+    rmat = dist.bits_of(np.arange(2 ** width), width)
     # inner products <k, r> of every key with every mask, one row per key
     bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
 
@@ -562,7 +562,7 @@ def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng,
         best_score = -1.0
         best_key = None
         for tail_idx in range(2 ** suffix):
-            y = prefix + gf2.bits_from_int(tail_idx, suffix)
+            y = prefix + tuple(dist.bits_of(tail_idx, suffix).tolist())
 
             def predictor(rbits):
                 b = int(rng.integers(0, 2))

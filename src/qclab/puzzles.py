@@ -165,7 +165,7 @@ def shadow_gen(state, t_snapshots, rng):
         cdf = np.cumsum(probs[:, :, 0], axis=1)
         cdf = (cdf / cdf[:, -1:])[row]
         index[blk] = (cdf <= draws[blk, None]).sum(axis=1)
-    return Shadow._of(trits, qsim.basis_bits(index, m))
+    return Shadow._of(trits, dist.bits_of(index, m))
 
 
 def estimate_overlap_many(shadow, targets, k_groups):
@@ -192,7 +192,7 @@ def estimate_overlap_many(shadow, targets, k_groups):
         mat = np.stack([s.vector for s in targets])
     if mat.ndim != 2 or mat.shape[1] != 2 ** m:
         raise ValueError("targets live on a different register than the shadow")
-    index = qsim.basis_index(shadow._bits)
+    index = dist.index_of(shadow._bits)
     per_snap = np.empty((t, len(mat)))
     for blk in _blocks(t, mat.size):
         table, row = _drawn_bases(mat, shadow._trits[blk])
@@ -319,7 +319,7 @@ class TabulatedPuzzle:
 
 
 def _three_bit_joint(probs_zero, probs_one):
-    keys = list(map(tuple, qsim.basis_bits(np.arange(8), 3).tolist()))
+    keys = list(map(tuple, dist.bits_of(np.arange(8), 3).tolist()))
     return dist.JointPmf({(key, (s,)): Fraction(1, 2) * p
                           for s, probs in enumerate((probs_zero, probs_one))
                           for key, p in zip(keys, probs)})

@@ -1,9 +1,9 @@
 """Dense statevector and density-matrix simulator for small registers.
 
-Qubit 0 is the most significant position: basis_state((1, 0)) has its
-amplitude at index 2; basis_index and basis_bits are the package's
-big-endian bit packing.  Everything is exact linear algebra on numpy complex
-arrays; no approximation beyond float64 happens anywhere in this module.
+Qubit 0 is the most significant bit of a basis index (dist.index_of):
+basis_state((1, 0)) has its amplitude at index 2.  Everything is exact
+linear algebra on numpy complex arrays; no approximation beyond float64
+happens anywhere in this module.
 
 Caller input is checked once, where it enters: the PureState and
 DensityMatrix constructors check their array, apply_unitary its gate and
@@ -19,7 +19,8 @@ p+k-1 need no transpose; any other order is moved to those positions and
 back, which copies the register twice.
 
 check_unitary requires max |u u^H - I| <= CHECK_TOL from one dense product
-u u^H; a non-finite entry rejects the gate.
+u u^H; a non-finite entry rejects the gate before any arithmetic, as it
+rejects a density matrix, so no numpy warning precedes the error.
 
 CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
 from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
@@ -29,6 +30,8 @@ may have; OUTCOME_FLOOR the least probability project conditions on.
 import math
 
 import numpy as np
+
+from qclab import dist
 
 QUBIT_LIMIT = 14
 DENSITY_QUBIT_LIMIT = 10
@@ -86,7 +89,8 @@ class DensityMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
         self.n_qubits = _qubits_of(matrix.shape[0], DENSITY_QUBIT_LIMIT, "density matrix")
-        if not np.abs(matrix - matrix.conj().T).max() <= CHECK_TOL:
+        if not (np.isfinite(matrix).all()
+                and np.abs(matrix - matrix.conj().T).max() <= CHECK_TOL):
             raise ValueError("density matrix is not Hermitian")
         trace = matrix.trace().real
         if not abs(trace - 1.0) <= CHECK_TOL:
@@ -107,26 +111,13 @@ def _result(cls, array):
     return state
 
 
-def basis_index(bits):
-    """Basis index of a bit string, qubit 0 most significant; on an (..., n)
-    array, the index of each row."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
-
-
-def basis_bits(index, n):
-    """Inverse of basis_index: the n bits of a basis index, or an (..., n)
-    array of them for an index array."""
-    return (np.asarray(index)[..., None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def basis_state(bits):
     """Computational basis state |bits>."""
     if not all(b in (0, 1) for b in bits):
         raise ValueError(f"not a bit string: {bits!r}")
     _qubits_of(2 ** len(bits), QUBIT_LIMIT, "statevector")
     vec = np.zeros(2 ** len(bits), dtype=complex)
-    vec[basis_index(bits)] = 1.0
+    vec[dist.index_of(bits)] = 1.0
     return _result(PureState, vec)
 
 
@@ -145,7 +136,8 @@ def check_unitary(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"gate shape {u.shape} is not square")
     n = _qubits_of(u.shape[0], QUBIT_LIMIT, "gate")
-    if not np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= CHECK_TOL:
+    if not (np.isfinite(u).all()
+            and np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= CHECK_TOL):
         raise ValueError("gate is not unitary")
     return n
 
@@ -190,10 +182,7 @@ def apply_unitary(state, u, targets):
 
 def _target_code(n, targets):
     # each basis index's bits on the targets, in target order, as one index
-    index, code = np.arange(2 ** n), np.zeros(2 ** n, dtype=np.int64)
-    for t in targets:
-        code = code << 1 | (index >> (n - 1 - t)) & 1
-    return code
+    return dist.index_of(dist.bits_of(np.arange(2 ** n), n)[:, targets])
 
 
 def project(state, targets, bits):
@@ -208,7 +197,7 @@ def project(state, targets, bits):
     if len(targets) != len(bits) or not set(bits) <= {0, 1}:
         raise ValueError("one outcome bit per target required")
     _check_targets(state, targets)
-    mask = _target_code(state.n_qubits, targets) == basis_index(bits)
+    mask = _target_code(state.n_qubits, targets) == dist.index_of(bits)
     sub = np.where(mask, state.vector, 0.0)
     prob = float(np.vdot(sub, sub).real)
     if prob < OUTCOME_FLOOR:

@@ -35,6 +35,11 @@ S = np.array([[1, 0], [0, 1j]], dtype=complex)
 T = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 
 
+def bit_tuple(v, n):
+    """dist.bits_of(v, n) as the tuple of ints an atom is."""
+    return tuple(dist.bits_of(v, n).tolist())
+
+
 def smooth_max_support(p, eps):
     """Atoms surviving the smooth_max_entropy deletion, in label order.
     Atoms tied at the lightest surviving value are deleted in label order."""
@@ -86,15 +91,13 @@ def random_circuit_owsg(n, depth=4):
     singles, pairs = _load_gate_menu()
     single_bits = int(math.log2(len(singles)))
     pair_bits = int(math.log2(len(pairs)))
-    # a gate choice reads its bits off the key cyclically, as a basis index
-    index_of = {tuple(bits): i for width in (single_bits, pair_bits)
-                for i, bits in enumerate(qsim.basis_bits(np.arange(2 ** width), width).tolist())}
 
     def state_fn(key):
         stream = itertools.cycle(key)
 
         def take(count):
-            return index_of[tuple(itertools.islice(stream, count))]
+            # a gate choice reads its bits off the key cyclically, as a basis index
+            return int(dist.index_of(tuple(itertools.islice(stream, count))))
 
         psi = qsim.basis_state((0,) * CIRCUIT_QUBITS)
         for layer in range(depth):

@@ -30,8 +30,8 @@ def verdict(num, ok, elapsed, budget, label):
 def random_pmf(rng, size, width, sharpen=1.0):
     raw = rng.random(size) ** sharpen + 1e-9
     probs = raw / raw.sum()
-    return dist.Pmf({gf2.bits_from_int(v, width): float(q)
-                     for v, q in enumerate(probs)})
+    atoms = map(tuple, dist.bits_of(np.arange(size), width).tolist())
+    return dist.Pmf(dict(zip(atoms, probs.tolist())))
 
 
 def mp_entropies(pmf):
@@ -106,7 +106,7 @@ def test_criterion_03_pairwise_independence_exact():
     for n in (1, 2, 3):
         for i in range(1, 3 * n + 1):
             for v in range(1, 2 ** n):
-                diff = gf2.bits_from_int(v, n)
+                diff = tuple(dist.bits_of(v, n).tolist())
                 ok &= gf2.collision_probability(n, i, diff) == Fraction(1, 2 ** i)
     verdict(3, ok, time.perf_counter() - start, 10, "pairwise independent hashing")
 
@@ -125,11 +125,11 @@ def test_criterion_04_goldreich_levin_recovery():
     trials = 1000
     for _ in range(trials):
         secret = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        table = np.array([gf2.inner_product(secret, gf2.bits_from_int(v, n))
-                          for v in range(2 ** n)], dtype=np.uint8)
+        table = np.array([gf2.inner_product(secret, bits) for bits
+                          in dist.bits_of(np.arange(2 ** n), n).tolist()], dtype=np.uint8)
         table ^= (rng.random(2 ** n) < 0.35).astype(np.uint8)
         def predictor(q, t=table):
-            return int(t[gf2.int_from_bits(q)])
+            return int(t[dist.index_of(q)])
         corrupted += secret in gf2.gl_decode(predictor, n, 0.15, rng)
     ok = noiseless == 100 and corrupted / trials >= 4 * 0.15 ** 2
     verdict(4, ok, time.perf_counter() - start, 60,
@@ -187,13 +187,13 @@ def test_criterion_07_core_lemma_gap():
     n = 6
     atoms = {(0,) * n: Fraction(3, 10)}
     for v in range(1, 64):
-        atoms[gf2.bits_from_int(v, n)] = Fraction(7, 10) / 63
+        atoms[tuple(dist.bits_of(v, n).tolist())] = Fraction(7, 10) / 63
     x = dist.Pmf(atoms)
     gap = pseudoentropy.core_lemma_gap(x, (0,) * n, 0.25, 0.012)
     # two-pass oracle: exact per-mask one-probabilities, then the mean entropy
     total = 0.0
     for ridx in range(2 ** n):
-        r = gf2.bits_from_int(ridx, n)
+        r = tuple(dist.bits_of(ridx, n).tolist())
         p_one = float(sum(p for k, p in atoms.items()
                           if gf2.inner_product(k, r)))
         if 0 < p_one < 1:

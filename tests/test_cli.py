@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 
 from qclab import cli, dist, gf2, pseudoentropy
 
+import oracles
+
 
 def write_manifest(tmp_path, body, name="manifest.json"):
     path = tmp_path / name
@@ -125,7 +127,7 @@ class TestEntropySubcommand:
         code, out = run_to_file(tmp_path, body)
         assert code == 0
         got = read_report(out)["results"]
-        pmf = dist.Pmf({gf2.bits_from_int(j, 3): Fraction(w, 16)
+        pmf = dist.Pmf({oracles.bit_tuple(j, 3): Fraction(w, 16)
                         for j, w in enumerate(weights)})
         assert got["shannon"] == pytest.approx(dist.shannon_entropy(pmf), abs=1e-12)
         assert got["min_entropy"] == pytest.approx(dist.min_entropy(pmf), abs=1e-12)
@@ -280,7 +282,7 @@ class TestPassthroughSubcommands:
         assert code == 0
         atoms = {(0,) * 6: Fraction(3, 10)}
         for v in range(1, 64):
-            atoms[gf2.bits_from_int(v, 6)] = Fraction(7, 10) / 63
+            atoms[oracles.bit_tuple(v, 6)] = Fraction(7, 10) / 63
         want = pseudoentropy.core_lemma_gap(dist.Pmf(atoms), (0,) * 6, 0.25, 0.012)
         assert read_report(out)["results"]["gap"] == pytest.approx(want, abs=1e-12)
 

@@ -679,6 +679,7 @@ class TestUnitarityCheckedWhereMapsEnter:
             commit.scheme_from_json(json.dumps(payload))
 
 
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteInputRejected:
     def test_commit_map(self):
         for com in (np.full((4, 4), np.nan), np.diag([1.0, 1.0, np.inf, 1.0])):

@@ -392,6 +392,34 @@ class TestJointAndTransforms:
             )
 
 
+class TestBitPacking:
+    @staticmethod
+    def shifted(v, n):
+        # bit j of v's n-bit string is the bit worth 2^(n-1-j)
+        return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
+
+    def test_index_of_and_bits_of_are_big_endian_inverses(self):
+        for n in range(1, 6):
+            index = np.arange(2 ** n)
+            bits = dist.bits_of(index, n)
+            assert [tuple(row) for row in bits.tolist()] == [self.shifted(v, n) for v in index]
+            assert np.array_equal(dist.index_of(bits), index)
+            assert [dist.index_of(self.shifted(v, n)) for v in index] == index.tolist()
+
+    def test_scalar_round_trip(self):
+        for v in range(16):
+            bits = dist.bits_of(v, 4)
+            assert bits.shape == (4,) and tuple(bits.tolist()) == self.shifted(v, 4)
+            assert dist.index_of(bits) == v and dist.index_of(tuple(bits.tolist())) == v
+
+    def test_tables_are_uint8_rows_and_indices_int64(self):
+        for width in range(0, 7):
+            table = dist.bits_of(np.arange(2 ** width), width)
+            assert table.dtype == np.uint8 and table.shape == (2 ** width, width)
+            index = dist.index_of(table)
+            assert index.dtype == np.int64 and index.tolist() == list(range(2 ** width))
+
+
 class TestSerialization:
     def test_atom_hex_matches_bytewise_packing(self):
         """The hex fields against a packer that shifts each bit into an

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclab import dist, efi, gf2
+from qclab import dist, efi, gf2, puzzles
 from qclab._mc import hoeffding_radius
 
 import oracles
@@ -31,7 +31,7 @@ def flat_bits(atom):
 
 
 def uniform_pmf(s):
-    return dist.Pmf({gf2.bits_from_int(v, s): Fraction(1, 2 ** s)
+    return dist.Pmf({oracles.bit_tuple(v, s): Fraction(1, 2 ** s)
                      for v in range(2 ** s)})
 
 
@@ -49,9 +49,9 @@ def coin(p_one):
 
 LADDER = dist.Pmf({(0, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 4),
                    (0, 1, 0): Fraction(1, 8), (0, 1, 1): Fraction(1, 8)})
-UNIFORM_16 = dist.Pmf({gf2.bits_from_int(v, 4): Fraction(1, 16) for v in range(16)})
-UNIFORM_64 = dist.Pmf({gf2.bits_from_int(v, 6): Fraction(1, 64) for v in range(64)})
-HEAVY = dist.Pmf({gf2.bits_from_int(v, 4): Fraction(3, 10) if v == 0
+UNIFORM_16 = dist.Pmf({oracles.bit_tuple(v, 4): Fraction(1, 16) for v in range(16)})
+UNIFORM_64 = dist.Pmf({oracles.bit_tuple(v, 6): Fraction(1, 64) for v in range(64)})
+HEAVY = dist.Pmf({oracles.bit_tuple(v, 4): Fraction(3, 10) if v == 0
                   else Fraction(7, 10) / 15 for v in range(16)})
 
 
@@ -70,13 +70,13 @@ class TestEfiParams:
             efi.EfiParams(truncation=3, crossover=3.0, gap_exponent=1, eps=eps)
 
     def test_from_generator_uniform(self):
-        g = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(1, 8) for v in range(8)})
+        g = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
         p = efi.EfiParams.from_generator(g, gap_inst=4.0, gap_exponent=2, eps=0.01)
         assert p.crossover == pytest.approx(5.0)
         assert p.truncation == 5
 
     def test_from_generator_forgives_noise_up_to_efi_tol(self):
-        g = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(1, 8) for v in range(8)})
+        g = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
         for past, truncation in ((efi.EFI_TOL / 10, 5), (efi.EFI_TOL * 10, 6)):
             p = efi.EfiParams.from_generator(g, gap_inst=4.0 + 2 * past,
                                              gap_exponent=2, eps=0.01)
@@ -91,7 +91,7 @@ class TestEfiParams:
 
 class TestCrossoverTruncation:
     def test_uniform_with_gap(self):
-        g = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(1, 8) for v in range(8)})
+        g = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
         assert efi.crossover_truncation(g, 4.0) == pytest.approx(5.0)
 
     def test_point_mass_zero_gap(self):
@@ -206,7 +206,7 @@ class TestHashTruncationSd:
     )
     def test_appending_bits_never_decreases_distance(self, weights, seed_val):
         total = sum(weights)
-        pmf = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(w, total)
+        pmf = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(w, total)
                         for v, w in enumerate(weights)})
         seed = gf2.sample_hash_seed(np.random.default_rng(seed_val), 3)
         sds = [efi.hash_truncation_sd(pmf, seed, s) for s in range(10)]
@@ -220,6 +220,57 @@ class TestHashTruncationSd:
             seed = gf2.sample_hash_seed(rng, 2)
             got = efi.hash_truncation_sd(prod, seed, 2)
             assert got == pytest.approx(sd_oracle(prod, seed, 2), abs=1e-12)
+
+
+def indexed_pmf(weights):
+    total = sum(weights)
+    width = max(1, (len(weights) - 1).bit_length())
+    return dist.Pmf({oracles.bit_tuple(j, width): Fraction(w, total)
+                     for j, w in enumerate(weights) if w})
+
+
+def dyadic_sds(pmf, seed):
+    """Per prefix length m = 0..n_out, the sum over hash groups g of
+    max(0, M_g / D - 2^-m) in Fractions: D the masses' common denominator,
+    M_g the integer mass of the keys whose first m hash bits are g.  No
+    group order enters the sum."""
+    masses = {atom: Fraction(q) for atom, q in pmf.as_dict().items()}
+    denom = math.lcm(*(q.denominator for q in masses.values()))
+    hashes = {atom: gf2.hash_eval(seed, flat_bits(atom), seed.n_out) for atom in masses}
+    out = []
+    for m in range(seed.n_out + 1):
+        groups = {}
+        for atom, q in masses.items():
+            groups[hashes[atom][:m]] = groups.get(hashes[atom][:m], 0) + int(q * denom)
+        out.append(sum((max(Fraction(0), Fraction(mg, denom) - Fraction(1, 2 ** m))
+                        for mg in groups.values()), Fraction(0)))
+    return out
+
+
+class TestExactPerSeedOnDyadicFixtures:
+    """With dyadic masses every float step of the per-seed distance is
+    exact, so it equals the Fraction sum for every seed and prefix length,
+    whatever order the groups are summed in."""
+
+    @pytest.mark.parametrize("pmf", [
+        LADDER, UNIFORM_16, UNIFORM_64,
+        indexed_pmf([8, 4, 2, 1, 1]),
+        indexed_pmf([3, 5, 7, 1, 2, 9, 1, 4]),
+        dist.product_power(coin(Fraction(1, 4)), 3),
+        *(puzzles.tabulated_puzzles()[name].exact_joint.marginal_keys()
+          for name in ("flat", "geometric")),
+    ], ids=["ladder", "uniform16", "uniform64", "indexed16", "indexed32", "product",
+            "flat-keys", "geometric-keys"])
+    def test_hashed_distances_equal_fraction_sum(self, pmf):
+        xs, probs = gf2.support_matrix(pmf)
+        rng = np.random.default_rng(113)
+        seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(40)]
+        want = [dyadic_sds(pmf, seed) for seed in seeds]
+        for m in range(3 * xs.shape[1] + 1):
+            got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
+            assert [Fraction(v) for v in got.tolist()] == [w[m] for w in want]
+            assert ([Fraction(efi.hash_truncation_sd(pmf, seed, m)) for seed in seeds]
+                    == [w[m] for w in want])
 
 
 class TestEfiDistance:
@@ -319,13 +370,6 @@ def sweep_oracle(g0, truncations, seed_samples, rng):
         est = float(np.mean([efi.hash_truncation_sd(g0, seed, s) for seed in seeds]))
         lines.append(f"{s},{est!r},{radius!r}")
     return "\n".join(lines) + "\n"
-
-
-def indexed_pmf(weights):
-    total = sum(weights)
-    width = max(1, (len(weights) - 1).bit_length())
-    return dist.Pmf({gf2.bits_from_int(j, width): Fraction(w, total)
-                     for j, w in enumerate(weights) if w})
 
 
 class TestSweepMatchesPerSeedLoop:

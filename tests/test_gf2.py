@@ -15,19 +15,21 @@ from hypothesis import strategies as st
 
 from qclab import dist, gf2
 
+import oracles
+
 
 def extractor_distance_slow(p, n):
     """Direct enumeration of 2^-n * sum_r |Pr[<X,r>=1] - 1/2|."""
     total = 0.0
     for r in range(2 ** n):
-        r_bits = gf2.bits_from_int(r, n)
+        r_bits = oracles.bit_tuple(r, n)
         pr_one = sum(q for atom, q in p.as_dict().items() if gf2.inner_product(atom, r_bits) == 1)
         total += abs(pr_one - 0.5)
     return total / 2 ** n
 
 
 def bit_pmf(masses, n):
-    return dist.Pmf({gf2.bits_from_int(v, n): q for v, q in masses.items()})
+    return dist.Pmf({oracles.bit_tuple(v, n): q for v, q in masses.items()})
 
 
 def character_sum_fraction(p, r_bits):
@@ -52,17 +54,6 @@ class TestBitOps:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gf2.inner_product((1, 0), (1,))
-
-    def test_int_round_trip(self):
-        for v in range(16):
-            assert gf2.int_from_bits(gf2.bits_from_int(v, 4)) == v
-
-    def test_bit_table_rows_are_bits_from_int(self):
-        for width in range(0, 7):
-            table = gf2.bit_table(width)
-            assert table.dtype == np.uint8 and table.shape == (2 ** width, width)
-            assert [tuple(row) for row in table.tolist()] == [
-                gf2.bits_from_int(v, width) for v in range(2 ** width)]
 
 
 class TestHashSeed:
@@ -150,7 +141,7 @@ class TestExtractor:
             for _ in range(5):
                 p = random_rational_pmf(rng, n)
                 w = gf2.walsh_spectrum(p, n)
-                want = [character_sum_fraction(p, gf2.bits_from_int(r, n)) for r in range(2 ** n)]
+                want = [character_sum_fraction(p, oracles.bit_tuple(r, n)) for r in range(2 ** n)]
                 assert w == pytest.approx([float(v) for v in want], abs=1e-15)
 
     def test_distance_matches_fraction_oracle(self):
@@ -159,7 +150,7 @@ class TestExtractor:
         for n in range(0, 6):
             for _ in range(5):
                 p = random_rational_pmf(rng, n)
-                want = sum(abs(character_sum_fraction(p, gf2.bits_from_int(r, n)))
+                want = sum(abs(character_sum_fraction(p, oracles.bit_tuple(r, n)))
                            for r in range(2 ** n)) / 2 ** (n + 1)
                 assert gf2.extractor_distance(p, n) == pytest.approx(float(want), abs=1e-15)
 
@@ -169,7 +160,7 @@ class TestPairwiseIndependence:
     def test_collision_probability_exact(self, n):
         for i in range(3 * n + 1):
             for d in range(1, 2 ** n):
-                got = gf2.collision_probability(n, i, gf2.bits_from_int(d, n))
+                got = gf2.collision_probability(n, i, oracles.bit_tuple(d, n))
                 assert got == Fraction(1, 2 ** i)
                 assert isinstance(got, Fraction)
 
@@ -192,8 +183,8 @@ class TestPrefixGroups:
             i = int(rng.integers(0, 3 * n + 1))
             labels, prefixes = gf2.prefix_groups(seed, xs, i)
             ys = [gf2.hash_eval(seed, tuple(int(b) for b in x), i) for x in xs]
-            # groups in increasing order of the prefix as a little-endian integer
-            order = sorted(set(ys), key=gf2.int_from_bits)
+            # groups in increasing order of the prefix as an integer, bit 0 most significant
+            order = sorted(set(ys), key=dist.index_of)
             assert [tuple(int(b) for b in row) for row in prefixes] == order
             assert [order[g] for g in labels] == ys
 
@@ -214,7 +205,7 @@ class TestLhlDistance:
     def test_bound_for_flat_source(self):
         # uniform on 2^6 keys, hashed to 2 bits: LHL promises SD <= 2^-(6-2)/2 = 1/4
         n = 6
-        p = dist.Pmf({gf2.bits_from_int(v, n): 1 / 2 ** n for v in range(2 ** n)})
+        p = dist.Pmf({oracles.bit_tuple(v, n): 1 / 2 ** n for v in range(2 ** n)})
         mean, radius = gf2.lhl_distance(p, m=2, n_seeds=200, rng=np.random.default_rng(6))
         assert mean - radius <= 0.25
 
@@ -248,10 +239,10 @@ class TestGlDecode:
         trials = 60
         for _ in range(trials):
             a = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            table = np.array([gf2.inner_product(a, gf2.bits_from_int(r, n)) for r in range(2 ** n)], dtype=np.uint8)
+            table = np.array([gf2.inner_product(a, oracles.bit_tuple(r, n)) for r in range(2 ** n)], dtype=np.uint8)
             flips = rng.random(2 ** n) < 0.5 - eps
             table[flips] ^= 1
-            predictor = lambda r: int(table[gf2.int_from_bits(r)])
+            predictor = lambda r: int(table[dist.index_of(r)])
             cands = gf2.gl_decode(predictor, n, eps, rng)
             hits += a in cands
         # clean-case guarantee is only 4 eps^2; the decoder does far better
@@ -305,10 +296,10 @@ class TestGlDecode:
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
 @settings(max_examples=50, deadline=None)
 def test_inner_product_bilinear(x, y):
-    xb = gf2.bits_from_int(x, 8)
-    yb = gf2.bits_from_int(y, 8)
-    zb = gf2.bits_from_int(x ^ y, 8)
-    r = gf2.bits_from_int(0b10110101, 8)
+    xb = oracles.bit_tuple(x, 8)
+    yb = oracles.bit_tuple(y, 8)
+    zb = oracles.bit_tuple(x ^ y, 8)
+    r = oracles.bit_tuple(0b10110101, 8)
     assert gf2.inner_product(zb, r) == gf2.inner_product(xb, r) ^ gf2.inner_product(yb, r)
 
 
@@ -327,10 +318,10 @@ def walsh_oracle(vec):
 
 
 def extractor_oracle(p, n):
-    """extractor_distance with one int_from_bits and += per atom."""
+    """extractor_distance with one dist.index_of and += per atom."""
     vec = np.zeros(2 ** n, dtype=np.float64)
     for atom, q in p.as_dict().items():
-        vec[gf2.int_from_bits(atom)] += q
+        vec[dist.index_of(atom)] += q
     walsh_oracle(vec)
     return float(np.abs(vec).sum()) / 2 ** (n + 1)
 
@@ -338,7 +329,7 @@ def extractor_oracle(p, n):
 def prefix_groups_oracle(seed, xs, i):
     """One seed's grouping as a call of its own, before seeds were stacked."""
     ys = (xs @ seed.rows[:i].T + seed.offsets[:i]) & 1
-    packed = np.packbits(ys[:, ::-1], axis=1)
+    packed = np.packbits(ys, axis=1)
     keys = np.zeros((len(ys), 1 + packed.shape[1]), dtype=np.uint8)
     keys[:, 1:] = packed
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
@@ -366,7 +357,7 @@ def gl_oracle(predictor, n, eps, rng, queries=None, list_cap=None):
     m = min(2 ** t - 1, max(1, queries // n))
     base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
     masks = np.arange(1, m + 1, dtype=np.uint64)
-    subset = ((masks[:, None] >> np.arange(t, dtype=np.uint64)) & 1).astype(np.uint8)
+    subset = ((masks[:, None] >> np.arange(t - 1, -1, -1, dtype=np.uint64)) & 1).astype(np.uint8)
     refs = (subset @ base) & 1
     answers = np.empty((m, n), dtype=np.uint8)
     for a in range(m):
@@ -374,7 +365,7 @@ def gl_oracle(predictor, n, eps, rng, queries=None, list_cap=None):
             q = refs[a].copy()
             q[j] ^= 1
             answers[a, j] = predictor(tuple(int(b) for b in q)) & 1
-    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t)) & 1).astype(np.uint8)
+    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t - 1, -1, -1)) & 1).astype(np.uint8)
     votes = answers[:, :, None] ^ ((subset @ guesses.T) & 1)[:, None, :]
     candidates = (2 * votes.sum(axis=0) > m).astype(np.uint8).T
     out = []
@@ -475,12 +466,12 @@ class TestBatchedKernels:
         for trial in range(30):
             rng = np.random.default_rng(trial)
             secret = rng.integers(0, 2, size=n).astype(np.uint8)
-            table = np.array([gf2.inner_product(secret, gf2.bits_from_int(r, n))
+            table = np.array([gf2.inner_product(secret, oracles.bit_tuple(r, n))
                               for r in range(2 ** n)], dtype=np.uint8)
             table[rng.random(2 ** n) < noise] ^= 1
-            scalar = lambda r: int(table[gf2.int_from_bits(r)])
+            scalar = lambda r: int(table[dist.index_of(r)])
             batched = gf2.BatchPredictor(
-                lambda qs: table[qs.astype(np.int64) @ (1 << np.arange(n))])
+                lambda qs: table[dist.index_of(qs)])
             want = gl_oracle(scalar, n, eps, np.random.default_rng(trial + 100))
             for predictor in (scalar, batched):
                 got = gf2.gl_decode(predictor, n, eps, np.random.default_rng(trial + 100))

@@ -1,11 +1,16 @@
-"""Reachability guard: every top-level function and class in src/qclab
-has a caller outside the unit tests.
+"""Layout guards on src/qclab.
 
-A name counts as used when another module in src/, tools/, perfbench/ or
-the acceptance suite reaches it as `module.name` or imports it, when
-perfbench's tracer patches it, or when its own module refers to it outside
-its own definition.  Code that only unit tests reach belongs in the tests
-(oracles.py) or nowhere; the chain steps below are the named exceptions.
+Reachability: every top-level function and class has a caller outside the
+unit tests.  A name counts as used when another module in src/, tools/,
+perfbench/ or the acceptance suite reaches it as `module.name` or imports
+it, when perfbench's tracer patches it, or when its own module refers to it
+outside its own definition.  Code that only unit tests reach belongs in the
+tests (oracles.py) or nowhere; the chain steps below are the named
+exceptions.
+
+Bit order: dist.index_of and dist.bits_of are the one bit packing.  No
+other module shifts by an np.arange (the way a packing loop is written),
+and the helpers that once packed bits elsewhere stay gone.
 """
 
 import ast
@@ -96,3 +101,49 @@ def unused_names():
 
 def test_only_the_named_chain_steps_lack_a_caller():
     assert unused_names() == UNCALLED
+
+
+PACKING_OWNER = "dist"
+RETIRED_PACKERS = {"bits_from_int", "int_from_bits", "bit_table", "basis_index", "basis_bits"}
+
+
+def hand_packing(trees):
+    """(module, line) of each << or >> with an np.arange in an operand,
+    outside the owner."""
+    found = []
+    for module, tree in trees.items():
+        if module == PACKING_OWNER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)):
+                if any(isinstance(n, ast.Attribute) and n.attr == "arange"
+                       for operand in (node.left, node.right) for n in ast.walk(operand)):
+                    found.append((module, node.lineno))
+    return found
+
+
+def retired_packers(trees):
+    """(module, name) of each definition, import or use of a retired packer."""
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            # a def's or import alias's name, an attribute, a bare name
+            name = (getattr(node, "name", None) or getattr(node, "attr", None)
+                    or getattr(node, "id", None))
+            if name in RETIRED_PACKERS:
+                found.add((module, name))
+    return found
+
+
+def test_bits_are_packed_only_by_the_owner():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert hand_packing(trees) == []
+    assert retired_packers(trees) == set()
+
+
+def test_guard_sees_an_inline_packing_shift():
+    tree = ast.parse("vec[bits @ (1 << np.arange(n))] = 1\n"
+                     "def bit_table(width):\n    return gf2.int_from_bits(width)\n")
+    assert hand_packing({"gf2": tree}) == [("gf2", 1)]
+    assert hand_packing({PACKING_OWNER: tree}) == []
+    assert retired_packers({"gf2": tree}) == {("gf2", "bit_table"), ("gf2", "int_from_bits")}

@@ -17,6 +17,8 @@ import pytest
 from qclab import dist, gf2, pseudoentropy, puzzles
 from qclab._mc import hoeffding_radius
 
+import oracles
+
 
 def bucket_table(pmf, levels):
     """Direct per-bucket masses plus overflow tail, floats."""
@@ -83,7 +85,7 @@ def core_gap_oracle(x):
     scale = Fraction(1, 2 ** n)
     a0 = {}
     for ridx in range(2 ** n):
-        r = gf2.bits_from_int(ridx, n)
+        r = oracles.bit_tuple(ridx, n)
         a1_atomp = scale / 2
         for bit in ((0,), (1,)):
             a0.setdefault((r, bit), Fraction(0))
@@ -101,7 +103,7 @@ def parity_fold_gap(x):
     parity of r & x, folded down from 16-bit words, in chunks of masks."""
     support = x.support()
     width = len(support[0])
-    ints = np.array([gf2.int_from_bits(a) for a in support], dtype=np.uint32)
+    ints = np.array([dist.index_of(a) for a in support], dtype=np.uint32)
     probs = np.array([float(x.prob(a)) for a in support])
     total = 0.0
     r_count = 1 << width
@@ -122,7 +124,7 @@ def core_gap_fraction_oracle(x):
     total = mp.mpf(0)
     with mp.workdps(50):
         for ridx in range(2 ** n):
-            r = gf2.bits_from_int(ridx, n)
+            r = oracles.bit_tuple(ridx, n)
             p = sum((Fraction(q) for a, q in x.as_dict().items() if gf2.inner_product(a, r)),
                     Fraction(0))
             for q in (p, 1 - p):
@@ -168,7 +170,7 @@ def identity_joint(bits=2):
     # every instance pins its key: s = k, uniform over 2^bits pairs
     atoms = {}
     for idx in range(2 ** bits):
-        k = gf2.bits_from_int(idx, bits)
+        k = oracles.bit_tuple(idx, bits)
         atoms[(k, k)] = Fraction(1, 2 ** bits)
     return dist.JointPmf(atoms)
 
@@ -231,7 +233,7 @@ class TestSliceParams:
 
 class TestFindFlatSlice:
     def test_uniform_support_is_one_bucket(self):
-        p = dist.Pmf({gf2.bits_from_int(v, 3): Fraction(1, 8) for v in range(8)})
+        p = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
         j, g = pseudoentropy.find_flat_slice(p, P3)
         assert j == 3
         assert set(g) == set(p.support())
@@ -257,7 +259,7 @@ class TestFindFlatSlice:
         for _ in range(20):
             w = rng.random(6) + 1e-3
             w /= w.sum()
-            p = dist.Pmf({gf2.bits_from_int(v, 3): float(x)
+            p = dist.Pmf({oracles.bit_tuple(v, 3): float(x)
                           for v, x in enumerate(w)})
             masses, tail = bucket_table(p, P3.levels)
             j, g = pseudoentropy.find_flat_slice(p, P3)
@@ -290,7 +292,7 @@ class TestFindFlatSlice:
         params = slice_params(3, levels=levels)
         for _ in range(40):
             w = rng.random(8) ** 6 + 1e-6 * (rng.random(8) < 0.3)
-            p = dist.Pmf({gf2.bits_from_int(v, 3): float(x) for v, x in enumerate(w / w.sum())})
+            p = dist.Pmf({oracles.bit_tuple(v, 3): float(x) for v, x in enumerate(w / w.sum())})
             j, g = pseudoentropy.find_flat_slice(p, params)
             want_j, want_g, want_mass = flat_slice_loop(p, params)
             assert (j, g) == (want_j, want_g)
@@ -504,7 +506,7 @@ class TestCoreLemmaGap:
     def test_uniform_gap_is_two_to_minus_n(self):
         # every nonzero r gives a fair bit; only r = 0 is deterministic
         n = 4
-        x = dist.Pmf({gf2.bits_from_int(v, n): 1 / 16 for v in range(16)})
+        x = dist.Pmf({oracles.bit_tuple(v, n): 1 / 16 for v in range(16)})
         gap = pseudoentropy.core_lemma_gap(x, (0,) * n, 0.05, 0.07)
         assert gap == pytest.approx(2 ** -n, abs=1e-12)
 
@@ -512,7 +514,7 @@ class TestCoreLemmaGap:
         n = 6
         x_star = (0,) * n
         atoms = {x_star: Fraction(3, 10)}
-        rest = [gf2.bits_from_int(v, n) for v in range(1, 64)]
+        rest = [oracles.bit_tuple(v, n) for v in range(1, 64)]
         for k in rest:
             atoms[k] = Fraction(7, 10) / 63
         x = dist.Pmf(atoms)
@@ -526,12 +528,12 @@ class TestCoreLemmaGap:
         x_star = (0,) * n
         atoms = {x_star: 0.3}
         for v in range(1, 64):
-            atoms[gf2.bits_from_int(v, n)] = 0.7 / 63
+            atoms[oracles.bit_tuple(v, n)] = 0.7 / 63
         x = dist.Pmf(atoms)
         gap = pseudoentropy.core_lemma_gap(x, x_star, 0.25, 0.012)
         bias_sq = []
         for ridx in range(2 ** n):
-            r = gf2.bits_from_int(ridx, n)
+            r = oracles.bit_tuple(ridx, n)
             p_one = sum(p for k, p in atoms.items() if gf2.inner_product(k, r))
             bias_sq.append((2 * p_one - 1) ** 2)
         assert gap >= np.mean(bias_sq) / 2 - 1e-12
@@ -545,10 +547,10 @@ class TestCoreLemmaGap:
 
     def test_widest_source_matches_popcount(self):
         # 16 bits is the widest source; parities come from bin().count
-        atoms = {(0,) * 16: 0.5, gf2.bits_from_int(0xB3C5, 16): 0.3,
-                 gf2.bits_from_int(0x0F0F, 16): 0.2}
+        atoms = {(0,) * 16: 0.5, oracles.bit_tuple(0xB3C5, 16): 0.3,
+                 oracles.bit_tuple(0x0F0F, 16): 0.2}
         gap = pseudoentropy.core_lemma_gap(dist.Pmf(atoms), (0,) * 16, 0.5, 0.3)
-        ints = [(gf2.int_from_bits(a), p) for a, p in atoms.items()]
+        ints = [(dist.index_of(a), p) for a, p in atoms.items()]
         total = 0.0
         for r in range(1 << 16):
             p_one = sum(p for v, p in ints if bin(r & v).count("1") & 1)
@@ -569,7 +571,7 @@ class TestCoreLemmaGap:
                 size = int(rng.integers(1, 2 ** n + 1))
                 picks = rng.choice(2 ** n, size=size, replace=False)
                 weights = rng.integers(1, 20, size=size)
-                x = dist.Pmf({gf2.bits_from_int(int(v), n): Fraction(int(w), int(weights.sum()))
+                x = dist.Pmf({oracles.bit_tuple(int(v), n): Fraction(int(w), int(weights.sum()))
                               for v, w in zip(picks, weights)})
                 gap = pseudoentropy.core_lemma_gap(x, next(iter(x.support())), 0.0, 1.0)
                 assert gap == pytest.approx(core_gap_fraction_oracle(x), abs=1e-13)
@@ -583,7 +585,7 @@ class TestCoreLemmaGap:
                 size = int(rng.integers(1, min(2 ** n, 300) + 1))
                 picks = rng.choice(2 ** n, size=size, replace=False)
                 w = rng.random(size)
-                x = dist.Pmf({gf2.bits_from_int(int(v), n): float(q)
+                x = dist.Pmf({oracles.bit_tuple(int(v), n): float(q)
                               for v, q in zip(picks, w / w.sum())})
                 gap = pseudoentropy.core_lemma_gap(x, next(iter(x.support())), 0.0, 1.0)
                 assert gap == pytest.approx(parity_fold_gap(x), abs=1e-12)
@@ -647,9 +649,9 @@ class TestPublicSlicingCheck:
         for _ in range(5):
             w = rng.random(4) + 0.05
             w /= w.sum()
-            a = dist.Pmf({gf2.bits_from_int(v, 2): float(x)
+            a = dist.Pmf({oracles.bit_tuple(v, 2): float(x)
                           for v, x in enumerate(w)})
-            a_star = {gf2.bits_from_int(0, 2), gf2.bits_from_int(3, 2)}
+            a_star = {oracles.bit_tuple(0, 2), oracles.bit_tuple(3, 2)}
             b0 = {}
             b1 = {}
             for atom in a.support():
@@ -716,7 +718,7 @@ class TestPegProduct:
             9 * dist.shannon_entropy(g), abs=1e-9)
 
     def test_materialization_skipped_above_limit(self):
-        g = dist.Pmf({gf2.bits_from_int(v, 3): 1 / 8 for v in range(8)})
+        g = dist.Pmf({oracles.bit_tuple(v, 3): 1 / 8 for v in range(8)})
         params = pseudoentropy.PegParams(repetitions=7, eps=0.01, gap_exponent=1)
         p0, p1, report = pseudoentropy.peg_product(g, g, params)
         assert p0 is None and p1 is None
@@ -806,7 +808,7 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
         analysis = pseudoentropy.slice_analysis(puzzle.condition_on_puzzle(s), None, params)
         instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
     width = instances[0][2]._keys.shape[1]
-    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
     bits = [((a._keys @ rmat.T) & 1).astype(float) for _, _, a in instances]
     n_out = max(3 * width, max(a.i_s for _, _, a in instances))
     values = np.empty(seed_samples)

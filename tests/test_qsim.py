@@ -172,14 +172,6 @@ class TestMeasurement:
         with pytest.raises(TypeError, match="PureState"):
             qsim.project(rho, [0], (0,))
 
-    def test_basis_index_and_bits_are_big_endian_inverses(self):
-        for n in range(1, 6):
-            index = np.arange(2 ** n)
-            bits = qsim.basis_bits(index, n)
-            assert [tuple(row) for row in bits.tolist()] == [bits_of(v, n) for v in index]
-            assert np.array_equal(qsim.basis_index(bits), index)
-            assert [qsim.basis_index(bits_of(v, n)) for v in index] == index.tolist()
-
     def test_dephase_kills_coherence(self):
         plus = qsim.apply_unitary(qsim.basis_state((0,)), qsim.H, [0])
         rho = qsim.dephase(plus.to_density(), [0])
@@ -571,6 +563,7 @@ class TestUnitarityByBlocks:
             with pytest.raises(ValueError, match="gate is not unitary"):
                 qsim.check_unitary(u)
 
+    @pytest.mark.filterwarnings("error")
     def test_inf_rejected(self):
         dense = qsim.H.copy()
         dense[0, 1] = np.inf
@@ -580,6 +573,7 @@ class TestUnitarityByBlocks:
                 qsim.check_unitary(u)
 
 
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteInputRejected:
     def test_pure_state(self):
         for vector in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):

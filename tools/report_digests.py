@@ -7,6 +7,9 @@ SRC is the directory that holds the `qclab` package to run (a checkout's
 for seeds 0 and 7, the csv reports of `entropy` and `efi-sweep` for the
 same seeds, and the five hash-pipeline manifests of `perfbench/workloads.py`
 (read, never changed) at their benchmark trial counts for the same seeds.
+Last come `efi-sweep` manifests with non-uniform weights, one per seed:
+uniform weights over 2^w atoms give the same report under any labelling of
+the atoms, so only these show a change to which bit string labels an atom.
 Running this on two checkouts and diffing the output shows whether a change
 moved any report byte.
 """
@@ -20,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 7)
+SKEWED_WEIGHTS = [1, 2, 3]
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -40,6 +44,10 @@ def manifests():
             yield f"{sub} pipeline seed={seed}", {
                 "subcommand": sub, "seed": seed, "params": params,
                 "trials": trials, "workers": 1}
+    for seed in SEEDS:
+        yield f"efi-sweep weights={SKEWED_WEIGHTS} seed={seed}", {
+            "subcommand": "efi-sweep", "seed": seed,
+            "params": {"weights": SKEWED_WEIGHTS}}
 
 
 def main(argv):
