@@ -2,22 +2,21 @@
 
 import math
 
-DEFAULT_CONFIDENCE = 0.99
+# coverage of every Monte Carlo radius qclab reports
+CONFIDENCE = 0.99
 
 
-def hoeffding_radius(n_samples, confidence=DEFAULT_CONFIDENCE, value_range=1.0):
-    """Two-sided Hoeffding radius for a mean of bounded i.i.d. samples.
+def hoeffding_radius(n_samples, value_range=1.0):
+    """Two-sided Hoeffding radius at CONFIDENCE for a mean of bounded
+    i.i.d. samples.
 
     Args:
         n_samples: number of samples in the mean.
-        confidence: coverage of the interval, in (0, 1).
         value_range: width of the interval each sample lives in.
 
     Returns:
-        Radius r such that |mean - estimate| <= r with the given confidence.
+        Radius r such that |mean - estimate| <= r with probability CONFIDENCE.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return value_range * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples))
+    return value_range * math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * n_samples))

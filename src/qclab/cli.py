@@ -292,11 +292,11 @@ def _run_gl(m):
         def answer(queries):
             bits = (queries @ secret) & 1
             if noise:
-                # one draw per query in query order, as rng.random() per call
+                # one draw per query, in query order
                 bits ^= rng.random(len(queries)) < noise
             return bits
 
-        cands = gf2.gl_decode(gf2.BatchPredictor(answer), n, advantage, rng)
+        cands = gf2.gl_decode(answer, n, advantage, rng)
         return int(tuple(secret.tolist()) in cands)
 
     hits = sum(_run_trials(one, m))
@@ -312,6 +312,8 @@ def _run_gl(m):
 def _run_shadows(m):
     n = _param(m, "n", 2)
     snapshots = _param(m, "snapshots", 32)
+    if not 1 <= snapshots <= puzzles.SNAPSHOT_LIMIT:
+        raise ValueError(f"snapshots must lie in [1, {puzzles.SNAPSHOT_LIMIT}], got {snapshots}")
     groups = _param(m, "groups", 8)
     tol = _param(m, "eps", 0.25, float)
     scheme = owsg.wiesner_owsg(n)

@@ -5,7 +5,8 @@ the qubits into a sent half and a kept half.  Hiding is scored by the best
 distinguisher on the sent half, binding by an opening game in which the
 committer either measures the message qubit before revealing or does not.
 Both experiments reduce to trace distances of small density matrices, so
-every reported advantage is exact up to floating point.
+every reported advantage is exact up to floating point; nothing here
+samples (the played binding game is a test oracle, in tests/oracles.py).
 
 COMMIT_TOL is how far a given measurement may be from Hermitian, positive
 and resolving the identity.
@@ -175,52 +176,23 @@ def binding_states(scheme, adv, redundant=False):
     return float(accept), sigma0, sigma1
 
 
-def _helstrom(sigma0, sigma1):
-    diff = sigma1.matrix - sigma0.matrix
-    vals, vecs = np.linalg.eigh(diff)
-    pos = vecs[:, vals > 0]
-    e1 = pos @ pos.conj().T
-    return np.eye(diff.shape[0]) - e1, e1
-
-
-def binding_experiment(scheme, adv, rng=None, trials=None):
-    """Probability the adversary names the measure-or-not coin correctly.
-
-    With `trials` unset the value is exact; otherwise the game is played
-    that many times with `rng` and the hit rate is returned.
-    """
+def binding_experiment(scheme, adv):
+    """Exact probability the adversary names the measure-or-not coin
+    correctly: the Helstrom value of the two branches, or the given
+    measurement's score on them."""
     meas = adv.measurement
     if meas is not None:
         dim = 2 ** (len(scheme.d_qubits) + adv.e_qubits)
         if meas[0].shape != (dim, dim):
             raise ValueError("measurement does not act on the opened qubits")
     accept, sigma0, sigma1 = binding_states(scheme, adv)
-    if trials is None:
-        if accept == 0.0:
-            return 0.5
-        if meas is None:
-            return 0.5 + accept * qsim.trace_distance(sigma0, sigma1) / 2
-        win = 0.5 * (np.trace(meas[0] @ sigma0.matrix)
-                     + np.trace(meas[1] @ sigma1.matrix)).real
-        return (1 - accept) / 2 + accept * win
-    if rng is None:
-        raise ValueError("sampling the experiment requires an rng")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trial count must be positive")
-    if accept > 0.0:
-        if meas is None:
-            meas = _helstrom(sigma0, sigma1)
-        p_one = [min(max(float(np.trace(meas[1] @ sigma.matrix).real), 0.0), 1.0)
-                 for sigma in (sigma0, sigma1)]
-    hits = 0
-    for _ in range(trials):
-        b = int(rng.integers(0, 2))
-        if accept == 0.0 or rng.random() >= accept:
-            hits += int(rng.integers(0, 2)) == b
-            continue
-        hits += int(rng.random() < p_one[b]) == b
-    return hits / trials
+    if accept == 0.0:
+        return 0.5
+    if meas is None:
+        return 0.5 + accept * qsim.trace_distance(sigma0, sigma1) / 2
+    win = 0.5 * (np.trace(meas[0] @ sigma0.matrix)
+                 + np.trace(meas[1] @ sigma1.matrix)).real
+    return (1 - accept) / 2 + accept * win
 
 
 def superposition_attacker(scheme):
@@ -317,7 +289,7 @@ def _copy_parity(u, sources, target):
     return u[dist.index_of(bits)]
 
 
-def dual_commit(com1, com2, name=None):
+def dual_commit(com1, com2):
     """Chain two schemes behind a shared message via a copy wire.
 
     The incoming message qubit is copied onto the second scheme's message
@@ -333,13 +305,12 @@ def dual_commit(com1, com2, name=None):
     u = qsim.apply_gate(u, com1.com, list(range(n1)))
     c = tuple(sorted(com1.c_qubits + tuple(n1 + q for q in com2.c_qubits)))
     d = tuple(sorted(com1.d_qubits + tuple(n1 + q for q in com2.d_qubits)))
-    if name is None:
-        name = "dual({},{})".format(com1.name, com2.name)
+    name = "dual({},{})".format(com1.name, com2.name)
     flavor = "dual: {} / {}".format(com1.flavor, com2.flavor)
     return _composed(name, u, c, d, flavor)
 
 
-def xor_combine(schemes, name=None):
+def xor_combine(schemes):
     """Secret-share the message as an XOR across every component scheme.
 
     All but the last share are uniform coins, the last is fixed so the
@@ -371,8 +342,7 @@ def xor_combine(schemes, name=None):
     for s, o in zip(schemes, offsets):
         c.extend(o + q for q in s.c_qubits)
         d.extend(o + q for q in s.d_qubits)
-    if name is None:
-        name = "xor({})".format(",".join(s.name for s in schemes))
+    name = "xor({})".format(",".join(s.name for s in schemes))
     return _composed(name, u, tuple(sorted(c)), tuple(sorted(d)),
                      "xor of {} components".format(t))
 

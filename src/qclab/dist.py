@@ -4,7 +4,9 @@ Atoms are bit-string labels: a flat tuple of 0/1 ints, or a tuple of such
 tuples for structured records. Probabilities are floats by default; Fractions
 are accepted and survive untouched through the operations that stay rational
 (push-forwards, conditionals, products and their spectra), which is the
-exact-rational mode.
+exact-rational mode. A Pmf is always normalized: its masses sum to 1
+within MASS_TOL, so a Pmf has nonempty support and every entropy and
+smoothing here takes any Pmf.
 
 index_of and bits_of are the package's one bit packing, big endian: bit 0
 of a string is the most significant bit of its integer.
@@ -14,7 +16,9 @@ the support, not the log of the support size.
 
 MASS_TOL is how far a float probability mass may be from the value it is
 compared with: a total from 1, an atom's mass or a statistical distance
-from its bound, or a smoothing budget from the masses it deletes.
+from its bound, or a smoothing budget from the masses it deletes.  It is
+also the mass treated as zero: qsim.project conditions on no outcome
+lighter than MASS_TOL.
 """
 
 import math
@@ -87,17 +91,15 @@ class Pmf:
     Args:
         atoms: mapping from hashable atom labels to probabilities. Zero-mass
             atoms are dropped on construction.
-        subnormal: when True the total mass may be anything in [0, 1]; the
-            entropy operations refuse such objects.
 
     Raises:
         ValueError: on negative or NaN probabilities, or total mass outside
-            1 +- 1e-12 without the subnormal flag.
+            1 +- MASS_TOL.
     """
 
-    __slots__ = ("_p", "subnormal")
+    __slots__ = ("_p",)
 
-    def __init__(self, atoms, subnormal=False):
+    def __init__(self, atoms):
         cleaned = {}
         for atom, p in atoms.items():
             if not p >= 0:
@@ -106,13 +108,9 @@ class Pmf:
                 continue
             cleaned[atom] = p
         total = sum(cleaned.values())
-        if subnormal:
-            if not total <= 1 + MASS_TOL:
-                raise ValueError(f"subnormal mass exceeds 1: {total!r}")
-        elif not abs(total - 1) <= MASS_TOL:
+        if not abs(total - 1) <= MASS_TOL:
             raise ValueError(f"total mass {total!r} not within {MASS_TOL} of 1")
         self._p = cleaned
-        self.subnormal = bool(subnormal)
 
     def prob(self, atom):
         return self._p.get(atom, 0)
@@ -129,9 +127,6 @@ class Pmf:
 
     def as_dict(self):
         return dict(self._p)
-
-    def total(self):
-        return sum(self._p.values())
 
     def __len__(self):
         return len(self._p)
@@ -181,23 +176,15 @@ class JointPmf:
         return Pmf({k: p / total for k, p in mass.items()})
 
 
-def _require_normalized(p):
-    if p.subnormal:
-        raise ValueError("entropy of a subnormalized distribution is undefined here")
-
-
 def shannon_entropy(p):
-    _require_normalized(p)
     return -sum(q * math.log2(q) for q in p.as_dict().values())
 
 
 def min_entropy(p):
-    _require_normalized(p)
     return -math.log2(max(p.as_dict().values()))
 
 
 def max_entropy(p):
-    _require_normalized(p)
     return -math.log2(min(p.as_dict().values()))
 
 
@@ -217,14 +204,12 @@ def smooth_min_entropy(p, eps):
     probability spectrum, so it equals smooth_min_entropy_spectrum there
     even where eps nearly cancels the mass.
     """
-    _require_normalized(p)
     return smooth_min_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
 def smooth_max_entropy(p, eps):
     """Smoothed max-entropy: greedily delete the lightest atoms, mass <= eps,
     and take the max sample entropy of the rest, without renormalizing."""
-    _require_normalized(p)
     return smooth_max_entropy_spectrum(Counter(p.as_dict().values()).items(), eps)
 
 
@@ -234,7 +219,7 @@ def push_forward(p, f):
     for atom, q in p.as_dict().items():
         image = f(atom)
         out[image] = out.get(image, 0) + q
-    return Pmf(out, subnormal=p.subnormal)
+    return Pmf(out)
 
 
 def product_power(p, t):

@@ -6,7 +6,8 @@ truncations make the branches statistically close (the extractor regime),
 long ones make them nearly disjoint because the generator's support cannot
 cover the output space. The crossing point sits half a gap above the
 generator's max-entropy, and every distance here is computed in closed form
-per seed.
+per seed. The generator is always a Pmf, and efi_distance is the one
+estimate of the seed-averaged (leftover-hash) distance.
 
 EFI_TOL is how far past an integer the crossover may fall and still place
 the truncation at that integer, so float noise in the max-entropy cannot
@@ -23,12 +24,6 @@ from ._mc import hoeffding_radius
 EFI_TOL = 1e-9
 
 
-def _support(g0):
-    if g0.subnormal:
-        raise ValueError("generator distribution must be normalized")
-    return gf2.support_matrix(g0)
-
-
 def crossover_truncation(g0, gap_inst):
     """Truncation length where the pair flips from close to far.
 
@@ -42,41 +37,35 @@ def crossover_truncation(g0, gap_inst):
 
 
 class EfiParams:
-    """Distinguishing-pair settings: truncation, crossover point, smoothing."""
+    """Distinguishing-pair settings: the truncation and the crossover point."""
 
-    __slots__ = ("truncation", "crossover", "gap_exponent", "eps")
+    __slots__ = ("truncation", "crossover")
 
-    def __init__(self, truncation, crossover, gap_exponent, eps):
+    def __init__(self, truncation, crossover):
         if truncation < 0:
             raise ValueError(f"truncation must be nonnegative: {truncation!r}")
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"smoothing must lie in [0, 1): {eps!r}")
         self.truncation = int(truncation)
         self.crossover = crossover
-        self.gap_exponent = gap_exponent
-        self.eps = eps
 
     @classmethod
-    def from_generator(cls, g0, gap_inst, gap_exponent, eps):
+    def from_generator(cls, g0, gap_inst):
         """Place the truncation at the first integer at or past the crossover."""
         star = crossover_truncation(g0, gap_inst)
-        return cls(max(0, math.ceil(star - EFI_TOL)), star, gap_exponent, eps)
+        return cls(max(0, math.ceil(star - EFI_TOL)), star)
 
     def __repr__(self):
         return (f"EfiParams(truncation={self.truncation}, "
-                f"crossover={self.crossover}, eps={self.eps})")
+                f"crossover={self.crossover})")
 
 
-def efi_sample(source, truncation, b, rng, width=None):
+def efi_sample(source, truncation, b, rng):
     """Draw one output of branch b of the truncated-hash pair.
 
     Args:
-        source: Pmf over bit-tuple atoms, or a callable rng -> atom; for a
-            callable the input width cannot be inferred and must be given.
+        source: Pmf over bit-tuple atoms, all flattening to one width.
         truncation: number of hash output bits to keep, at most 3x the width.
         b: 0 for the hashed-generator branch, 1 for the uniform branch.
         rng: numpy Generator; the hash seed is fresh per call.
-        width: flat bit width of the atoms, required for callable sources.
 
     Returns:
         (seed, y) with y a tuple of `truncation` bits.
@@ -85,23 +74,15 @@ def efi_sample(source, truncation, b, rng, width=None):
         raise ValueError(f"branch must be 0 or 1: {b!r}")
     if truncation < 0:
         raise ValueError(f"truncation must be nonnegative: {truncation!r}")
-    if isinstance(source, dist.Pmf):
-        xs, probs = gf2.support_matrix(source)
-        if width is not None and width != xs.shape[1]:
-            raise ValueError(f"width {width} does not match atoms ({xs.shape[1]})")
-        width = xs.shape[1]
-    elif width is None:
-        raise ValueError("callable sources need an explicit width")
+    xs, probs = gf2.support_matrix(source)
+    width = xs.shape[1]
     if truncation > 3 * width:
         raise ValueError(
             f"truncation {truncation} exceeds the {3 * width}-bit hash output")
     seed = gf2.sample_hash_seed(rng, width)
     if b == 1:
         return seed, tuple(int(v) for v in rng.integers(0, 2, size=truncation))
-    if isinstance(source, dist.Pmf):
-        x = xs[rng.choice(len(xs), p=probs)]
-    else:
-        x = dist.flat_bits(source(rng))
+    x = xs[rng.choice(len(xs), p=probs)]
     return seed, gf2.hash_eval(seed, x, truncation)
 
 
@@ -111,16 +92,26 @@ def hash_truncation_sd(g0, seed, truncation):
     The cost is the support size rather than 2^truncation; see
     gf2.hashed_distances.
     """
-    xs, probs = _support(g0)
+    xs, probs = gf2.support_matrix(g0)
     return float(gf2.hashed_distances(gf2.hash_eval_stack([seed], xs, truncation), probs)[0])
 
 
 def efi_distance(g0, truncation, seed_samples, rng):
-    """Mean exact per-seed distance over fresh hash seeds, with 99% radius."""
+    """Estimate E_h[ SD(h(X)_truncation, uniform) ] over fresh hash seeds.
+
+    The distance is exact for each sampled seed (gf2.hashed_distances);
+    only the seed average is Monte Carlo.
+
+    Returns:
+        (mean, radius) with mean in [0, 1] and radius the 99% Hoeffding
+        radius.
+    """
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
-    _support(g0)  # rejects a subnormal generator
-    return gf2.lhl_distance(g0, truncation, seed_samples, rng)
+    xs, probs = gf2.support_matrix(g0)
+    seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(seed_samples)]
+    values = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, truncation), probs)
+    return float(np.mean(values)), hoeffding_radius(seed_samples)
 
 
 def distance_sweep(g0, truncations, seed_samples, rng):
@@ -133,7 +124,7 @@ def distance_sweep(g0, truncations, seed_samples, rng):
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
     truncations = [int(s) for s in truncations]
-    xs, probs = _support(g0)
+    xs, probs = gf2.support_matrix(g0)
     width = xs.shape[1]
     for s in truncations:
         if not 0 <= s <= 3 * width:

@@ -11,8 +11,10 @@ once, by seed and then by prefix, so each seed's groups stay contiguous
 and in order: `np.bincount` over the global group ids adds per seed
 exactly as a one-seed call (`prefix_groups`) would.
 
-A GL predictor maps an n-bit tuple to a bit and is called once per query,
-in order; a `BatchPredictor` answers the whole (Q, n) query matrix at once.
+A GL predictor is a callable that takes the (Q, n) uint8 matrix of all
+its queries and returns Q bits.  Goldreich-Levin queries are
+non-adaptive: the random base fixes every query before the predictor is
+asked, so one batched call is the whole conversation.
 """
 
 import math
@@ -21,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from qclab import dist
-from qclab._mc import hoeffding_radius
 
 # Walsh transform materializes a 2^n table; beyond this the caller should sample.
 EXACT_INPUT_LIMIT = 16
@@ -254,37 +255,7 @@ def hashed_distances(ys, probs):
     return 0.5 * (total + (1.0 - counts * u))
 
 
-def lhl_distance(p, m, n_seeds, rng):
-    """Estimate E_h[ SD(h(X)_m, uniform) ] over random hash seeds.
-
-    The inner distance is exact for each sampled seed; only the seed average
-    is Monte Carlo.
-
-    Args:
-        p: Pmf over bit-tuple atoms, all flattening to one width n.
-        m: output prefix length, at most 3n.
-        n_seeds: number of seeds to average over.
-        rng: numpy Generator.
-
-    Returns:
-        (mean, radius) with mean in [0, 1] and radius the 99% Hoeffding
-        radius.
-    """
-    xs, probs = support_matrix(p)
-    seeds = [sample_hash_seed(rng, xs.shape[1]) for _ in range(n_seeds)]
-    values = hashed_distances(hash_eval_stack(seeds, xs, m), probs)
-    return float(np.mean(values)), hoeffding_radius(n_seeds)
-
-
-class BatchPredictor:
-    """A GL predictor whose answer maps a (Q, n) uint8 query matrix to Q bits."""
-    __slots__ = ("answer",)
-
-    def __init__(self, answer):
-        self.answer = answer
-
-
-def gl_decode(predictor, n, eps, rng, queries=None, list_cap=None):
+def gl_decode(predictor, n, eps, rng):
     """List-decode a linear function from a noisy inner-product predictor.
 
     Classic self-correction: guess the predictor's labels on t reference
@@ -295,22 +266,20 @@ def gl_decode(predictor, n, eps, rng, queries=None, list_cap=None):
     probability Omega(eps^2); a noiseless predictor always does.
 
     Args:
-        predictor: callable mapping an n-bit tuple to a bit, or a
-            BatchPredictor.
+        predictor: callable mapping a (Q, n) uint8 query matrix to Q bits.
         n: length of the hidden vector.
         eps: advantage lower bound, in (0, 1/2].
         rng: numpy Generator driving the reference vectors.
-        queries: predictor-call budget, default ceil(64 n / eps^2).
-        list_cap: maximum list length, default ceil(4 / eps^2).
 
     Returns:
-        List of candidate bit tuples, deduplicated, at most list_cap long.
+        List of candidate bit tuples, deduplicated, at most
+        ceil(4 / eps^2) long.
     """
-    out, _, _ = _gl_candidates(predictor, n, eps, rng, queries, list_cap)
+    out, _, _ = _gl_candidates(predictor, n, eps, rng)
     return out
 
 
-def gl_decode_scored(predictor, n, eps, rng, queries=None, list_cap=None):
+def gl_decode_scored(predictor, n, eps, rng):
     """Like gl_decode, but pairs each candidate with its agreement score.
 
     The score is the fraction of the decoder's own queries on which the
@@ -318,7 +287,7 @@ def gl_decode_scored(predictor, n, eps, rng, queries=None, list_cap=None):
     Near 1 means the predictor really is correlated with that candidate;
     near 1/2 means noise.  Candidates come back sorted by descending score.
     """
-    out, refs, answers = _gl_candidates(predictor, n, eps, rng, queries, list_cap)
+    out, refs, answers = _gl_candidates(predictor, n, eps, rng)
     cand = np.array(out, dtype=np.uint8)
     # label for query refs[T] ^ e_j under candidate a is <a, refs[T]> ^ a_j
     on_refs = (refs @ cand.T) & 1  # (m, C)
@@ -328,17 +297,14 @@ def gl_decode_scored(predictor, n, eps, rng, queries=None, list_cap=None):
     return [(out[k], float(agree[k])) for k in order]
 
 
-def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
+def _gl_candidates(predictor, n, eps, rng):
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"advantage must be in (0, 1/2], got {eps}")
     if n < 1:
         raise ValueError("need n >= 1")
-    if queries is None:
-        queries = math.ceil(64 * n / eps ** 2)
-    if list_cap is None:
-        list_cap = math.ceil(4 / eps ** 2)
-    t = max(1, int(math.floor(math.log2(list_cap))))
-    m = min(2 ** t - 1, max(1, queries // n))
+    # 2^t guesses, at most ceil(4 / eps^2), and m = 2^t - 1 reference vectors
+    t = max(1, int(math.floor(math.log2(math.ceil(4 / eps ** 2)))))
+    m = 2 ** t - 1
     if m * n * max(n, 2 ** t) > GL_TABLE_LIMIT:
         raise ValueError(f"GL tables for n = {n}, eps = {eps} exceed {GL_TABLE_LIMIT} entries")
 
@@ -350,15 +316,13 @@ def _gl_candidates(predictor, n, eps, rng, queries, list_cap):
 
     # query (a, j) is refs[a] ^ e_j, asked in row-major (a, j) order
     asked = (refs[:, None, :] ^ np.eye(n, dtype=np.uint8)).reshape(m * n, n)
-    answers = (predictor.answer(asked) if isinstance(predictor, BatchPredictor)
-               else [predictor(tuple(q)) for q in asked.tolist()])
-    answers = (np.asarray(answers).reshape(m, n) & 1).astype(np.uint8)
+    answers = (np.asarray(predictor(asked)).reshape(m, n) & 1).astype(np.uint8)
 
     guess_labels = (subset @ guesses.T) & 1  # (m, 2^t)
     votes = answers[:, :, None] ^ guess_labels[:, None, :]
     ones = votes.sum(axis=0)  # (n, 2^t)
     candidates = (2 * ones > m).astype(np.uint8).T  # (2^t, n)
 
-    # distinct candidates in order of first appearance, at most list_cap
-    first = np.sort(np.unique(candidates, axis=0, return_index=True)[1])[:list_cap]
+    # distinct candidates in order of first appearance
+    first = np.sort(np.unique(candidates, axis=0, return_index=True)[1])
     return [tuple(row) for row in candidates[first].tolist()], refs, answers

@@ -106,10 +106,6 @@ def find_flat_slice(k_s, params):
     Returns:
         (j_s, keys): the bucket index and its keys in canonical atom order.
     """
-    if len(k_s) == 0:
-        raise ValueError("key distribution has empty support")
-    if k_s.subnormal:
-        raise ValueError("key distribution must be normalized")
     items = k_s.items_sorted()
     probs = np.array([float(p) for _, p in items])
     js = np.array([math.floor(-math.log2(p) + ENTROPY_TOL) for p in probs.tolist()])
@@ -176,13 +172,12 @@ class SliceAnalysis:
                 f"|G|={len(self.g_s)}, |A|={len(self.a_s)})")
 
 
-def slice_analysis(k_s, seed, params):
+def slice_analysis(k_s, params):
     """Run the slicing pipeline for one key distribution.
 
-    The seed is optional; when given it is only shape-checked here (the
-    filter takes its seed per call). Raises if the prefix index j_s + pad
-    overruns i_max, which marks the parameter set as rejected for this
-    distribution.
+    The filter takes its hash seeds per call, and hash_eval_stack checks
+    their shapes there. Raises if the prefix index j_s + pad overruns
+    i_max, which marks the parameter set as rejected for this distribution.
     """
     j_s, g_s = find_flat_slice(k_s, params)
     limit = j_s + params.slack + ENTROPY_TOL
@@ -192,12 +187,6 @@ def slice_analysis(k_s, seed, params):
     if i_s > params.i_max:
         raise ValueError(
             f"parameter set rejected: prefix index {i_s} exceeds i_max {params.i_max}")
-    if seed is not None:
-        width = len(g_s[0])
-        if seed.n_in != width:
-            raise ValueError(f"seed hashes {seed.n_in}-bit keys, these are {width}")
-        if seed.n_out < i_s:
-            raise ValueError(f"seed emits {seed.n_out} bits, prefix needs {i_s}")
     return SliceAnalysis(j_s, g_s, a_s, i_s, k_s, params)
 
 
@@ -296,7 +285,7 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     s_marginal = puzzle.marginal_puzzles()
     instances = []
     for s in s_marginal.support():
-        analysis = slice_analysis(puzzle.condition_on_puzzle(s), None, params)
+        analysis = slice_analysis(puzzle.condition_on_puzzle(s), params)
         instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
     widths = {analysis._keys.shape[1] for _, _, analysis in instances}
     if len(widths) != 1:
@@ -381,17 +370,6 @@ class BiasedCoinBounds:
         self.upper = 1 - d ** 2 / 2
         self.lower_applies = d <= 0.5
 
-    def check(self):
-        ok = self.upper - self.entropy >= -ENTROPY_TOL
-        if self.lower_applies:
-            ok = ok and self.entropy - self.lower >= -ENTROPY_TOL
-        return ok
-
-
-def biased_coin_bounds(d):
-    """Entropy of a bit with bias d, packaged with both bounds."""
-    return BiasedCoinBounds(d)
-
 
 class SlicingCheck:
     """Both sides of the marked-slice entropy inequality."""
@@ -432,18 +410,17 @@ def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
 
 
 class PegParams:
-    """Product-amplification settings: copies, smoothing, target exponent."""
+    """Product-amplification settings: copies and smoothing."""
 
-    __slots__ = ("repetitions", "eps", "gap_exponent")
+    __slots__ = ("repetitions", "eps")
 
-    def __init__(self, repetitions, eps, gap_exponent):
+    def __init__(self, repetitions, eps):
         if repetitions < 1:
             raise ValueError("need at least one repetition")
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"smoothing must lie in [0, 1): {eps!r}")
         self.repetitions = int(repetitions)
         self.eps = eps
-        self.gap_exponent = gap_exponent
 
 
 def concentration_bound(shannon, t, eps, support_size):
@@ -468,11 +445,10 @@ class PegReport:
     """Product entropies, their gap, and the concentration floor."""
 
     __slots__ = ("repetitions", "eps", "h_min_smooth", "h_max_smooth", "gap",
-                 "concentration_bound", "shannon_product_0", "shannon_product_1",
-                 "repetition_formulas")
+                 "concentration_bound", "shannon_product_0", "shannon_product_1")
 
     def __init__(self, repetitions, eps, h_min_smooth, h_max_smooth,
-                 conc_bound, shannon_0, shannon_1, formulas):
+                 conc_bound, shannon_0, shannon_1):
         self.repetitions = repetitions
         self.eps = eps
         self.h_min_smooth = h_min_smooth
@@ -481,19 +457,17 @@ class PegReport:
         self.concentration_bound = conc_bound
         self.shannon_product_0 = shannon_0
         self.shannon_product_1 = shannon_1
-        self.repetition_formulas = formulas
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def peg_product(g0, g1, params, n=None):
+def peg_product(g0, g1, params):
     """Amplify a generator pair by independent repetition.
 
     Entropies of the q-fold products are computed exactly from the value
     spectrum whatever q is, and the product distributions themselves are
-    materialized only while they stay small. Passing the security parameter
-    n adds both published repetition-count formulas to the report.
+    materialized only while they stay small.
 
     Returns:
         (product0, product1, PegReport); the products are None above the
@@ -511,32 +485,24 @@ def peg_product(g0, g1, params, n=None):
     h_min = dist.smooth_min_entropy_spectrum(spec1, params.eps)
     h_max = dist.smooth_max_entropy_spectrum(spec0, params.eps)
     bound = concentration_bound(dist.shannon_entropy(g1), q, params.eps, len(g1))
-    formulas = None
-    if n is not None:
-        width = len(dist.flat_bits(g1.support()[0]))
-        c = params.gap_exponent
-        formulas = {
-            "c_plus_3": n ** (c + 3) * width ** 2,
-            "two_c_plus_3": n ** (2 * c + 3) * width ** 2,
-        }
     report = PegReport(q, params.eps, h_min, h_max, bound,
-                       dist.entropy_spectrum(spec0), dist.entropy_spectrum(spec1),
-                       formulas)
+                       dist.entropy_spectrum(spec0), dist.entropy_spectrum(spec1))
     prod0 = dist.product_power(g0, q) if len(g0) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     prod1 = dist.product_power(g1, q) if len(g1) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     return prod0, prod1, report
 
 
-def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng,
-                              gl_eps=0.3, gl_queries=None):
+def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng):
     """Turn a generator distinguisher into a puzzle-key search, empirically.
 
     Per trial: draw (key, instance), fix the prefix index at the designated
     length, enumerate candidate hash values over a bounded suffix, decode a
-    key list from the distinguisher-built predictor at each candidate, and
-    hand the single highest-agreement candidate to the verifier. One
-    verifier call per trial keeps the no-signal baseline at random guessing
-    even though the key spaces here are tiny.
+    key list (at GL advantage 0.3) from the distinguisher-built predictor at
+    each candidate, and hand the single highest-agreement candidate to the
+    verifier. The predictor draws one fair coin per query, in query order,
+    and asks the distinguisher with it. One verifier call per trial keeps
+    the no-signal baseline at random guessing even though the key spaces
+    here are tiny.
 
     Returns:
         Fraction of trials whose selected key the puzzle accepts.
@@ -547,7 +513,7 @@ def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng,
     cache = {}
     for s in joint.marginal_puzzles().support():
         k_s = joint.condition_on_puzzle(s)
-        cache[s] = slice_analysis(k_s, None, params)
+        cache[s] = slice_analysis(k_s, params)
     width = len(joint.support()[0][0])
     suffix_budget = math.ceil(math.log2(3 * width)) + 2
     hits = 0
@@ -564,13 +530,14 @@ def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng,
         for tail_idx in range(2 ** suffix):
             y = prefix + tuple(dist.bits_of(tail_idx, suffix).tolist())
 
-            def predictor(rbits):
-                b = int(rng.integers(0, 2))
-                r = tuple(int(v) for v in rbits)
-                return b ^ (1 if distinguisher(s, seed, i, r, y, b) else 0)
+            def predictor(queries):
+                bits = []
+                for r in queries.tolist():
+                    b = int(rng.integers(0, 2))
+                    bits.append(b ^ (1 if distinguisher(s, seed, i, tuple(r), y, b) else 0))
+                return bits
 
-            scored = gf2.gl_decode_scored(predictor, width, gl_eps, rng,
-                                          queries=gl_queries)
+            scored = gf2.gl_decode_scored(predictor, width, 0.3, rng)
             key, score = scored[0]
             if score > best_score:
                 best_score = score

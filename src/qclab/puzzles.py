@@ -38,15 +38,13 @@ _TABLE_ENTRIES = 1 << 20
 
 
 class ShadowParams:
-    """Estimation budget: tolerance, failure probability, snapshots, groups."""
+    """Estimation budget: tolerance, snapshots, groups."""
 
-    __slots__ = ("eps", "delta", "t_snapshots", "k_groups")
+    __slots__ = ("eps", "t_snapshots", "k_groups")
 
-    def __init__(self, eps, delta, t_snapshots, k_groups):
+    def __init__(self, eps, t_snapshots, k_groups):
         if not 0.0 < eps < 1.0:
             raise ValueError(f"tolerance must be in (0, 1), got {eps}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"failure probability must be in (0, 1), got {delta}")
         if t_snapshots < 1 or k_groups < 1 or t_snapshots % k_groups != 0:
             raise ValueError(
                 f"group count {k_groups} must divide snapshot count {t_snapshots}"
@@ -56,18 +54,17 @@ class ShadowParams:
                 f"snapshot count {t_snapshots} exceeds the serializable {SNAPSHOT_LIMIT}"
             )
         self.eps = eps
-        self.delta = delta
         self.t_snapshots = t_snapshots
         self.k_groups = k_groups
 
     @classmethod
     def default(cls, n):
         """Budget keyed to an n-bit key space: 16n snapshots in 8 groups."""
-        return cls(eps=0.1, delta=2.0 ** (-2 * n), t_snapshots=16 * n, k_groups=8)
+        return cls(eps=0.1, t_snapshots=16 * n, k_groups=8)
 
     def __repr__(self):
-        return (f"ShadowParams(eps={self.eps}, delta={self.delta}, "
-                f"t={self.t_snapshots}, k={self.k_groups})")
+        return (f"ShadowParams(eps={self.eps}, t={self.t_snapshots}, "
+                f"k={self.k_groups})")
 
 
 class Shadow:

@@ -24,7 +24,13 @@ rejects a density matrix, so no numpy warning precedes the error.
 
 CHECK_TOL is how far a given norm, trace, Hermiticity or unitarity may be
 from exact; EIGENVALUE_FLOOR the most negative eigenvalue a density matrix
-may have; OUTCOME_FLOOR the least probability project conditions on.
+may have.  The floor is looser because an eigenvalue answers for the whole
+matrix, not for one entry: by Weyl's inequality a Hermitian error E moves
+each eigenvalue by up to its spectral norm, which reaches d max|E_ij| on a
+d-dimensional register.  -1e-8 is 100 CHECK_TOL, room for entry errors of
+CHECK_TOL spread over a hundred dimensions, while float rounding (about
+1e-16 per entry) stays far inside it.  project conditions only on an
+outcome of probability at least dist.MASS_TOL, the mass treated as zero.
 """
 
 import math
@@ -38,7 +44,6 @@ DENSITY_QUBIT_LIMIT = 10
 
 CHECK_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
-OUTCOME_FLOOR = 1e-12
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 CNOT = np.array(
@@ -190,7 +195,7 @@ def project(state, targets, bits):
     renormalize.
 
     Returns (probability, post_state); outcomes with probability below
-    OUTCOME_FLOOR are rejected since the conditional state is undefined.
+    dist.MASS_TOL are rejected since the conditional state is undefined.
     """
     if not isinstance(state, PureState):
         raise TypeError(f"project takes a PureState, not {type(state).__name__}")
@@ -200,7 +205,7 @@ def project(state, targets, bits):
     mask = _target_code(state.n_qubits, targets) == dist.index_of(bits)
     sub = np.where(mask, state.vector, 0.0)
     prob = float(np.vdot(sub, sub).real)
-    if prob < OUTCOME_FLOOR:
+    if prob < dist.MASS_TOL:
         raise ValueError(f"outcome {bits!r} has probability {prob} below the floor")
     return prob, _result(PureState, sub / math.sqrt(prob))
 

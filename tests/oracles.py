@@ -2,6 +2,8 @@
 
 The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
+The GL oracle asks its predictor one query at a time, and the binding
+oracle plays commit.binding_experiment's game round by round.
 The schemes are state generators beyond conjugate coding: a key-selected
 brick circuit, whose states are not product states, and a noisy variant
 whose verifier thresholds the overlap, with an exact per-key correctness
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qclab import dist, owsg, qsim
+from qclab import commit, dist, owsg, qsim
 
 EXACT_SUPPORT_LIMIT = 2 ** 16
 
@@ -43,7 +45,6 @@ def bit_tuple(v, n):
 def smooth_max_support(p, eps):
     """Atoms surviving the smooth_max_entropy deletion, in label order.
     Atoms tied at the lightest surviving value are deleted in label order."""
-    dist._require_normalized(p)
     v, removed = dist._lightest_survivor(Counter(p.as_dict().values()).items(), eps)
     items = p.items_sorted()
     deleted = set([a for a, q in items if q == v][:removed])
@@ -180,3 +181,65 @@ def correctness_profile(scheme, threshold=0.99):
         accept_probs[key] = scheme.accept_prob(key, scheme.state_gen(key))
     set_c = tuple(sorted(k for k, p in accept_probs.items() if p >= threshold))
     return CorrectnessProfile(threshold, accept_probs, set_c)
+
+
+def gl_oracle(predictor, n, eps, rng):
+    """The GL decoder that asked a scalar predictor, an n-bit tuple to a
+    bit, one query at a time."""
+    list_cap = math.ceil(4 / eps ** 2)
+    t = max(1, int(math.floor(math.log2(list_cap))))
+    m = min(2 ** t - 1, max(1, math.ceil(64 * n / eps ** 2) // n))
+    base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
+    masks = np.arange(1, m + 1, dtype=np.uint64)
+    subset = ((masks[:, None] >> np.arange(t - 1, -1, -1, dtype=np.uint64)) & 1).astype(np.uint8)
+    refs = (subset @ base) & 1
+    answers = np.empty((m, n), dtype=np.uint8)
+    for a in range(m):
+        for j in range(n):
+            q = refs[a].copy()
+            q[j] ^= 1
+            answers[a, j] = predictor(tuple(int(b) for b in q)) & 1
+    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t - 1, -1, -1)) & 1).astype(np.uint8)
+    votes = answers[:, :, None] ^ ((subset @ guesses.T) & 1)[:, None, :]
+    candidates = (2 * votes.sum(axis=0) > m).astype(np.uint8).T
+    out = []
+    for row in candidates:
+        key = tuple(int(b) for b in row)
+        if key not in out:
+            out.append(key)
+        if len(out) >= list_cap:
+            break
+    return out
+
+
+def _helstrom(sigma0, sigma1):
+    # the optimal two-outcome measurement: e1 projects onto the positive
+    # part of sigma1 - sigma0
+    diff = sigma1.matrix - sigma0.matrix
+    vals, vecs = np.linalg.eigh(diff)
+    pos = vecs[:, vals > 0]
+    e1 = pos @ pos.conj().T
+    return np.eye(diff.shape[0]) - e1, e1
+
+
+def play_binding_game(scheme, adv, trials, rng):
+    """Play commit.binding_experiment's game `trials` times; the hit rate.
+
+    Per game a fair coin b says whether the message qubit is measured.  An
+    opening that fails its check (probability 1 - accept) leaves the
+    adversary a coin-flip guess; otherwise its measurement, or the
+    Helstrom one when it has none, names b from the branch b leaves.
+    """
+    accept, sigma0, sigma1 = commit.binding_states(scheme, adv)
+    if accept > 0.0:
+        meas = adv.measurement if adv.measurement is not None else _helstrom(sigma0, sigma1)
+        p_one = [min(max(float(np.trace(meas[1] @ sigma.matrix).real), 0.0), 1.0)
+                 for sigma in (sigma0, sigma1)]
+    hits = 0
+    for _ in range(trials):
+        b = int(rng.integers(0, 2))
+        if accept == 0.0 or rng.random() >= accept:
+            hits += int(rng.integers(0, 2)) == b
+            continue
+        hits += int(rng.random() < p_one[b]) == b
+    return hits / trials

@@ -431,6 +431,7 @@ class TestBadParameters:
         ("concentration", {"t_max": 0}),
         ("gl", {"n": 100000}),
         ("gl", {"noise": 0.49999}),
+        ("shadows", {"snapshots": 10 ** 12}),
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
@@ -461,8 +462,8 @@ class TestBadParameters:
 
 class TestGlBatchedPredictor:
     """gl asks its noisy predictor once per batch; every trial's candidate
-    list equals the one the per-query predictor gave, with one
-    rng.random() per query."""
+    list equals oracles.gl_oracle's, which asks a predictor one query at a
+    time with one rng.random() per query."""
 
     @pytest.mark.parametrize("n,noise", [(6, 0.3), (8, 0.4), (5, 0.0)])
     def test_candidate_lists_equal_scalar_predictor(self, tmp_path, monkeypatch,
@@ -487,7 +488,7 @@ class TestGlBatchedPredictor:
                     bit ^= 1
                 return bit
 
-            want.append(gf2.gl_decode(predictor, n, 0.5 - noise, rng))
+            want.append(oracles.gl_oracle(predictor, n, 0.5 - noise, rng))
         assert got == want
 
 

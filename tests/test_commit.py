@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qclab import commit, dist, qsim
+from qclab._mc import hoeffding_radius
 
 import oracles
 
@@ -304,23 +305,37 @@ class TestBindingExperiment:
 
     def test_sampled_mode_tracks_exact_value(self):
         adv = plus_commit(CATALOG["swap"])
-        rate = commit.binding_experiment(CATALOG["swap"], adv,
-                                         rng=np.random.default_rng(11),
-                                         trials=4000)
+        rate = oracles.play_binding_game(CATALOG["swap"], adv, 4000,
+                                         np.random.default_rng(11))
         assert abs(rate - 0.75) < 0.03
 
     def test_sampled_mode_deterministic(self):
         adv = plus_commit(CATALOG["swap"])
-        a = commit.binding_experiment(CATALOG["swap"], adv,
-                                      rng=np.random.default_rng(13), trials=200)
-        b = commit.binding_experiment(CATALOG["swap"], adv,
-                                      rng=np.random.default_rng(13), trials=200)
+        a = oracles.play_binding_game(CATALOG["swap"], adv, 200,
+                                      np.random.default_rng(13))
+        b = oracles.play_binding_game(CATALOG["swap"], adv, 200,
+                                      np.random.default_rng(13))
         assert a == b
 
-    def test_sampled_mode_needs_rng(self):
-        adv = plus_commit(CATALOG["swap"])
-        with pytest.raises(ValueError):
-            commit.binding_experiment(CATALOG["swap"], adv, trials=10)
+
+PLAYED_SCHEMES = sorted(CATALOG) + ["dual(basis,swap)", "xor3"]
+
+
+class TestBindingMatchesPlayedGame:
+    """The exact binding value against 4,000 seeded rounds of the game it
+    scores, for the superposition attacker."""
+
+    @pytest.mark.parametrize("name", PLAYED_SCHEMES)
+    def test_exact_value_within_hoeffding_radius(self, name):
+        if name == "dual(basis,swap)":
+            scheme = commit.dual_commit(CATALOG["basis"], CATALOG["swap"])
+        else:
+            scheme = oracle_scheme(name)
+        adv = plus_commit(scheme)
+        trials = 4000
+        rate = oracles.play_binding_game(
+            scheme, adv, trials, np.random.default_rng(PLAYED_SCHEMES.index(name)))
+        assert abs(rate - commit.binding_experiment(scheme, adv)) <= hoeffding_radius(trials)
 
 
 def random_adversary(scheme, e_qubits, seed):
@@ -405,8 +420,6 @@ class TestBindingMatchesDensityOracle:
             sigma1 = commit.binding_states(scheme, adv, redundant)[2]
             assert sigma1.n_qubits == len(scheme.d_qubits)
         commit.binding_experiment(scheme, adv)
-        commit.binding_experiment(scheme, adv, rng=np.random.default_rng(3),
-                                  trials=50)
 
 
 def dual_commit_gates(com1, com2):

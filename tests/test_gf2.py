@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclab import dist, gf2
+from qclab import dist, efi, gf2
 
 import oracles
 
@@ -196,9 +196,12 @@ class TestPrefixGroups:
 
 
 class TestLhlDistance:
+    """E_h[SD(h(X)_m, uniform)], the leftover-hash distance, as
+    efi.efi_distance averages gf2.hashed_distances over sampled seeds."""
+
     def test_point_mass_every_seed(self):
         p = dist.Pmf({(0, 1, 1): 1.0})
-        mean, radius = gf2.lhl_distance(p, m=2, n_seeds=20, rng=np.random.default_rng(5))
+        mean, radius = efi.efi_distance(p, 2, 20, np.random.default_rng(5))
         assert mean == pytest.approx(1 - 2 ** -2, abs=1e-12)
         assert radius == pytest.approx(math.sqrt(math.log(2 / 0.01) / (2 * 20)), abs=1e-12)
 
@@ -206,19 +209,19 @@ class TestLhlDistance:
         # uniform on 2^6 keys, hashed to 2 bits: LHL promises SD <= 2^-(6-2)/2 = 1/4
         n = 6
         p = dist.Pmf({oracles.bit_tuple(v, n): 1 / 2 ** n for v in range(2 ** n)})
-        mean, radius = gf2.lhl_distance(p, m=2, n_seeds=200, rng=np.random.default_rng(6))
+        mean, radius = efi.efi_distance(p, 2, 200, np.random.default_rng(6))
         assert mean - radius <= 0.25
 
     def test_long_prefix_builds_no_table(self):
         # a 2^60-entry mass table could not be allocated
         p = dist.Pmf({(1,) * 20: 1.0})
-        mean, _ = gf2.lhl_distance(p, m=60, n_seeds=3, rng=np.random.default_rng(7))
+        mean, _ = efi.efi_distance(p, 60, 3, np.random.default_rng(7))
         assert mean == 1 - 2 ** -60
 
     def test_rejects_mixed_lengths(self):
         p = dist.Pmf({(0,): 0.5, (0, 1): 0.5})
         with pytest.raises(ValueError):
-            gf2.lhl_distance(p, m=1, n_seeds=5, rng=np.random.default_rng(0))
+            efi.efi_distance(p, 1, 5, np.random.default_rng(0))
 
 
 class TestGlDecode:
@@ -226,10 +229,9 @@ class TestGlDecode:
         rng = np.random.default_rng(17)
         hits = 0
         for _ in range(30):
-            a = tuple(int(b) for b in rng.integers(0, 2, size=8))
-            predictor = lambda r: gf2.inner_product(a, r)
-            cands = gf2.gl_decode(predictor, 8, 0.25, rng)
-            hits += a in cands
+            a = rng.integers(0, 2, size=8).astype(np.uint8)
+            cands = gf2.gl_decode(lambda qs: (qs @ a) & 1, 8, 0.25, rng)
+            hits += tuple(a.tolist()) in cands
         assert hits == 30
 
     def test_corrupted_table(self):
@@ -242,27 +244,27 @@ class TestGlDecode:
             table = np.array([gf2.inner_product(a, oracles.bit_tuple(r, n)) for r in range(2 ** n)], dtype=np.uint8)
             flips = rng.random(2 ** n) < 0.5 - eps
             table[flips] ^= 1
-            predictor = lambda r: int(table[dist.index_of(r)])
-            cands = gf2.gl_decode(predictor, n, eps, rng)
+            cands = gf2.gl_decode(lambda qs: table[dist.index_of(qs)], n, eps, rng)
             hits += a in cands
         # clean-case guarantee is only 4 eps^2; the decoder does far better
         assert hits / trials >= 4 * eps ** 2
 
     def test_list_cap_respected(self):
         rng = np.random.default_rng(23)
-        predictor = lambda r: 0
-        cands = gf2.gl_decode(predictor, 6, 0.3, rng, list_cap=10)
-        assert 0 < len(cands) <= 10
+        # the list never outgrows ceil(4 / eps^2)
+        cands = gf2.gl_decode(lambda qs: np.zeros(len(qs), dtype=np.uint8), 6, 0.3, rng)
+        assert 0 < len(cands) <= math.ceil(4 / 0.3 ** 2)
 
     def test_deterministic_under_seed(self):
-        predictor = lambda r: r[0] ^ r[1]
+        predictor = lambda qs: qs[:, 0] ^ qs[:, 1]
         a = gf2.gl_decode(predictor, 5, 0.2, np.random.default_rng(29))
         b = gf2.gl_decode(predictor, 5, 0.2, np.random.default_rng(29))
         assert a == b
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            gf2.gl_decode(lambda r: 0, 4, 0.0, np.random.default_rng(0))
+            gf2.gl_decode(lambda qs: np.zeros(len(qs), dtype=np.uint8), 4, 0.0,
+                          np.random.default_rng(0))
 
     @pytest.mark.parametrize("n,eps", [(100_000, 0.5), (6, 1e-5)])
     def test_tables_over_the_limit_rejected_before_any_work(self, n, eps):
@@ -274,12 +276,12 @@ class TestGlDecode:
             raise AssertionError("the predictor must not be asked")
 
         with pytest.raises(ValueError, match="GL tables"):
-            gf2.gl_decode(gf2.BatchPredictor(never), n, eps, rng)
+            gf2.gl_decode(never, n, eps, rng)
         assert rng.bit_generator.state == state
 
     def test_scored_puts_clean_target_first(self):
         target = (1, 0, 1, 1, 0, 1)
-        predictor = lambda r: gf2.inner_product(r, target)
+        predictor = lambda qs: (qs @ np.array(target, dtype=np.uint8)) & 1
         scored = gf2.gl_decode_scored(predictor, 6, 0.25, np.random.default_rng(31))
         assert scored[0][0] == target
         assert scored[0][1] == 1.0
@@ -288,7 +290,7 @@ class TestGlDecode:
 
     def test_scored_noise_stays_near_half(self):
         coin = np.random.default_rng(37)
-        predictor = lambda r: int(coin.integers(0, 2))
+        predictor = lambda qs: coin.integers(0, 2, size=len(qs))
         scored = gf2.gl_decode_scored(predictor, 6, 0.25, np.random.default_rng(41))
         assert all(abs(s - 0.5) < 0.25 for _, s in scored)
 
@@ -345,37 +347,6 @@ def hashed_distance_oracle(seed, xs, probs, m):
     mass = np.bincount(labels, weights=probs)
     u = 2.0 ** -m
     return 0.5 * (sum(np.abs(mass - u).tolist(), 0.0) + (1.0 - len(mass) * u))
-
-
-def gl_oracle(predictor, n, eps, rng, queries=None, list_cap=None):
-    """The GL decoder that asked the predictor one query at a time."""
-    if queries is None:
-        queries = math.ceil(64 * n / eps ** 2)
-    if list_cap is None:
-        list_cap = math.ceil(4 / eps ** 2)
-    t = max(1, int(math.floor(math.log2(list_cap))))
-    m = min(2 ** t - 1, max(1, queries // n))
-    base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
-    masks = np.arange(1, m + 1, dtype=np.uint64)
-    subset = ((masks[:, None] >> np.arange(t - 1, -1, -1, dtype=np.uint64)) & 1).astype(np.uint8)
-    refs = (subset @ base) & 1
-    answers = np.empty((m, n), dtype=np.uint8)
-    for a in range(m):
-        for j in range(n):
-            q = refs[a].copy()
-            q[j] ^= 1
-            answers[a, j] = predictor(tuple(int(b) for b in q)) & 1
-    guesses = ((np.arange(2 ** t)[:, None] >> np.arange(t - 1, -1, -1)) & 1).astype(np.uint8)
-    votes = answers[:, :, None] ^ ((subset @ guesses.T) & 1)[:, None, :]
-    candidates = (2 * votes.sum(axis=0) > m).astype(np.uint8).T
-    out = []
-    for row in candidates:
-        key = tuple(int(b) for b in row)
-        if key not in out:
-            out.append(key)
-        if len(out) >= list_cap:
-            break
-    return out
 
 
 def random_rows(rng, n, size):
@@ -470,14 +441,12 @@ class TestBatchedKernels:
                               for r in range(2 ** n)], dtype=np.uint8)
             table[rng.random(2 ** n) < noise] ^= 1
             scalar = lambda r: int(table[dist.index_of(r)])
-            batched = gf2.BatchPredictor(
-                lambda qs: table[dist.index_of(qs)])
-            want = gl_oracle(scalar, n, eps, np.random.default_rng(trial + 100))
-            for predictor in (scalar, batched):
-                got = gf2.gl_decode(predictor, n, eps, np.random.default_rng(trial + 100))
-                assert got == want
-            assert (gf2.gl_decode_scored(scalar, n, eps, np.random.default_rng(trial))
-                    == gf2.gl_decode_scored(batched, n, eps, np.random.default_rng(trial)))
+            batched = lambda qs: table[dist.index_of(qs)]
+            want = oracles.gl_oracle(scalar, n, eps, np.random.default_rng(trial + 100))
+            got = gf2.gl_decode(batched, n, eps, np.random.default_rng(trial + 100))
+            assert got == want
+            scored = gf2.gl_decode_scored(batched, n, eps, np.random.default_rng(trial + 100))
+            assert sorted(c for c, _ in scored) == sorted(want)
 
     def test_gl_noise_drawn_per_batch_equals_per_query_draws(self):
         # the cli's noisy predictor draws rng.random(Q) per batch where it

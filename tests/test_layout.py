@@ -8,12 +8,20 @@ outside its own definition.  Code that only unit tests reach belongs in the
 tests (oracles.py) or nowhere; the chain steps below are the named
 exceptions.
 
+Settings: every defaulted parameter of a top-level function or class
+constructor is passed by some call in src/, tools/, perfbench/ or the
+acceptance suite.  A call counts by bare name in its callee's own module,
+as `module.name`, or through `from ... import name`.  A default nobody
+overrides is a second code path only unit tests reach; the chain steps
+in UNCALLED and the settings in UNSET_DEFAULTS are the exceptions.
+
 Bit order: dist.index_of and dist.bits_of are the one bit packing.  No
 other module shifts by an np.arange (the way a packing loop is written),
 and the helpers that once packed bits elsewhere stay gone.
 """
 
 import ast
+import math
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -45,9 +53,10 @@ def _module_of(node, in_package):
     return None
 
 
-def _reached(tree, modules, in_package):
-    """(module, name) pairs a file reaches through imports or attributes."""
-    aliases, used = {}, set()
+def _imports(tree, modules, in_package):
+    """A file's qclab imports: local module aliases to module names, and
+    local names to the (module, name) they were imported as."""
+    aliases, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = _module_of(node, in_package)
@@ -57,11 +66,18 @@ def _reached(tree, modules, in_package):
                 if source == "" and alias.name in modules:
                     aliases[alias.asname or alias.name] = alias.name
                 else:
-                    used.add((source or "__init__", alias.name))
+                    names[alias.asname or alias.name] = (source or "__init__", alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("qclab.") and alias.asname:
                     aliases[alias.asname] = alias.name.split(".", 1)[1]
+    return aliases, names
+
+
+def _reached(tree, modules, in_package):
+    """(module, name) pairs a file reaches through imports or attributes."""
+    aliases, names = _imports(tree, modules, in_package)
+    used = set(names.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in aliases:
@@ -79,6 +95,14 @@ def _traced():
     raise AssertionError("perfbench/tracer.py defines no TARGETS")
 
 
+def _callers():
+    """The files outside the package whose calls count: the acceptance
+    suite, tools/ and perfbench/, parsed."""
+    paths = [REPO / "tests" / "test_acceptance.py",
+             *(REPO / "tools").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def unused_names():
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     defined, used = set(), _traced()
@@ -92,15 +116,108 @@ def unused_names():
                    for s in others for n in ast.walk(s)):
                 used.add((module, stmt.name))
         used |= _reached(tree, set(trees), in_package=True)
-    callers = [REPO / "tests" / "test_acceptance.py"]
-    callers += [*(REPO / "tools").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
-    for path in callers:
-        used |= _reached(ast.parse(path.read_text()), set(trees), in_package=False)
+    for tree in _callers():
+        used |= _reached(tree, set(trees), in_package=False)
     return defined - used
 
 
 def test_only_the_named_chain_steps_lack_a_caller():
     assert unused_names() == UNCALLED
+
+
+# defaults no caller overrides, kept because the binding definition
+# quantifies over adversaries: a strategy may hold a private register and
+# its own measurement
+UNSET_DEFAULTS = {
+    ("commit", "AdversaryStrategy", "e_qubits"),
+    ("commit", "AdversaryStrategy", "measurement"),
+}
+
+
+def _defaults(tree):
+    """(name, parameter, position) of each defaulted parameter of a
+    top-level function or class constructor; keyword-only ones have
+    position None, and a constructor's positions do not count self."""
+    for stmt in tree.body:
+        fn, skip = stmt, 0
+        if isinstance(stmt, ast.ClassDef):
+            fn = next((f for f in stmt.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "__init__"), None)
+            skip = 1
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for k in range(len(positional) - len(args.defaults), len(positional)):
+            yield stmt.name, positional[k].arg, k - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield stmt.name, arg.arg, None
+
+
+def _passed(tree, module, modules, in_package):
+    """((module, name), positional count, keywords) of each call in a file
+    whose callee resolves to a qclab top-level name; a call that unpacks
+    * or ** arguments passes every parameter (count inf, keywords None)."""
+    aliases, names = _imports(tree, modules, in_package)
+    own = {stmt.name for stmt in tree.body
+           if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))} if module else set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in own:
+            callee = (module, func.id)
+        elif isinstance(func, ast.Name) and func.id in names:
+            callee = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in aliases):
+            callee = (aliases[func.value.id], func.attr)
+        else:
+            continue
+        keywords = {k.arg for k in node.keywords}
+        if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+            yield callee, math.inf, None
+        else:
+            yield callee, len(node.args), keywords
+
+
+def unset_defaults(trees, callers):
+    """(module, name, parameter) of each defaulted parameter no call in
+    the package modules `trees` or the `callers` trees passes, outside
+    UNCALLED."""
+    calls = []
+    for module, tree in trees.items():
+        calls += _passed(tree, module, set(trees), in_package=True)
+    for tree in callers:
+        calls += _passed(tree, None, set(trees), in_package=False)
+    unset = set()
+    for module, tree in trees.items():
+        for name, param, position in _defaults(tree):
+            if (module, name) in UNCALLED:
+                continue
+            if not any(callee == (module, name)
+                       and (keywords is None or param in keywords
+                            or position is not None and position < count)
+                       for callee, count, keywords in calls):
+                unset.add((module, name, param))
+    return unset
+
+
+def test_every_default_is_set_by_a_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unset_defaults(trees, _callers()) == UNSET_DEFAULTS
+
+
+def test_guard_sees_an_unset_default():
+    tree = ast.parse("def f(x, width=None):\n    return x\n"
+                     "def g(rng, n=3, *, strict=False):\n    return f(rng)\n"
+                     "class C:\n    def __init__(self, a, b=2):\n        g(a, 4)\n"
+                     "C(1, 3)\n")
+    assert unset_defaults({"m": tree}, []) == {("m", "f", "width"), ("m", "g", "strict")}
+    caller = ast.parse("from qclab.m import f\nfrom qclab import m\n"
+                       "f(1, width=2)\nm.g(1, **{})\n")
+    assert unset_defaults({"m": tree}, [caller]) == set()
 
 
 PACKING_OWNER = "dist"

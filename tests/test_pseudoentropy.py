@@ -283,8 +283,9 @@ class TestFindFlatSlice:
         assert g == ((0, 0, 0),)
 
     def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            pseudoentropy.find_flat_slice(dist.Pmf({}, subnormal=True), P3)
+        # a Pmf with no atoms has mass 0, so no key distribution is empty
+        with pytest.raises(ValueError, match="mass"):
+            dist.Pmf({})
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 6, 12])
     def test_matches_per_level_loop(self, levels):
@@ -306,7 +307,7 @@ class TestFindFlatSlice:
 
 class TestSliceAnalysis:
     def test_geometric_shape(self):
-        a = pseudoentropy.slice_analysis(geometric_keys(), None, P3)
+        a = pseudoentropy.slice_analysis(geometric_keys(), P3)
         assert a.j_s == 1
         assert a.i_s == 5
         assert set(a.g_s) <= set(a.a_s) <= set(geometric_keys().support())
@@ -317,7 +318,7 @@ class TestSliceAnalysis:
     def test_point_mass_filter_accepts_every_seed(self):
         k0 = (1, 0, 1)
         p = dist.Pmf({k0: 1.0})
-        a = pseudoentropy.slice_analysis(p, None, P3)
+        a = pseudoentropy.slice_analysis(p, P3)
         rng = np.random.default_rng(11)
         for _ in range(10):
             seed = gf2.sample_hash_seed(rng, 3)
@@ -329,21 +330,21 @@ class TestSliceAnalysis:
                                            density_floor=1 / 18,
                                            mass_ceiling=0.25, i_max=9)
         with pytest.raises(ValueError, match="rejected"):
-            pseudoentropy.slice_analysis(geometric_keys(), None, params)
+            pseudoentropy.slice_analysis(geometric_keys(), params)
 
     def test_collision_inside_light_set_rejects_that_hash(self):
         flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
         # all-zero rows send every key to the same offset-only hash value
         seed = gf2.HashSeed(np.zeros((9, 3), dtype=np.uint8),
                             np.zeros(9, dtype=np.uint8))
-        a = pseudoentropy.slice_analysis(flat, seed, P3)
+        a = pseudoentropy.slice_analysis(flat, P3)
         y = gf2.hash_eval(seed, (0, 0, 0), a.i_s)
         assert len(a.a_s) == 8
         assert not a.f_s(seed, y)
 
     def test_flat_puzzle_filter_density(self):
         flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
-        a = pseudoentropy.slice_analysis(flat, None, P3)
+        a = pseudoentropy.slice_analysis(flat, P3)
         assert a.i_s >= math.log2(8) + 2
         rng = np.random.default_rng(17)
         hits = 0
@@ -364,7 +365,7 @@ class TestSliceAnalysis:
                                  np.zeros(9, dtype=np.uint8))
         for s in joint.marginal_puzzles().support():
             k_s = joint.condition_on_puzzle(s)
-            a = pseudoentropy.slice_analysis(k_s, None, P3)
+            a = pseudoentropy.slice_analysis(k_s, P3)
             seeds = [gf2.sample_hash_seed(rng, 3) for _ in range(20)] + [zero_rows]
             for seed in seeds:
                 ys = {gf2.hash_eval(seed, k, a.i_s) for k in k_s.support()}
@@ -374,15 +375,20 @@ class TestSliceAnalysis:
                         k_s, a, P3.density_floor, seed, y)
 
     def test_seed_shape_checked_when_supplied(self):
-        short = gf2.sample_hash_seed(np.random.default_rng(0), 2)
-        with pytest.raises(ValueError):
-            pseudoentropy.slice_analysis(geometric_keys(), short, P3)
+        # the filter's seeds are checked where they are used, by hash_eval_stack
+        a = pseudoentropy.slice_analysis(geometric_keys(), P3)
+        rng = np.random.default_rng(0)
+        narrow = gf2.sample_hash_seed(rng, 2)
+        short = gf2.sample_hash_seed(rng, 3, a.i_s - 1)
+        for seed in (narrow, short):
+            with pytest.raises(ValueError):
+                a.filter_groups([seed])
 
 
 class TestGPairConditional:
     def test_off_prefix_index_means_identical_sides(self):
         k_s = geometric_keys()
-        a = pseudoentropy.slice_analysis(k_s, None, P3)
+        a = pseudoentropy.slice_analysis(k_s, P3)
         rng = np.random.default_rng(19)
         seed = gf2.sample_hash_seed(rng, 3)
         for i in (2, 3, a.i_s + 1):
@@ -394,7 +400,7 @@ class TestGPairConditional:
     def test_point_mass_trigger_flattens_the_bit(self):
         k0 = (0, 1, 1)
         p = dist.Pmf({k0: 1.0})
-        a = pseudoentropy.slice_analysis(p, None, P3)
+        a = pseudoentropy.slice_analysis(p, P3)
         seed = gf2.sample_hash_seed(np.random.default_rng(23), 3)
         r = (1, 1, 0)
         pairs = pseudoentropy.g_pair_conditional(p, seed, a.i_s, r, a)
@@ -406,7 +412,7 @@ class TestGPairConditional:
 
     def test_geometric_matches_enumeration_oracle(self):
         k_s = geometric_keys()
-        a = pseudoentropy.slice_analysis(k_s, None, P3)
+        a = pseudoentropy.slice_analysis(k_s, P3)
         rng = np.random.default_rng(29)
         for _ in range(5):
             seed = gf2.sample_hash_seed(rng, 3)
@@ -422,7 +428,7 @@ class TestGPairConditional:
 
     def test_fraction_masses_stay_fractions(self):
         k_s = puzzles.tabulated_puzzles()["two-level"].exact_joint.condition_on_puzzle((0,))
-        a = pseudoentropy.slice_analysis(k_s, None, P3)
+        a = pseudoentropy.slice_analysis(k_s, P3)
         rng = np.random.default_rng(43)
         for _ in range(5):
             seed = gf2.sample_hash_seed(rng, 3)
@@ -435,7 +441,7 @@ class TestGPairConditional:
 
     def test_conditionals_are_normalized(self):
         k_s = geometric_keys()
-        a = pseudoentropy.slice_analysis(k_s, None, P3)
+        a = pseudoentropy.slice_analysis(k_s, P3)
         seed = gf2.sample_hash_seed(np.random.default_rng(31), 3)
         pairs = pseudoentropy.g_pair_conditional(k_s, seed, a.i_s, (1, 0, 1), a)
         for p0, p1 in pairs.values():
@@ -593,36 +599,34 @@ class TestCoreLemmaGap:
 
 class TestBiasedCoinBounds:
     def test_fair_coin(self):
-        b = pseudoentropy.biased_coin_bounds(0.0)
+        b = pseudoentropy.BiasedCoinBounds(0.0)
         assert b.entropy == 1.0
         assert b.lower == 1.0
         assert b.upper == 1.0
         assert b.lower_applies
-        assert b.check()
 
     def test_deterministic_coin(self):
-        b = pseudoentropy.biased_coin_bounds(1.0)
+        b = pseudoentropy.BiasedCoinBounds(1.0)
         assert b.entropy == 0.0
         assert b.upper == 0.5
         assert not b.lower_applies
-        assert b.check()
 
     def test_grid_slack(self):
         for d in np.arange(0.0, 0.5 + 1e-12, 0.01):
-            b = pseudoentropy.biased_coin_bounds(float(d))
+            b = pseudoentropy.BiasedCoinBounds(float(d))
             assert b.upper - b.entropy >= -1e-9
             assert b.entropy - b.lower >= -1e-9
 
     def test_matches_distribution_entropy(self):
         for d in (0.1, 0.35, 0.8):
-            b = pseudoentropy.biased_coin_bounds(d)
+            b = pseudoentropy.BiasedCoinBounds(d)
             assert b.entropy == pytest.approx(
                 dist.shannon_entropy(coin((1 + d) / 2)), abs=1e-12)
 
     @pytest.mark.parametrize("d", [-0.01, 1.01])
     def test_domain_guard(self, d):
         with pytest.raises(ValueError):
-            pseudoentropy.biased_coin_bounds(d)
+            pseudoentropy.BiasedCoinBounds(d)
 
 
 class TestPublicSlicingCheck:
@@ -686,7 +690,7 @@ class TestPublicSlicingCheck:
 class TestPegProduct:
     def test_uniform_pair_frozen_values(self):
         g = dist.Pmf({(0,): 0.5, (1,): 0.5})
-        params = pseudoentropy.PegParams(repetitions=8, eps=0.01, gap_exponent=2)
+        params = pseudoentropy.PegParams(repetitions=8, eps=0.01)
         p0, p1, report = pseudoentropy.peg_product(g, g, params)
         assert len(p0) == 256 and len(p1) == 256
         assert report.h_min_smooth == pytest.approx(8 - math.log2(0.99), abs=1e-9)
@@ -697,14 +701,14 @@ class TestPegProduct:
     def test_single_copy_zero_smoothing_reduces_to_plain_entropies(self):
         g0 = dist.Pmf({(0, 0): 0.7, (0, 1): 0.2, (1, 0): 0.1})
         g1 = dist.Pmf({(0, 0): 0.4, (0, 1): 0.6})
-        params = pseudoentropy.PegParams(repetitions=1, eps=0.0, gap_exponent=1)
+        params = pseudoentropy.PegParams(repetitions=1, eps=0.0)
         _, _, report = pseudoentropy.peg_product(g0, g1, params)
         assert report.h_min_smooth == pytest.approx(dist.min_entropy(g1), abs=1e-12)
         assert report.h_max_smooth == pytest.approx(dist.max_entropy(g0), abs=1e-12)
 
     def test_biased_bit_product_against_materialized_oracle(self):
         g = coin(0.9)
-        params = pseudoentropy.PegParams(repetitions=12, eps=0.01, gap_exponent=2)
+        params = pseudoentropy.PegParams(repetitions=12, eps=0.01)
         p0, p1, report = pseudoentropy.peg_product(g, g, params)
         direct = dist.smooth_min_entropy(dist.product_power(g, 12), 0.01)
         assert report.h_min_smooth == pytest.approx(direct, abs=1e-9)
@@ -712,37 +716,29 @@ class TestPegProduct:
 
     def test_shannon_additivity(self):
         g = dist.Pmf({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-        params = pseudoentropy.PegParams(repetitions=9, eps=0.02, gap_exponent=1)
+        params = pseudoentropy.PegParams(repetitions=9, eps=0.02)
         _, _, report = pseudoentropy.peg_product(g, g, params)
         assert report.shannon_product_1 == pytest.approx(
             9 * dist.shannon_entropy(g), abs=1e-9)
 
     def test_materialization_skipped_above_limit(self):
         g = dist.Pmf({oracles.bit_tuple(v, 3): 1 / 8 for v in range(8)})
-        params = pseudoentropy.PegParams(repetitions=7, eps=0.01, gap_exponent=1)
+        params = pseudoentropy.PegParams(repetitions=7, eps=0.01)
         p0, p1, report = pseudoentropy.peg_product(g, g, params)
         assert p0 is None and p1 is None
         assert report.h_min_smooth > 0
 
     def test_overflow_guard(self):
         g = dist.Pmf({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-        params = pseudoentropy.PegParams(repetitions=16, eps=0.01, gap_exponent=1)
+        params = pseudoentropy.PegParams(repetitions=16, eps=0.01)
         with pytest.raises(ValueError, match="exceed"):
             pseudoentropy.peg_product(g, g, params)
 
-    def test_repetition_formulas_reported(self):
-        g = coin(0.75)
-        params = pseudoentropy.PegParams(repetitions=4, eps=0.01, gap_exponent=2)
-        _, _, report = pseudoentropy.peg_product(g, g, params, n=8)
-        forms = report.repetition_formulas
-        assert forms["c_plus_3"] == 8 ** 5 * 1 ** 2
-        assert forms["two_c_plus_3"] == 8 ** 7 * 1 ** 2
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            pseudoentropy.PegParams(repetitions=0, eps=0.01, gap_exponent=1)
+            pseudoentropy.PegParams(repetitions=0, eps=0.01)
         with pytest.raises(ValueError):
-            pseudoentropy.PegParams(repetitions=2, eps=1.0, gap_exponent=1)
+            pseudoentropy.PegParams(repetitions=2, eps=1.0)
 
 
 class TestDistinguisherToInverter:
@@ -760,7 +756,7 @@ class TestDistinguisherToInverter:
         analyses = {}
         for s in joint.marginal_puzzles().support():
             k_s = joint.condition_on_puzzle(s)
-            analyses[s] = (k_s, pseudoentropy.slice_analysis(k_s, None, params))
+            analyses[s] = (k_s, pseudoentropy.slice_analysis(k_s, params))
 
         def likelihood(s, h, i, r, y, bit):
             k_s, analysis = analyses[s]
@@ -805,7 +801,7 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
     s_marginal = puzzle.marginal_puzzles()
     instances = []
     for s in s_marginal.support():
-        analysis = pseudoentropy.slice_analysis(puzzle.condition_on_puzzle(s), None, params)
+        analysis = pseudoentropy.slice_analysis(puzzle.condition_on_puzzle(s), params)
         instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
     width = instances[0][2]._keys.shape[1]
     rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
@@ -870,7 +866,7 @@ class TestSeedBatchedGap:
         joint = puzzles.tabulated_puzzles()[fixture].exact_joint
         rng = np.random.default_rng(17)
         for s in joint.marginal_puzzles().support():
-            analysis = pseudoentropy.slice_analysis(joint.condition_on_puzzle(s), None, P3)
+            analysis = pseudoentropy.slice_analysis(joint.condition_on_puzzle(s), P3)
             seeds = [gf2.sample_hash_seed(rng, 3, 9) for _ in range(50)]
             labels, owner, prefixes, mass, flat, accept = analysis.filter_groups(seeds)
             for t, seed in enumerate(seeds):

@@ -107,16 +107,15 @@ class TestShadowParams:
     def test_defaults_scale_with_key_length(self):
         p = puzzles.ShadowParams.default(6)
         assert (p.eps, p.t_snapshots, p.k_groups) == (0.1, 96, 8)
-        assert p.delta == pytest.approx(2.0 ** -12)
 
     def test_group_count_must_divide(self):
         with pytest.raises(ValueError):
-            puzzles.ShadowParams(eps=0.1, delta=0.01, t_snapshots=10, k_groups=4)
+            puzzles.ShadowParams(eps=0.1, t_snapshots=10, k_groups=4)
 
     def test_snapshot_count_must_fit_the_stream(self):
         with pytest.raises(ValueError, match="65535"):
-            puzzles.ShadowParams(0.1, 0.1, 70000, 8)
-        assert puzzles.ShadowParams(0.1, 0.1, 65528, 8).t_snapshots == 65528
+            puzzles.ShadowParams(0.1, 70000, 8)
+        assert puzzles.ShadowParams(0.1, 65528, 8).t_snapshots == 65528
 
 
 class TestSnapshotEstimates:
@@ -337,7 +336,7 @@ class TestPreimageList:
 
 class TestShadowPuzzle:
     def test_sample_and_verify_round_trip_at_large_t(self):
-        params = puzzles.ShadowParams(eps=0.1, delta=1e-4, t_snapshots=2048, k_groups=8)
+        params = puzzles.ShadowParams(eps=0.1, t_snapshots=2048, k_groups=8)
         puzzle = puzzles.puzzle_from_owsg(owsg.wiesner_owsg(4), params)
         rng = np.random.default_rng(19)
         ok = 0
