@@ -44,7 +44,7 @@ class ManifestError(ValueError):
 
 
 class ExperimentManifest:
-    __slots__ = ("subcommand", "params", "seed", "trials", "out", "workers", "fmt")
+    __slots__ = ("subcommand", "params", "seed", "trials", "out", "workers", "fmt", "read")
 
     def __init__(self, subcommand, params, seed, trials, out, workers, fmt):
         self.subcommand = subcommand
@@ -54,6 +54,8 @@ class ExperimentManifest:
         self.out = out
         self.workers = workers
         self.fmt = fmt
+        # the parameter names the runner has read through _param
+        self.read = set()
 
     def embedded(self):
         # the output path names where the report goes; it is not part of it
@@ -207,16 +209,22 @@ def _resolve(args):
         int(body.get("workers", 1)), body.get("format", "json"))
 
 
-def _run_trials(fn, manifest):
-    if manifest.workers <= 1:
-        return [fn(i) for i in range(manifest.trials)]
-    with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
-        return list(pool.map(fn, range(manifest.trials)))
+def _run_trials(fn, m):
+    """fn(rng) for each trial i, rng = child_rng(seed, subcommand, i)."""
+    def trial(i):
+        return fn(child_rng(m.seed, m.subcommand, i))
+
+    if m.workers <= 1:
+        return [trial(i) for i in range(m.trials)]
+    with ThreadPoolExecutor(max_workers=m.workers) as pool:
+        return list(pool.map(trial, range(m.trials)))
 
 
 def _param(m, name, default, kind=int):
     """Manifest parameter `name` as an int, float, str or list of ints, or
-    `default` when absent.  A wrong JSON type raises ValueError (exit 3)."""
+    `default` when absent.  A wrong JSON type raises ValueError (exit 3).
+    The name counts as read; main rejects a parameter never read."""
+    m.read.add(name)
     value = m.params.get(name, default)
     if kind is list:
         ok = isinstance(value, list) and all(_is_a(v, int) for v in value)
@@ -263,8 +271,7 @@ def _run_extractor(m):
         raise ValueError(f"source width must lie in [0, {gf2.EXACT_INPUT_LIMIT}], got {n}")
     atoms = list(map(tuple, dist.bits_of(np.arange(2 ** n), n).tolist()))
 
-    def one(i):
-        rng = child_rng(m.seed, "extractor", i)
+    def one(rng):
         raw = rng.random(2 ** n) + 1e-3
         pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
         d = gf2.extractor_distance(pmf, n)
@@ -285,8 +292,7 @@ def _run_gl(m):
     noise = _param(m, "noise", 0.0, float)
     advantage = 0.5 - noise
 
-    def one(i):
-        rng = child_rng(m.seed, "gl", i)
+    def one(rng):
         secret = rng.integers(0, 2, size=n).astype(np.uint8)
 
         def answer(queries):
@@ -318,8 +324,7 @@ def _run_shadows(m):
     tol = _param(m, "eps", 0.25, float)
     scheme = owsg.wiesner_owsg(n)
 
-    def one(i):
-        rng = child_rng(m.seed, "shadows", i)
+    def one(rng):
         state = scheme.state_gen(scheme.key_gen(rng))
         shadow = puzzles.shadow_gen(state, snapshots, rng)
         return puzzles.estimate_overlap(shadow, state, groups)
@@ -347,8 +352,7 @@ def _tabulated_fixture(m):
 def _run_puzzle(m):
     name, puz = _tabulated_fixture(m)
 
-    def one(i):
-        rng = child_rng(m.seed, "puzzle", i)
+    def one(rng):
         key, instance = puz.sample(rng)
         return int(puz.verify(key, instance))
 
@@ -365,18 +369,18 @@ def _run_puzzle(m):
 def _run_wpeg_gap(m):
     name, puz = _tabulated_fixture(m)
     base = pseudoentropy.SliceParams.default(_param(m, "n", 3))
-    floor = math.inf if m.params.get("density_floor") == "inf" else \
-        _param(m, "density_floor", base.density_floor, float)
+    # the string "inf" turns the density floor off
+    inf = m.params.get("density_floor") == "inf"
+    floor = float(_param(m, "density_floor", base.density_floor, str if inf else float))
     sp = pseudoentropy.SliceParams(
         levels=_param(m, "levels", base.levels),
         pad=_param(m, "pad", base.pad),
         slack=_param(m, "slack", base.slack),
         density_floor=floor,
-        mass_ceiling=_param(m, "mass_ceiling", base.mass_ceiling, float),
         i_max=_param(m, "i_max", base.i_max))
-    rng = child_rng(m.seed, "wpeg-gap", 0)
+    rng = child_rng(m.seed, m.subcommand, 0)
     report = pseudoentropy.wpeg_entropy_gap(puz.exact_joint, sp, m.trials, rng)
-    results = json.loads(report.to_json())
+    results = report.as_dict()
     results["fixture"] = name
     return results, None
 
@@ -412,8 +416,7 @@ def _run_concentration(m):
     eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
 
-    def one(i):
-        rng = child_rng(m.seed, "concentration", i)
+    def one(rng):
         raw = rng.random(support) + 0.05
         probs = raw / raw.sum()
         atoms = map(tuple, dist.bits_of(np.arange(support), width).tolist())
@@ -445,14 +448,11 @@ def _run_efi_sweep(m):
     s_max = _param(m, "s_max", 2 * width)
     if s_max < 0:
         raise ValueError("s_max must be non-negative, got {}".format(s_max))
-    rng = child_rng(m.seed, "efi-sweep", 0)
-    csv = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
-    rows = []
-    for line in csv.splitlines()[1:]:
-        s, est, radius = line.split(",")
-        rows.append({"s": int(s), "sd_estimate": float(est),
-                     "radius": float(radius)})
-    return {"seed_samples": m.trials, "rows": rows}, csv
+    rng = child_rng(m.seed, m.subcommand, 0)
+    ests, radius = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
+    rows = [{"s": s, "sd_estimate": est, "radius": radius} for s, est in enumerate(ests)]
+    csv = "".join(f"{s},{est!r},{radius!r}\n" for s, est in enumerate(ests))
+    return {"seed_samples": m.trials, "rows": rows}, "s,sd_estimate,radius\n" + csv
 
 
 def _run_commit_suite(m):
@@ -541,6 +541,10 @@ def main(argv=None):
     start = time.monotonic()
     try:
         results, table = _RUNNERS[manifest.subcommand](manifest)
+        unread = sorted(set(manifest.params) - manifest.read)
+        if unread:
+            raise ValueError("{} takes no parameter {}".format(
+                manifest.subcommand, ", ".join(map(repr, unread))))
     except ValueError as exc:
         print(_error_json("parameter-rejection", str(exc)))
         return 3

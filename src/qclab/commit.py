@@ -154,15 +154,12 @@ def binding_states(scheme, adv, redundant=False):
         state = qsim.apply_gate(state, scheme.com, every)
         state = qsim.apply_gate(state, scheme.uncom, every)
     wires = list(range(1, n))
-    if wires:
-        try:
-            accept, opened = qsim.project(state, wires, (0,) * len(wires))
-        except ValueError:
-            return 0.0, None, None
-        if redundant:
-            _, opened = qsim.project(opened, wires, (0,) * len(wires))
-    else:
-        accept, opened = 1.0, state
+    try:
+        accept, opened = qsim.project(state, wires, (0,) * len(wires))
+    except ValueError:
+        return 0.0, None, None
+    if redundant:
+        _, opened = qsim.project(opened, wires, (0,) * len(wires))
     keep = list(scheme.d_qubits) + list(range(n, width))
     plain = qsim.apply_gate(opened, scheme.com, every)
     sigma0 = qsim.partial_trace(plain, keep)

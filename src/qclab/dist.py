@@ -115,10 +115,6 @@ class Pmf:
     def prob(self, atom):
         return self._p.get(atom, 0)
 
-    def probs(self):
-        """Probabilities in atom-sorted order."""
-        return tuple(p for _, p in self.items_sorted())
-
     def support(self):
         return tuple(sorted(self._p, key=_atom_key))
 
@@ -149,9 +145,6 @@ class JointPmf:
             if not (isinstance(atom, tuple) and len(atom) == 2):
                 raise ValueError(f"joint atom must be a (key, puzzle) pair: {atom!r}")
         self._pmf = Pmf(atoms)
-
-    def as_pmf(self):
-        return self._pmf
 
     def prob(self, key, puzzle):
         return self._pmf.prob((key, puzzle))

@@ -6,8 +6,9 @@ truncations make the branches statistically close (the extractor regime),
 long ones make them nearly disjoint because the generator's support cannot
 cover the output space. The crossing point sits half a gap above the
 generator's max-entropy, and every distance here is computed in closed form
-per seed. The generator is always a Pmf, and efi_distance is the one
-estimate of the seed-averaged (leftover-hash) distance.
+per seed. The generator is always a Pmf, and distance_sweep is the one
+estimate of the seed-averaged (leftover-hash) distance: it returns numbers,
+and cli writes them as report text.
 
 EFI_TOL is how far past an integer the crossover may fall and still place
 the truncation at that integer, so float noise in the max-entropy cannot
@@ -96,30 +97,19 @@ def hash_truncation_sd(g0, seed, truncation):
     return float(gf2.hashed_distances(gf2.hash_eval_stack([seed], xs, truncation), probs)[0])
 
 
-def efi_distance(g0, truncation, seed_samples, rng):
-    """Estimate E_h[ SD(h(X)_truncation, uniform) ] over fresh hash seeds.
+def distance_sweep(g0, truncations, seed_samples, rng):
+    """Estimate E_h[ SD(h(X)_s, uniform) ] over hash seeds, for each
+    truncation s.
 
     The distance is exact for each sampled seed (gf2.hashed_distances);
-    only the seed average is Monte Carlo.
+    only the seed average is Monte Carlo.  One seed pool is drawn up front
+    and shared by every truncation, which keeps the estimates exactly
+    nondecreasing in s (appending hash bits never shrinks the per-seed
+    distance) and the whole sweep cheap.
 
     Returns:
-        (mean, radius) with mean in [0, 1] and radius the 99% Hoeffding
-        radius.
-    """
-    if seed_samples < 1:
-        raise ValueError("need at least one seed sample")
-    xs, probs = gf2.support_matrix(g0)
-    seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(seed_samples)]
-    values = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, truncation), probs)
-    return float(np.mean(values)), hoeffding_radius(seed_samples)
-
-
-def distance_sweep(g0, truncations, seed_samples, rng):
-    """CSV of distance estimates across truncation lengths.
-
-    One seed pool is drawn up front and shared by every row, which keeps
-    the estimate column exactly nondecreasing (appending hash bits never
-    shrinks the per-seed distance) and the whole sweep cheap.
+        (estimates, radius): one mean in [0, 1] per truncation, in order,
+        and the 99% Hoeffding radius they share.
     """
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
@@ -133,9 +123,6 @@ def distance_sweep(g0, truncations, seed_samples, rng):
     seeds = [gf2.sample_hash_seed(rng, width) for _ in range(seed_samples)]
     # prefixes nest, so every row reads the first s of the longest hashes
     ys = gf2.hash_eval_stack(seeds, xs, max(truncations, default=0))
-    radius = hoeffding_radius(seed_samples)
-    lines = ["s,sd_estimate,radius"]
-    for s in truncations:
-        est = float(np.mean(gf2.hashed_distances(ys[:, :, :s], probs)))
-        lines.append(f"{s},{est!r},{radius!r}")
-    return "\n".join(lines) + "\n"
+    estimates = [float(np.mean(gf2.hashed_distances(ys[:, :, :s], probs)))
+                 for s in truncations]
+    return estimates, hoeffding_radius(seed_samples)

@@ -7,10 +7,10 @@ fair coin measurably raises entropy; the routines here compute that gap with
 exact per-seed conditionals and Monte Carlo only over hash seeds. The same
 file carries the heavy-atom core gap in exact form, the slicing chain-rule
 check, product amplification with smooth-entropy concentration, and a demo
-turning a generator distinguisher back into a puzzle inverter.
+turning a generator distinguisher back into a puzzle inverter.  The reports
+hand their fields back as dicts (as_dict); cli writes the report text.
 """
 
-import json
 import math
 
 import numpy as np
@@ -40,9 +40,9 @@ class SliceParams:
     defaults keep every prefix index within i_max for keys up to a few bits.
     """
 
-    __slots__ = ("levels", "pad", "slack", "density_floor", "mass_ceiling", "i_max")
+    __slots__ = ("levels", "pad", "slack", "density_floor", "i_max")
 
-    def __init__(self, levels, pad, slack, density_floor, mass_ceiling, i_max):
+    def __init__(self, levels, pad, slack, density_floor, i_max):
         if levels < 1 or pad < 1 or slack < 1 or i_max < 1:
             raise ValueError("levels, pad, slack and i_max must be positive")
         if slack >= pad:
@@ -50,13 +50,10 @@ class SliceParams:
         if density_floor != math.inf and not 0.0 < density_floor <= 1.0:
             raise ValueError(
                 f"density floor must lie in (0, 1] or be inf: {density_floor!r}")
-        if not 0.0 < mass_ceiling < math.inf:
-            raise ValueError(f"mass ceiling must be finite positive: {mass_ceiling!r}")
         self.levels = int(levels)
         self.pad = int(pad)
         self.slack = int(slack)
         self.density_floor = density_floor
-        self.mass_ceiling = mass_ceiling
         self.i_max = int(i_max)
 
     @classmethod
@@ -70,7 +67,6 @@ class SliceParams:
             pad=2 + grain,
             slack=1 + grain,
             density_floor=1 / (6 * n),
-            mass_ceiling=2.0 ** (1 - (1 + grain)),
             i_max=3 * n,
         )
 
@@ -81,7 +77,6 @@ class SliceParams:
             "pad": "600*log2(n)",
             "slack": "500*log2(n)",
             "density_floor": "1/(6*n)",
-            "mass_ceiling": "2/n**600",
             "i_max": "3*n",
         }
         return {
@@ -92,7 +87,7 @@ class SliceParams:
     def __repr__(self):
         return (f"SliceParams(levels={self.levels}, pad={self.pad}, "
                 f"slack={self.slack}, density_floor={self.density_floor}, "
-                f"mass_ceiling={self.mass_ceiling}, i_max={self.i_max})")
+                f"i_max={self.i_max})")
 
 
 def find_flat_slice(k_s, params):
@@ -243,8 +238,8 @@ class GapReport:
         self.per_s = per_s
         self.seed_samples = seed_samples
 
-    def to_json(self):
-        payload = {
+    def as_dict(self):
+        return {
             "params": self.params.describe(),
             "gap": self.gap,
             "radius": self.radius,
@@ -252,7 +247,6 @@ class GapReport:
             "per_s": self.per_s,
             "seed_samples": self.seed_samples,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def __repr__(self):
         return f"GapReport(gap={self.gap:.6f}, radius={self.radius:.6f})"

@@ -70,12 +70,13 @@ class ShadowParams:
 class Shadow:
     """Measurement record: one basis string and one outcome tuple per snapshot.
 
-    Outcomes are stored as Python ints.  The same record is kept as two
-    read-only (t, m) uint8 arrays, basis trits (X=0, Y=1, Z=2) and outcome
-    bits, which the estimator and the serializer read.
+    The record is kept as two read-only (t, m) uint8 arrays, basis trits
+    (X=0, Y=1, Z=2) and outcome bits, which the estimator and the
+    serializer read.  bases and outcomes rebuild the strings and Python-int
+    tuples when read.
     """
 
-    __slots__ = ("bases", "outcomes", "_trits", "_bits")
+    __slots__ = ("_trits", "_bits")
 
     def __init__(self, bases, outcomes):
         bases = tuple(map("".join, bases))
@@ -108,17 +109,24 @@ class Shadow:
         self._trits = trits.astype(np.uint8)
         self._bits = bits.astype(np.uint8)
         self._trits.flags.writeable = self._bits.flags.writeable = False
+
+    @property
+    def bases(self):
+        m = self.n_qubits
         letters = _LETTERS[self._trits].view(f"S{m}")[:, 0]
-        self.bases = tuple(letters.astype(f"U{m}").tolist())
-        self.outcomes = tuple(map(tuple, self._bits.tolist()))
+        return tuple(letters.astype(f"U{m}").tolist())
+
+    @property
+    def outcomes(self):
+        return tuple(map(tuple, self._bits.tolist()))
 
     @property
     def n_snapshots(self):
-        return len(self.bases)
+        return self._trits.shape[0]
 
     @property
     def n_qubits(self):
-        return len(self.bases[0])
+        return self._trits.shape[1]
 
     def __repr__(self):
         return f"Shadow(n_snapshots={self.n_snapshots}, n_qubits={self.n_qubits})"
@@ -165,7 +173,7 @@ def shadow_gen(state, t_snapshots, rng):
     return Shadow._of(trits, dist.bits_of(index, m))
 
 
-def estimate_overlap_many(shadow, targets, k_groups):
+def estimate_overlap_many(shadow, mat, k_groups):
     """Median-of-means overlap estimates against several target states.
 
     Each target's outcome distribution is tabulated once per distinct basis
@@ -173,8 +181,8 @@ def estimate_overlap_many(shadow, targets, k_groups):
 
     Args:
         shadow: measurement record.
-        targets: sequence of PureState on the shadow's register, or the
-            (K, 2^m) array of their statevectors.
+        mat: (K, 2^m) array of the targets' statevectors, on the shadow's
+            register.
         k_groups: number of groups; must divide the snapshot count.
 
     Returns:
@@ -183,10 +191,6 @@ def estimate_overlap_many(shadow, targets, k_groups):
     t, m = shadow.n_snapshots, shadow.n_qubits
     if k_groups < 1 or t % k_groups != 0:
         raise ValueError(f"group count {k_groups} must divide snapshot count {t}")
-    if isinstance(targets, np.ndarray):
-        mat = targets
-    else:
-        mat = np.stack([s.vector for s in targets])
     if mat.ndim != 2 or mat.shape[1] != 2 ** m:
         raise ValueError("targets live on a different register than the shadow")
     index = dist.index_of(shadow._bits)
@@ -205,7 +209,7 @@ def estimate_overlap_many(shadow, targets, k_groups):
 
 def estimate_overlap(shadow, target, k_groups):
     """Single-target form of estimate_overlap_many."""
-    return float(estimate_overlap_many(shadow, [target], k_groups)[0])
+    return float(estimate_overlap_many(shadow, target.vector[None], k_groups)[0])
 
 
 def shadow_to_bytes(shadow):

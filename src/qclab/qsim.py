@@ -7,9 +7,11 @@ happens anywhere in this module.
 
 Caller input is checked once, where it enters: the PureState and
 DensityMatrix constructors check their array, apply_unitary its gate and
-targets, the other calls their targets, bits and sizes.  project takes a
-PureState only; every other state operation takes either kind.  The states qsim
-returns are computed from checked states and skip the constructors' checks.
+targets, the other calls their targets, bits and sizes.  project and
+partial_trace take a PureState, trace_distance two DensityMatrix, and
+apply_unitary and dephase either kind; any other kind raises TypeError.
+The states qsim returns are computed from checked states and skip the
+constructors' checks.
 apply_gate applies a gate unchecked: it assumes a complex unitary of the
 right size and distinct in-range targets, as the library gates, the basis
 rotations, checked commit maps and maps composed from them are.  It views
@@ -222,22 +224,18 @@ def dephase(state, targets):
 
 
 def partial_trace(state, keep):
-    """Reduced density matrix on the kept qubits, in the order listed."""
+    """Reduced density matrix of a pure state on the kept qubits, in the
+    order listed."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"partial_trace takes a PureState, not {type(state).__name__}")
     _check_targets(state, keep)
     n = state.n_qubits
     _qubits_of(2 ** len(keep), DENSITY_QUBIT_LIMIT, "density matrix")
     drop = [j for j in range(n) if j not in keep]
-    if isinstance(state, PureState):
-        tensor = state.vector.reshape((2,) * n)
-        tensor = np.moveaxis(tensor, list(keep) + drop, range(n))
-        mat = tensor.reshape(2 ** len(keep), -1)
-        return _result(DensityMatrix, mat @ mat.conj().T)
-    tensor = state.matrix.reshape((2,) * (2 * n))
-    perm = list(keep) + drop + [n + j for j in keep] + [n + j for j in drop]
-    tensor = np.moveaxis(tensor, perm, range(2 * n))
-    k, d = 2 ** len(keep), 2 ** len(drop)
-    mat = tensor.reshape(k, d, k, d)
-    return _result(DensityMatrix, np.einsum("adbd->ab", mat))
+    tensor = state.vector.reshape((2,) * n)
+    tensor = np.moveaxis(tensor, list(keep) + drop, range(n))
+    mat = tensor.reshape(2 ** len(keep), -1)
+    return _result(DensityMatrix, mat @ mat.conj().T)
 
 
 def overlap(a, b):
@@ -248,27 +246,15 @@ def overlap(a, b):
 
 
 def trace_distance(a, b):
-    """Half the absolute eigenvalue sum of the difference operator.
-
-    For two pure states the difference has rank two and its eigenvalues are
-    known in closed form, so large pure registers avoid materializing any
-    matrix.  The closed form sqrt(1 - |c|^2), c = <a|b>, is evaluated as
-    sqrt(|d|^2 / 2 * (1 + |c|)) with d = a - (conj(c)/|c|) b, which does not
-    cancel when the states nearly coincide.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.n_qubits != b.n_qubits:
-            raise ValueError("states live on different registers")
-        c = np.vdot(a.vector, b.vector)
-        if c == 0:
-            return 1.0
-        d = a.vector - (np.conj(c) / abs(c)) * b.vector
-        return math.sqrt(np.vdot(d, d).real / 2 * (1 + abs(c)))
-    am = a.to_density().matrix if isinstance(a, PureState) else a.matrix
-    bm = b.to_density().matrix if isinstance(b, PureState) else b.matrix
-    if am.shape != bm.shape:
+    """Half the absolute eigenvalue sum of the difference of two density
+    matrices."""
+    for state in (a, b):
+        if not isinstance(state, DensityMatrix):
+            raise TypeError(
+                f"trace_distance takes DensityMatrix, not {type(state).__name__}")
+    if a.n_qubits != b.n_qubits:
         raise ValueError("states live on different registers")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(am - bm)).sum())
+    return float(0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
 
 
 def wiesner_encode(theta, x):

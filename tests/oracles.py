@@ -3,7 +3,9 @@
 The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
 The GL oracle asks its predictor one query at a time, and the binding
-oracle plays commit.binding_experiment's game round by round.
+oracle plays commit.binding_experiment's game round by round.  The
+density partial trace reduces a mixed state, which the library never does:
+qsim.partial_trace takes pure states only.
 The schemes are state generators beyond conjugate coding: a key-selected
 brick circuit, whose states are not product states, and a noisy variant
 whose verifier thresholds the overlap, with an exact per-key correctness
@@ -210,6 +212,18 @@ def gl_oracle(predictor, n, eps, rng):
         if len(out) >= list_cap:
             break
     return out
+
+
+def density_partial_trace(rho, keep):
+    """Reduced state of a DensityMatrix on the kept qubits, in the order
+    listed: one einsum over the doubled (2,)*2n tensor."""
+    n = rho.n_qubits
+    drop = [j for j in range(n) if j not in keep]
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    perm = list(keep) + drop + [n + j for j in keep] + [n + j for j in drop]
+    tensor = np.moveaxis(tensor, perm, range(2 * n))
+    k, d = 2 ** len(keep), 2 ** len(drop)
+    return qsim.DensityMatrix(np.einsum("adbd->ab", tensor.reshape(k, d, k, d)))
 
 
 def _helstrom(sigma0, sigma1):

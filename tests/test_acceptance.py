@@ -243,8 +243,7 @@ def test_criterion_09_weak_peg_entropy_gap():
         ok &= report.gap - report.radius > 0
     disabled = pseudoentropy.SliceParams(
         levels=params.levels, pad=params.pad, slack=params.slack,
-        density_floor=math.inf, mass_ceiling=params.mass_ceiling,
-        i_max=params.i_max)
+        density_floor=math.inf, i_max=params.i_max)
     control = pseudoentropy.wpeg_entropy_gap(
         puzzles.tabulated_puzzles()["geometric"].exact_joint, disabled, 200,
         np.random.default_rng(107))
@@ -299,8 +298,8 @@ def test_criterion_12_efi_crossover():
     # (water filling caps below 1/16), so the declared slack is a full 5 bits
     s_low, s_high, margin = 1, 10, 5.0
     rng = np.random.default_rng(61)
-    lo, lo_rad = efi.efi_distance(g0, s_low, 2000, rng)
-    hi, hi_rad = efi.efi_distance(g0, s_high, 2000, rng)
+    (lo,), lo_rad = efi.distance_sweep(g0, [s_low], 2000, rng)
+    (hi,), hi_rad = efi.distance_sweep(g0, [s_high], 2000, rng)
     ok = lo + lo_rad < 0.1 and hi - hi_rad > 0.9
     ok &= s_high - s_low <= h_max - h_min_smooth + 2 * margin
     t = s_high - h_max

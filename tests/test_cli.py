@@ -371,7 +371,7 @@ PARAM_KEYS = {
     "shadows": ("n", "snapshots", "groups", "eps"),
     "puzzle": ("fixture",),
     "wpeg-gap": ("fixture", "n", "levels", "pad", "slack", "density_floor",
-                 "mass_ceiling", "i_max"),
+                 "i_max"),
     "core-lemma": ("fixture", "theta_heavy", "theta_light"),
     "concentration": ("support", "t_max", "eps"),
     "efi-sweep": ("weights", "s_max"),
@@ -432,11 +432,27 @@ class TestBadParameters:
         ("gl", {"n": 100000}),
         ("gl", {"noise": 0.49999}),
         ("shadows", {"snapshots": 10 ** 12}),
+        ("shadows", {"snapshot": 5}),
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "parameter-rejection"
+
+    @pytest.mark.parametrize("sub,params", [
+        ("shadows", {"snapshot": 5, "n": 2}),
+        ("wpeg-gap", {"density_floor": "inf", "mass_ceiling": 0.25}),
+        ("commit-suite", {"n": 2}),
+    ])
+    def test_unread_parameter_named_and_no_report(self, tmp_path, capsys, sub, params):
+        body = {"subcommand": sub, "seed": 0, "trials": 1, "params": params}
+        code, out = run_to_file(tmp_path, body)
+        assert code == 3 and not out.exists()
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "parameter-rejection"
+        unread = sorted(set(params) - set(PARAM_KEYS[sub]))
+        assert err["detail"] == "{} takes no parameter {}".format(
+            sub, ", ".join(map(repr, unread)))
 
     def test_wpeg_levels_beyond_the_keys_run(self, tmp_path):
         # buckets no key reaches are never built, so 10^8 levels cost what 8 do

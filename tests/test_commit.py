@@ -64,15 +64,12 @@ def binding_states_dense(scheme, adv, redundant=False):
         state = qsim.apply_gate(state, scheme.com, every)
         state = qsim.apply_gate(state, scheme.com.conj().T, every)
     wires = list(range(1, n))
-    if wires:
-        try:
-            accept, opened = qsim.project(state, wires, (0,) * len(wires))
-        except ValueError:
-            return 0.0, None, None
-        if redundant:
-            _, opened = qsim.project(opened, wires, (0,) * len(wires))
-    else:
-        accept, opened = 1.0, state
+    try:
+        accept, opened = qsim.project(state, wires, (0,) * len(wires))
+    except ValueError:
+        return 0.0, None, None
+    if redundant:
+        _, opened = qsim.project(opened, wires, (0,) * len(wires))
     keep = list(scheme.d_qubits) + list(range(n, adv.state.n_qubits))
     plain = qsim.apply_gate(opened, scheme.com, every)
     sigma0 = qsim.partial_trace(plain, keep)
@@ -80,7 +77,7 @@ def binding_states_dense(scheme, adv, redundant=False):
     if redundant:
         measured = qsim.dephase(measured, [0])
     measured = qsim.apply_gate(measured, scheme.com, every)
-    sigma1 = qsim.partial_trace(measured, keep)
+    sigma1 = oracles.density_partial_trace(measured, keep)
     return float(accept), sigma0, sigma1
 
 

@@ -115,7 +115,7 @@ class TestEntropy:
         rng_weights = [3, 7, 1, 9, 22, 5, 13]
         total = sum(rng_weights)
         p = dist.Pmf({(i & 1, i >> 1, i >> 2): w / total for i, w in enumerate(rng_weights)})
-        assert abs(dist.shannon_entropy(p) - entropy_oracle(p.probs())) < ENTROPY_TOL
+        assert abs(dist.shannon_entropy(p) - entropy_oracle(p.as_dict().values())) < ENTROPY_TOL
 
     def test_min_max_entropy(self):
         p = dist.Pmf({(0,): 0.5, (1,): 0.25, (2 % 2, 1): 0.25})
@@ -151,7 +151,7 @@ class TestSmoothMinEntropy:
         p = dist.Pmf({(0, 0): 0.4, (0, 1): 0.3, (1, 0): 0.2, (1, 1): 0.1})
         for eps in (0.05, 0.1, 0.25, 0.33):
             got = dist.smooth_min_entropy(p, eps)
-            want = water_filling_oracle(p.probs(), eps)
+            want = water_filling_oracle(p.as_dict().values(), eps)
             assert abs(got - want) < 1e-9, (eps, got, want)
 
     def test_invalid_eps(self):
@@ -203,12 +203,12 @@ class TestWaterFillingEdges:
             got = dist.smooth_min_entropy(p, eps)
         except ValueError as exc:
             assert "no positive water-filling level" in str(exc)
-            assert eps >= sum(p.probs()) - 1e-12
+            assert eps >= sum(p.as_dict().values()) - 1e-12
             return
         if eps < 0.999:
-            assert got == pytest.approx(water_filling_oracle(p.probs(), eps), abs=1e-6)
-        spectrum = sorted({q: None for q in p.probs()})
-        counts = [(q, sum(1 for r in p.probs() if r == q)) for q in spectrum]
+            assert got == pytest.approx(water_filling_oracle(p.as_dict().values(), eps), abs=1e-6)
+        spectrum = sorted({q: None for q in p.as_dict().values()})
+        counts = [(q, sum(1 for r in p.as_dict().values() if r == q)) for q in spectrum]
         assert dist.smooth_min_entropy_spectrum(counts, eps) == pytest.approx(got, abs=1e-9)
 
 
@@ -308,7 +308,7 @@ class TestJointAndTransforms:
         j = dist.JointPmf({((0,), (0,)): 0.25, ((1,), (0,)): 0.25, ((0,), (1,)): 0.5})
         cond0 = j.condition_on_puzzle((0,))
         assert cond0.prob((0,)) == pytest.approx(0.5)
-        h_joint = dist.shannon_entropy(j.as_pmf())
+        h_joint = dist.shannon_entropy(dist.Pmf({kv: j.prob(*kv) for kv in j.support()}))
         h_puzzle = dist.shannon_entropy(j.marginal_puzzles())
         h_cond = sum(
             j.marginal_puzzles().prob(s) * dist.shannon_entropy(j.condition_on_puzzle(s))

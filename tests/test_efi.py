@@ -259,16 +259,19 @@ class TestExactPerSeedOnDyadicFixtures:
 
 
 class TestEfiDistance:
+    """The seed-averaged distance at one truncation: one row of
+    efi.distance_sweep."""
+
     def test_point_mass_exact_mean(self):
         pm = dist.Pmf({(1, 1, 0): 1.0})
-        est, radius = efi.efi_distance(pm, 4, 30, np.random.default_rng(41))
+        (est,), radius = efi.distance_sweep(pm, [4], 30, np.random.default_rng(41))
         assert est == 1 - 2 ** -4
         assert radius == pytest.approx(math.sqrt(math.log(2 / 0.01) / 60), abs=1e-12)
 
     def test_short_truncation_stays_close(self):
         # s two bits under min-entropy minus 2c' with c' = 2
         assert 2 <= dist.min_entropy(UNIFORM_64) - 4
-        est, radius = efi.efi_distance(UNIFORM_64, 2, 300, np.random.default_rng(43))
+        (est,), radius = efi.distance_sweep(UNIFORM_64, [2], 300, np.random.default_rng(43))
         assert est <= 2 ** -2 + radius
 
     def test_short_truncation_with_smoothing(self):
@@ -276,11 +279,11 @@ class TestEfiDistance:
         h = dist.smooth_min_entropy(HEAVY, eps)
         s = math.floor(h - 1.0)  # c' = 1/2
         assert s >= 1
-        est, radius = efi.efi_distance(HEAVY, s, 300, np.random.default_rng(47))
+        (est,), radius = efi.distance_sweep(HEAVY, [s], 300, np.random.default_rng(47))
         assert est <= 2 ** -0.5 + eps + radius
 
     def test_long_truncation_nearly_full_distance(self):
-        est, radius = efi.efi_distance(UNIFORM_16, 10, 200, np.random.default_rng(53))
+        (est,), radius = efi.distance_sweep(UNIFORM_16, [10], 200, np.random.default_rng(53))
         assert est >= 1 - 2 ** -6 - 1e-12
         assert est >= 1 - 2 ** -6 - radius
 
@@ -292,54 +295,48 @@ class TestEfiDistance:
         ],
     )
     def test_crossover_witness(self, pmf, s_low, s_high):
-        lo, lo_rad = efi.efi_distance(pmf, s_low, 2000, np.random.default_rng(59))
-        hi, hi_rad = efi.efi_distance(pmf, s_high, 2000, np.random.default_rng(61))
+        (lo,), lo_rad = efi.distance_sweep(pmf, [s_low], 2000, np.random.default_rng(59))
+        (hi,), hi_rad = efi.distance_sweep(pmf, [s_high], 2000, np.random.default_rng(61))
         assert lo + lo_rad < 0.1
         assert hi - hi_rad > 0.9
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            efi.efi_distance(LADDER, 2, 0, np.random.default_rng(0))
+            efi.distance_sweep(LADDER, [2], 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("pmf,s", [(HEAVY, 5), (dist.product_power(coin(0.75), 2), 3)])
     def test_equals_lhl_distance_on_same_stream(self, pmf, s):
         # the leftover-hash distance seed by seed: the same 40 seeds off the
         # same stream, each scored by hash_truncation_sd
-        got = efi.efi_distance(pmf, s, 40, np.random.default_rng(89))
+        got = efi.distance_sweep(pmf, [s], 40, np.random.default_rng(89))
         rng = np.random.default_rng(89)
         width = gf2.support_matrix(pmf)[0].shape[1]
         values = [efi.hash_truncation_sd(pmf, gf2.sample_hash_seed(rng, width), s)
                   for _ in range(40)]
-        assert got == (float(np.mean(values)), hoeffding_radius(40))
+        assert got == ([float(np.mean(values))], hoeffding_radius(40))
 
     def test_deterministic_under_seed(self):
-        a = efi.efi_distance(LADDER, 3, 50, np.random.default_rng(67))
-        b = efi.efi_distance(LADDER, 3, 50, np.random.default_rng(67))
+        a = efi.distance_sweep(LADDER, [3], 50, np.random.default_rng(67))
+        b = efi.distance_sweep(LADDER, [3], 50, np.random.default_rng(67))
         assert a == b
 
 
 class TestDistanceSweep:
-    def test_csv_shape(self):
-        text = efi.distance_sweep(LADDER, (0, 1, 2, 3), 40, np.random.default_rng(71))
-        lines = text.strip().splitlines()
-        assert lines[0] == "s,sd_estimate,radius"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            s, est, rad = line.split(",")
-            int(s)
-            assert 0.0 <= float(est) <= 1.0
-            assert float(rad) > 0
+    def test_one_estimate_per_truncation(self):
+        ests, radius = efi.distance_sweep(LADDER, (0, 1, 2, 3), 40, np.random.default_rng(71))
+        assert len(ests) == 4
+        assert all(type(est) is float and 0.0 <= est <= 1.0 for est in ests)
+        assert radius > 0
 
     def test_shared_seed_pool_makes_column_monotone(self):
-        text = efi.distance_sweep(UNIFORM_16, range(9), 100, np.random.default_rng(73))
-        ests = [float(line.split(",")[1]) for line in text.strip().splitlines()[1:]]
+        ests, _ = efi.distance_sweep(UNIFORM_16, range(9), 100, np.random.default_rng(73))
         for lo, hi in zip(ests, ests[1:]):
             assert hi >= lo - 1e-12
 
     def test_radius_constant_across_rows(self):
-        text = efi.distance_sweep(LADDER, (1, 2, 3), 50, np.random.default_rng(79))
-        radii = {line.split(",")[2] for line in text.strip().splitlines()[1:]}
-        assert len(radii) == 1
+        # every row shares the seed pool, so one radius serves them all
+        _, radius = efi.distance_sweep(LADDER, (1, 2, 3), 50, np.random.default_rng(79))
+        assert radius == hoeffding_radius(50)
 
     def test_deterministic(self):
         a = efi.distance_sweep(LADDER, (0, 2, 4), 30, np.random.default_rng(83))
@@ -353,19 +350,16 @@ class TestDistanceSweep:
 
 def sweep_oracle(g0, truncations, seed_samples, rng):
     """distance_sweep with one distance call per seed per row."""
-    xs, probs = gf2.support_matrix(g0)
+    xs, _ = gf2.support_matrix(g0)
     seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(seed_samples)]
-    radius = hoeffding_radius(seed_samples)
-    lines = ["s,sd_estimate,radius"]
-    for s in truncations:
-        est = float(np.mean([efi.hash_truncation_sd(g0, seed, s) for seed in seeds]))
-        lines.append(f"{s},{est!r},{radius!r}")
-    return "\n".join(lines) + "\n"
+    ests = [float(np.mean([efi.hash_truncation_sd(g0, seed, s) for seed in seeds]))
+            for s in truncations]
+    return ests, hoeffding_radius(seed_samples)
 
 
 class TestSweepMatchesPerSeedLoop:
     """One hash per seed at the longest truncation, grouped per row, gives
-    the per-seed loop's CSV byte for byte."""
+    the per-seed loop's estimates float for float."""
 
     @pytest.mark.parametrize("weights", [
         [1] * 16, [8, 4, 2, 1, 1], [3, 5, 7, 1, 2, 9], [1, 0, 0, 5, 11, 2, 0, 13],

@@ -197,11 +197,11 @@ class TestPrefixGroups:
 
 class TestLhlDistance:
     """E_h[SD(h(X)_m, uniform)], the leftover-hash distance, as
-    efi.efi_distance averages gf2.hashed_distances over sampled seeds."""
+    efi.distance_sweep averages gf2.hashed_distances over sampled seeds."""
 
     def test_point_mass_every_seed(self):
         p = dist.Pmf({(0, 1, 1): 1.0})
-        mean, radius = efi.efi_distance(p, 2, 20, np.random.default_rng(5))
+        (mean,), radius = efi.distance_sweep(p, [2], 20, np.random.default_rng(5))
         assert mean == pytest.approx(1 - 2 ** -2, abs=1e-12)
         assert radius == pytest.approx(math.sqrt(math.log(2 / 0.01) / (2 * 20)), abs=1e-12)
 
@@ -209,19 +209,19 @@ class TestLhlDistance:
         # uniform on 2^6 keys, hashed to 2 bits: LHL promises SD <= 2^-(6-2)/2 = 1/4
         n = 6
         p = dist.Pmf({oracles.bit_tuple(v, n): 1 / 2 ** n for v in range(2 ** n)})
-        mean, radius = efi.efi_distance(p, 2, 200, np.random.default_rng(6))
+        (mean,), radius = efi.distance_sweep(p, [2], 200, np.random.default_rng(6))
         assert mean - radius <= 0.25
 
     def test_long_prefix_builds_no_table(self):
         # a 2^60-entry mass table could not be allocated
         p = dist.Pmf({(1,) * 20: 1.0})
-        mean, _ = efi.efi_distance(p, 60, 3, np.random.default_rng(7))
+        (mean,), _ = efi.distance_sweep(p, [60], 3, np.random.default_rng(7))
         assert mean == 1 - 2 ** -60
 
     def test_rejects_mixed_lengths(self):
         p = dist.Pmf({(0,): 0.5, (0, 1): 0.5})
         with pytest.raises(ValueError):
-            efi.efi_distance(p, 1, 5, np.random.default_rng(0))
+            efi.distance_sweep(p, [1], 5, np.random.default_rng(0))
 
 
 class TestGlDecode:

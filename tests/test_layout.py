@@ -6,7 +6,10 @@ perfbench/ or the acceptance suite reaches it as `module.name` or imports
 it, when perfbench's tracer patches it, or when its own module refers to it
 outside its own definition.  Code that only unit tests reach belongs in the
 tests (oracles.py) or nowhere; the chain steps below are the named
-exceptions.
+exceptions.  The public methods and properties of src/qclab's classes are
+held to the same rule, matched by attribute name: one counts as used when
+src/qclab or a file among the same callers reads an attribute of its name,
+or when the tracer patches it.  Methods of the UNCALLED classes are exempt.
 
 Settings: every defaulted parameter of a top-level function or class
 constructor is passed by some call in src/, tools/, perfbench/ or the
@@ -86,11 +89,11 @@ def _reached(tree, modules, in_package):
 
 
 def _traced():
-    """(module, name) pairs perfbench/tracer.py patches."""
+    """(module, attribute path) pairs perfbench/tracer.py patches."""
     tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text())
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "TARGETS":
-            return {(module.split(".", 1)[1], path.split(".")[0])
+            return {(module.split(".", 1)[1], path)
                     for _, module, path, _ in ast.literal_eval(stmt.value)}
     raise AssertionError("perfbench/tracer.py defines no TARGETS")
 
@@ -105,7 +108,8 @@ def _callers():
 
 def unused_names():
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
-    defined, used = set(), _traced()
+    defined = set()
+    used = {(module, path.split(".")[0]) for module, path in _traced()}
     for module, tree in trees.items():
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -123,6 +127,43 @@ def unused_names():
 
 def test_only_the_named_chain_steps_lack_a_caller():
     assert unused_names() == UNCALLED
+
+
+def unread_members(trees, callers, traced=frozenset()):
+    """(module, class, name) of each public method or property of a
+    top-level class in the package modules `trees`, outside UNCALLED,
+    whose name no attribute in `trees` or `callers` reads and no traced
+    attribute path names."""
+    read = {node.attr for tree in [*trees.values(), *callers]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {part for _, path in traced for part in path.split(".")[1:]}
+    unread = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or (module, cls.name) in UNCALLED:
+                continue
+            unread |= {(module, cls.name, fn.name) for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and not fn.name.startswith("_") and fn.name not in read}
+    return unread
+
+
+def test_every_public_method_has_a_reader():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unread_members(trees, _callers(), _traced()) == set()
+
+
+def test_guard_sees_an_unread_method():
+    tree = ast.parse("class C:\n    def read(self):\n        return self.shown\n"
+                     "    def unread(self):\n        return 1\n"
+                     "    @property\n    def shown(self):\n        return 2\n"
+                     "    def _private(self):\n        return 3\n"
+                     "class EfiParams:\n    def unread(self):\n        return 4\n")
+    # EfiParams is an UNCALLED class of efi, so its methods are exempt
+    caller = ast.parse("from qclab import efi\nefi.C().read()\n")
+    assert unread_members({"efi": tree}, []) == {("efi", "C", "read"), ("efi", "C", "unread")}
+    assert unread_members({"efi": tree}, [caller]) == {("efi", "C", "unread")}
+    assert unread_members({"efi": tree}, [], {("efi", "C.read")}) == {("efi", "C", "unread")}
 
 
 # defaults no caller overrides, kept because the binding definition

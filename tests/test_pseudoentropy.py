@@ -186,14 +186,12 @@ class TestSliceParams:
     def test_defaults_for_three_bit_keys(self):
         assert (P3.levels, P3.pad, P3.slack) == (6, 4, 3)
         assert P3.density_floor == pytest.approx(1 / 18)
-        assert P3.mass_ceiling == pytest.approx(0.25)
         assert P3.i_max == 9
 
     def test_defaults_for_two_bit_keys(self):
         p = pseudoentropy.SliceParams.default(2)
         assert (p.levels, p.pad, p.slack, p.i_max) == (4, 3, 2, 6)
         assert p.density_floor == pytest.approx(1 / 12)
-        assert p.mass_ceiling == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -205,26 +203,23 @@ class TestSliceParams:
             {"density_floor": 1.5},
             {"levels": 0},
             {"i_max": 0},
-            {"mass_ceiling": 0.0},
+            {"slack": 0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        base = dict(levels=6, pad=4, slack=3, density_floor=1 / 18,
-                    mass_ceiling=0.25, i_max=9)
+        base = dict(levels=6, pad=4, slack=3, density_floor=1 / 18, i_max=9)
         base.update(kwargs)
         with pytest.raises(ValueError):
             pseudoentropy.SliceParams(**base)
 
     def test_disabled_trigger_floor_is_allowed(self):
         p = pseudoentropy.SliceParams(levels=6, pad=4, slack=3,
-                                      density_floor=math.inf,
-                                      mass_ceiling=0.25, i_max=9)
+                                      density_floor=math.inf, i_max=9)
         assert p.density_floor == math.inf
 
     def test_describe_pairs_formula_with_value(self):
         d = P3.describe()
-        assert set(d) == {"levels", "pad", "slack", "density_floor",
-                          "mass_ceiling", "i_max"}
+        assert set(d) == {"levels", "pad", "slack", "density_floor", "i_max"}
         for field in d.values():
             assert set(field) == {"asymptotic", "value"}
         assert d["levels"]["value"] == 6
@@ -327,8 +322,7 @@ class TestSliceAnalysis:
 
     def test_prefix_overrun_rejected(self):
         params = pseudoentropy.SliceParams(levels=6, pad=9, slack=3,
-                                           density_floor=1 / 18,
-                                           mass_ceiling=0.25, i_max=9)
+                                           density_floor=1 / 18, i_max=9)
         with pytest.raises(ValueError, match="rejected"):
             pseudoentropy.slice_analysis(geometric_keys(), params)
 
@@ -436,7 +430,7 @@ class TestGPairConditional:
             want = pair_oracle(k_s, seed, a.i_s, (0, 1, 1), a, P3.density_floor)
             for y, pair in got.items():
                 for side, pmf in enumerate(pair):
-                    assert all(isinstance(q, Fraction) for q in pmf.probs())
+                    assert all(isinstance(q, Fraction) for q in pmf.as_dict().values())
                     assert pmf.as_dict() == want[y][side].as_dict()
 
     def test_conditionals_are_normalized(self):
@@ -445,8 +439,8 @@ class TestGPairConditional:
         seed = gf2.sample_hash_seed(np.random.default_rng(31), 3)
         pairs = pseudoentropy.g_pair_conditional(k_s, seed, a.i_s, (1, 0, 1), a)
         for p0, p1 in pairs.values():
-            assert sum(p0.probs()) == pytest.approx(1.0)
-            assert sum(p1.probs()) == pytest.approx(1.0)
+            assert sum(p0.as_dict().values()) == pytest.approx(1.0)
+            assert sum(p1.as_dict().values()) == pytest.approx(1.0)
 
 
 class TestWpegEntropyGap:
@@ -462,8 +456,7 @@ class TestWpegEntropyGap:
 
     def test_disabled_trigger_is_exactly_zero(self):
         params = pseudoentropy.SliceParams(levels=6, pad=4, slack=3,
-                                           density_floor=math.inf,
-                                           mass_ceiling=0.25, i_max=9)
+                                           density_floor=math.inf, i_max=9)
         joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
         report = pseudoentropy.wpeg_entropy_gap(
             joint, params, 60, np.random.default_rng(41))
@@ -491,8 +484,8 @@ class TestWpegEntropyGap:
         joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
         a = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
         b = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
-        assert a.to_json() == b.to_json()
-        decoded = json.loads(a.to_json())
+        assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
+        decoded = a.as_dict()
         assert set(decoded) == {"params", "gap", "radius", "trigger_mass",
                                 "per_s", "seed_samples"}
         assert decoded["params"]["pad"]["value"] == 4
@@ -804,7 +797,7 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
         analysis = pseudoentropy.slice_analysis(puzzle.condition_on_puzzle(s), params)
         instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
     width = instances[0][2]._keys.shape[1]
-    rmat = ((np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    rmat = dist.bits_of(np.arange(2 ** width), width)
     bits = [((a._keys @ rmat.T) & 1).astype(float) for _, _, a in instances]
     n_out = max(3 * width, max(a.i_s for _, _, a in instances))
     values = np.empty(seed_samples)
@@ -859,7 +852,8 @@ class TestSeedBatchedGap:
             got = pseudoentropy.wpeg_entropy_gap(joint, params, seeds,
                                                  np.random.default_rng(stream))
             want = wpeg_oracle(joint, params, seeds, np.random.default_rng(stream))
-            assert got.to_json() == want.to_json()
+            assert (json.dumps(got.as_dict(), sort_keys=True)
+                    == json.dumps(want.as_dict(), sort_keys=True))
 
     @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
     def test_stacked_filter_equals_one_seed_filter(self, fixture):

@@ -84,6 +84,11 @@ def oracle_shadow_to_bytes(shadow):
     return header + packed.tobytes()
 
 
+def vectors(states):
+    """The (K, 2^m) statevector array estimate_overlap_many takes."""
+    return np.stack([s.vector for s in states])
+
+
 def random_states(rng, count, n_qubits):
     vecs = rng.normal(size=(count, 2 ** n_qubits)) + 1j * rng.normal(size=(count, 2 ** n_qubits))
     return [qsim.PureState(v / np.linalg.norm(v)) for v in vecs]
@@ -140,7 +145,7 @@ class TestSnapshotEstimates:
         state = qsim.wiesner_encode((0, 1), (1, 0))
         shadow = puzzles.shadow_gen(state, 24, rng)
         targets = [qsim.wiesner_encode((0, 0), (a, b)) for a in (0, 1) for b in (0, 1)]
-        batch = puzzles.estimate_overlap_many(shadow, targets, 8)
+        batch = puzzles.estimate_overlap_many(shadow, vectors(targets), 8)
         for got, target in zip(batch, targets):
             assert got == pytest.approx(puzzles.estimate_overlap(shadow, target, 8), abs=1e-12)
 
@@ -148,9 +153,11 @@ class TestSnapshotEstimates:
         rng = np.random.default_rng(5)
         state = plus_state()
         shadow = puzzles.shadow_gen(state, 4096, rng)
+        # bases and outcomes are rebuilt on each read, so read them once
+        bases, outcomes = shadow.bases, shadow.outcomes
         per_snap = [
             puzzles.estimate_overlap(
-                puzzles.Shadow(bases=shadow.bases[t : t + 1], outcomes=shadow.outcomes[t : t + 1]),
+                puzzles.Shadow(bases=bases[t : t + 1], outcomes=outcomes[t : t + 1]),
                 state, 1,
             )
             for t in range(4096)
@@ -208,7 +215,7 @@ class TestTableDrivenShadows:
         for shadow in (puzzles.shadow_gen(state, 48, rng),
                        oracle_shadow_gen(state, 48, rng)):
             for groups in (1, 3, 6, 8):
-                got = puzzles.estimate_overlap_many(shadow, targets, groups)
+                got = puzzles.estimate_overlap_many(shadow, vectors(targets), groups)
                 want = oracle_estimate_overlap_many(shadow, targets, groups)
                 assert np.abs(got - want).max() <= 1e-12, name
 
@@ -217,7 +224,9 @@ class TestTableDrivenShadows:
         rng = np.random.default_rng(43)
         shadow = puzzles.shadow_gen(scheme.state_gen(scheme.key_gen(rng)), 64, rng)
         keys, states = scheme.honest_states()
-        by_state = puzzles.estimate_overlap_many(shadow, [scheme.state_gen(k) for k in keys], 8)
+        # the cached honest table against vectors stacked from state_gen
+        by_state = puzzles.estimate_overlap_many(
+            shadow, vectors([scheme.state_gen(k) for k in keys]), 8)
         assert np.array_equal(puzzles.estimate_overlap_many(shadow, states, 8), by_state)
 
     @pytest.mark.parametrize("name", ["wiesner", "dense"])
@@ -241,7 +250,7 @@ class TestTableDrivenShadows:
     def test_blocked_tables_match_one_table(self, monkeypatch):
         state = qsim.wiesner_encode((1, 0, 1), (0, 1, 1))
         scheme = owsg.wiesner_owsg(6)
-        targets = [scheme.state_gen(k) for k in scheme.all_keys()]
+        targets = vectors([scheme.state_gen(k) for k in scheme.all_keys()])
         whole = puzzles.shadow_gen(state, 64, np.random.default_rng(59))
         want = puzzles.estimate_overlap_many(whole, targets, 8)
         monkeypatch.setattr(puzzles, "_TABLE_ENTRIES", 100)

@@ -3,7 +3,8 @@
 apply_unitary and partial_trace are checked against slow full-matrix oracles
 built by explicit basis-index bookkeeping, apply_gate against the former
 moveaxis kernel, trace_distance against the pure state closed form and an
-SVD-based nuclear norm.  check_unitary's accept or reject verdict is pinned on
+SVD-based nuclear norm, and oracles.density_partial_trace against the slow
+trace.  check_unitary's accept or reject verdict is pinned on
 permuted block unitaries, small perturbations of them and patterns that rule
 a unitary out.
 """
@@ -196,17 +197,43 @@ class TestPartialTraceAndDistance:
             slow = partial_trace_slow(psi.to_density().matrix, list(keep), n)
             assert np.allclose(fast.matrix, slow, atol=1e-10)
 
+    def test_density_oracle_matches_slow_trace(self):
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            n = int(rng.integers(2, 5))
+            keep = [int(j) for j in rng.permutation(n)[:int(rng.integers(1, n))]]
+            rho = qsim.partial_trace(random_state(rng, n + 1), list(range(n)))
+            got = oracles.density_partial_trace(rho, keep)
+            assert np.allclose(got.matrix, partial_trace_slow(rho.matrix, keep, n),
+                               atol=1e-10)
+
     def test_trace_distance_frozen(self):
         plus = qsim.apply_unitary(qsim.basis_state((0,)), qsim.H, [0])
-        got = qsim.trace_distance(qsim.basis_state((0,)), plus)
+        got = qsim.trace_distance(qsim.basis_state((0,)).to_density(), plus.to_density())
         assert got == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_pure_closed_form(self):
+        # two pure states are sqrt(1 - |<a|b>|^2) apart, orthogonal ones 1
         rng = np.random.default_rng(53)
-        for _ in range(10):
-            a, b = random_state(rng, 3), random_state(rng, 3)
+        pairs = [(random_state(rng, 3), random_state(rng, 3)) for _ in range(10)]
+        pairs.append((qsim.basis_state((0, 1, 1)), qsim.basis_state((1, 1, 0))))
+        for a, b in pairs:
             expect = np.sqrt(1.0 - qsim.overlap(a, b))
-            assert qsim.trace_distance(a, b) == pytest.approx(expect, abs=1e-10)
+            got = qsim.trace_distance(a.to_density(), b.to_density())
+            assert got == pytest.approx(expect, abs=1e-10)
+
+    def test_pure_matches_density_eigenvalues(self):
+        # the difference of two pure densities has rank two: eigenvalues
+        # +D and -D, with D the trace distance, and zeros elsewhere
+        rng = np.random.default_rng(67)
+        pairs = [(random_state(rng, 3), random_state(rng, 3)) for _ in range(10)]
+        pairs.append((qsim.basis_state((0, 1, 1)), qsim.basis_state((1, 1, 0))))
+        for a, b in pairs:
+            rho_a, rho_b = a.to_density(), b.to_density()
+            d = qsim.trace_distance(rho_a, rho_b)
+            eig = np.linalg.eigvalsh(rho_a.matrix - rho_b.matrix)
+            expect = np.concatenate([[-d], np.zeros(len(eig) - 2), [d]])
+            assert np.allclose(eig, expect, atol=1e-12)
 
     def test_matches_nuclear_norm(self):
         rng = np.random.default_rng(59)
@@ -217,17 +244,9 @@ class TestPartialTraceAndDistance:
             expect = 0.5 * np.linalg.svd(diff, compute_uv=False).sum()
             assert qsim.trace_distance(a, b) == pytest.approx(expect, abs=1e-10)
 
-    def test_pure_matches_density_eigenvalues(self):
-        rng = np.random.default_rng(67)
-        pairs = [(random_state(rng, 3), random_state(rng, 3)) for _ in range(10)]
-        pairs.append((qsim.basis_state((0, 1, 1)), qsim.basis_state((1, 1, 0))))
-        for a, b in pairs:
-            expect = qsim.trace_distance(a.to_density(), b.to_density())
-            assert qsim.trace_distance(a, b) == pytest.approx(expect, abs=1e-12)
-
     def test_identical_states_at_zero(self):
-        psi = random_state(np.random.default_rng(61), 2)
-        assert qsim.trace_distance(psi, psi) == pytest.approx(0.0, abs=1e-12)
+        rho = random_state(np.random.default_rng(61), 2).to_density()
+        assert qsim.trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def random_unitary(rng, k):
@@ -393,7 +412,7 @@ class TestResultsPassConstructorChecks:
             assert passes_checks(post)
         for state in (psi, rho):
             assert passes_checks(qsim.dephase(state, targets))
-            assert passes_checks(qsim.partial_trace(state, targets))
+        assert passes_checks(qsim.partial_trace(psi, targets))
         assert passes_checks(qsim.basis_state(bits_of(seed, n)))
 
     @pytest.mark.parametrize("seed,n", CASES)
@@ -430,6 +449,14 @@ class TestResultsPassConstructorChecks:
             qsim.partial_trace(psi, [])
         with pytest.raises(ValueError):
             qsim.partial_trace(qsim.basis_state((0,) * 11), list(range(11)))
+        # partial_trace takes a pure state, trace_distance density matrices
+        with pytest.raises(TypeError):
+            qsim.partial_trace(psi.to_density(), [0])
+        for a, b in ((psi, psi), (psi.to_density(), psi)):
+            with pytest.raises(TypeError):
+                qsim.trace_distance(a, b)
+        with pytest.raises(ValueError, match="registers"):
+            qsim.trace_distance(psi.to_density(), qsim.basis_state((0,)).to_density())
         with pytest.raises(ValueError):
             qsim.basis_state((0,) * 15)
         with pytest.raises(ValueError):
