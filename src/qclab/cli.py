@@ -410,7 +410,7 @@ def _run_concentration(m):
     if not 1 <= support <= dist.SPECTRUM_VALUE_LIMIT:
         raise ValueError(f"support must lie in [1, {dist.SPECTRUM_VALUE_LIMIT}], got {support}")
     t_max = _param(m, "t_max", 12)
-    # the spectra of t = 1 .. t_max walk C(t_max + support, support) - 1 compositions
+    # the spectra of t = 1 .. t_max enumerate C(t_max + support, support) - 1 compositions
     if t_max < 1 or math.comb(t_max + support, support) > dist.SPECTRUM_WALK_LIMIT:
         raise ValueError(f"t_max {t_max} at support {support} is < 1 or past the walk limit")
     eps = _param(m, "eps", 0.01, float)
@@ -460,7 +460,7 @@ def _run_commit_suite(m):
     schemes, completeness, hiding = {}, {}, {}
     for name in sorted(catalog):
         s = catalog[name]
-        schemes[name] = json.loads(commit.scheme_to_json(s))
+        schemes[name] = commit.scheme_payload(s)
         completeness[name] = min(commit.decommit_probability(s, 0),
                                  commit.decommit_probability(s, 1))
         hiding[name] = commit.hiding_advantage(s)

@@ -344,11 +344,12 @@ def xor_combine(schemes):
                      "xor of {} components".format(t))
 
 
-def scheme_to_json(scheme):
-    """Serialize a scheme, flattening the unitary and checksumming it."""
+def scheme_payload(scheme):
+    """A scheme as a JSON-ready dict, the unitary flattened and checksummed;
+    scheme_from_json reads its JSON text back."""
     re = [float(v) for v in scheme.com.real.ravel()]
     im = [float(v) for v in scheme.com.imag.ravel()]
-    payload = {
+    return {
         "name": scheme.name,
         "flavor": scheme.flavor,
         "n_qubits": scheme.n_qubits,
@@ -358,7 +359,6 @@ def scheme_to_json(scheme):
         "com_im": im,
         "checksum": _unitary_checksum(re, im),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 _PAYLOAD_FIELDS = {"name": str, "flavor": str, "c_qubits": list,
@@ -367,8 +367,9 @@ _PAYLOAD_FIELDS = {"name": str, "flavor": str, "c_qubits": list,
 
 
 def scheme_from_json(text):
-    """Rebuild and check a scheme_to_json scheme; a malformed payload raises
-    a ValueError naming what is wrong."""
+    """Rebuild and check a scheme from the JSON text of its scheme_payload; a
+    malformed payload or a checksum that does not match raises a ValueError
+    naming what is wrong."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("scheme payload is not a JSON object")

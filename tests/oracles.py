@@ -2,6 +2,8 @@
 
 The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
+The product-spectrum oracle builds each value by a recursive walk over the
+compositions of the power, one Python call per composition prefix.
 The GL oracle asks its predictor one query at a time, and the binding
 oracle plays commit.binding_experiment's game round by round.  The
 density partial trace reduces a mixed state, which the library never does:
@@ -257,3 +259,27 @@ def play_binding_game(scheme, adv, trials, rng):
             continue
         hits += int(rng.random() < p_one[b]) == b
     return hits / trials
+
+
+def product_spectrum_walk(p, t):
+    """dist.product_spectrum by a recursive walk over the compositions of t:
+    each level picks one value's exponent and carries the running product
+    and count down, and equal products merge in a dict."""
+    groups = Counter(p.as_dict().values())
+    values = sorted(groups, reverse=True)
+    mults = [groups[v] for v in values]
+    spectrum = {}
+    one = Fraction(1) if all(isinstance(v, Fraction) for v in values) else 1.0
+
+    def walk(idx, left, value, ways):
+        # ways telescopes the multinomial coefficient times the label choices
+        if idx == len(values) - 1:
+            v = value * values[idx] ** left
+            w = ways * mults[idx] ** left
+            spectrum[v] = spectrum.get(v, 0) + w
+            return
+        for c in range(left + 1):
+            walk(idx + 1, left - c, value * values[idx] ** c, ways * math.comb(left, c) * mults[idx] ** c)
+
+    walk(0, t, one, 1)
+    return sorted(spectrum.items(), key=lambda vc: -vc[0])

@@ -403,6 +403,23 @@ def exit_code(body):
         return cli.main(["--manifest", str(path), "--out", str(Path(tmp) / "r")])
 
 
+@pytest.mark.parametrize("sub", sorted(PARAM_KEYS))
+def test_param_keys_are_what_each_runner_reads(sub, monkeypatch, capsys):
+    # the fuzz test below accepts exit 3, so a key its runner no longer
+    # reads would only turn its manifests into rejections; the runner's
+    # own record of what it read through _param settles the list
+    read = []
+    runner = cli._RUNNERS[sub]
+
+    def recording(m):
+        read.append(m.read)  # filled in place as the runner reads
+        return runner(m)
+
+    monkeypatch.setitem(cli._RUNNERS, sub, recording)
+    assert exit_code({"subcommand": sub, "seed": 0, "trials": 1}) == 0
+    assert read == [set(PARAM_KEYS[sub])]
+
+
 class TestBadParameters:
     """A manifest that passes the schema is either run or rejected as a
     parameter problem (exit 3); exit 4 is kept for bugs."""

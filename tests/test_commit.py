@@ -587,7 +587,7 @@ class TestXorCombine:
 class TestSchemeJson:
     def test_roundtrip(self):
         s = CATALOG["purified-coins"]
-        text = commit.scheme_to_json(s)
+        text = json.dumps(commit.scheme_payload(s))
         back = commit.scheme_from_json(text)
         assert back.name == s.name
         assert back.c_qubits == s.c_qubits
@@ -597,7 +597,7 @@ class TestSchemeJson:
 
     def test_deterministic(self):
         s = CATALOG["basis"]
-        assert commit.scheme_to_json(s) == commit.scheme_to_json(s)
+        assert commit.scheme_payload(s) == commit.scheme_payload(s)
 
     @pytest.mark.parametrize("change,problem", [
         (lambda p: [], "not a JSON object"),
@@ -609,7 +609,7 @@ class TestSchemeJson:
     ], ids=["list", "empty", "no-flavor", "null-c-qubits", "float-qubit",
             "short-map"])
     def test_malformed_payload_named(self, change, problem):
-        payload = change(json.loads(commit.scheme_to_json(CATALOG["basis"])))
+        payload = change(commit.scheme_payload(CATALOG["basis"]))
         if isinstance(payload, dict) and "com_re" in payload:
             payload["checksum"] = commit._unitary_checksum(payload["com_re"],
                                                            payload["com_im"])
@@ -617,7 +617,7 @@ class TestSchemeJson:
             commit.scheme_from_json(json.dumps(payload))
 
     def test_non_float_map_entry_named(self):
-        payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
+        payload = commit.scheme_payload(CATALOG["basis"])
         for entry in ({}, None, "1.0", True):
             payload["com_re"][0] = entry
             payload["checksum"] = commit._unitary_checksum(payload["com_re"],
@@ -626,7 +626,7 @@ class TestSchemeJson:
                 commit.scheme_from_json(json.dumps(payload))
 
     def test_tampered_unitary_detected(self):
-        payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
+        payload = commit.scheme_payload(CATALOG["basis"])
         payload["com_re"][0] = 0.123
         with pytest.raises(ValueError, match="checksum"):
             commit.scheme_from_json(json.dumps(payload))
@@ -681,7 +681,7 @@ class TestUnitarityCheckedWhereMapsEnter:
             commit.purification_commit(bern(0.5), bern(0.25))
 
     def test_scheme_from_json_checks(self):
-        payload = json.loads(commit.scheme_to_json(CATALOG["basis"]))
+        payload = commit.scheme_payload(CATALOG["basis"])
         payload["com_re"][0] = 0.5
         payload["checksum"] = commit._unitary_checksum(payload["com_re"],
                                                        payload["com_im"])

@@ -359,8 +359,8 @@ class TestJointAndTransforms:
                 assert all(isinstance(v, Fraction) for v, _ in got)
 
     def test_product_spectrum_walk_limit(self):
-        # 4 values at power 12 walk C(15, 3) = 455 compositions, the
-        # concentration default; 16 values at power 12 walk C(27, 15)
+        # 4 values at power 12 have C(15, 3) = 455 compositions, the
+        # concentration default; 16 values at power 12 have C(27, 15)
         p4 = dist.Pmf({(i & 1, i >> 1): w / 10 for i, w in enumerate([1, 2, 3, 4])})
         assert sum(c for _, c in dist.product_spectrum(p4, 12)) == 4 ** 12
         p16 = dist.Pmf({tuple(int(b) for b in f"{i:04b}"): (i + 1) / 136 for i in range(16)})
@@ -381,6 +381,97 @@ class TestJointAndTransforms:
             assert dist.smooth_max_entropy_spectrum(spectrum, eps) == pytest.approx(
                 dist.smooth_max_entropy(cube, eps), abs=1e-9
             )
+
+
+def labelled(masses):
+    """A Pmf with the given masses on distinct 8-bit labels, in order."""
+    return dist.Pmf({oracles.bit_tuple(i, 8): m for i, m in enumerate(masses)})
+
+
+def typed(spectrum):
+    return [(v, type(v), c, type(c)) for v, c in spectrum]
+
+
+class TestProductSpectrumMatchesWalk:
+    """product_spectrum equals oracles.product_spectrum_walk, value types
+    and count types included, so no report that prints a spectrum moves."""
+
+    RNG_CASES = 40
+
+    @pytest.mark.parametrize("masses,powers", [
+        ([0.5, 0.3, 0.2], range(1, 9)),
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], range(1, 7)),
+        # Fraction and float masses mixed: products are floats, and a
+        # Fraction power is rounded once before it is multiplied in
+        ([Fraction(1, 3), 1 / 3, Fraction(1, 3)], range(1, 7)),
+        ([Fraction(1, 10), 0.4, 0.5], range(1, 7)),
+        ([1], (1, 2, 4096)),
+        ([1, 0.0, Fraction(0)], (1, 5)),
+        # a Fraction and its equal float merge into one value
+        ([Fraction(1, 2), 0.5], (1, 3)),
+        # dyadic masses whose products collide: 1/2 * 1/8 == 1/4 * 1/4
+        ([0.5, 0.25, 0.125, 0.0625, 0.0625], range(1, 9)),
+        ([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)], range(1, 7)),
+        # repeated masses: the count carries m ** c label choices
+        ([0.2, 0.2, 0.2, 0.4], range(1, 9)),
+        ([0.1] * 4 + [0.3] * 2, range(1, 7)),
+    ], ids=["float", "fraction", "fraction-and-float", "fraction-float-mix",
+            "int-point", "int-with-zeros", "equal-fraction-float", "dyadic-collide",
+            "fraction-collide", "repeated", "two-repeated"])
+    def test_equals_walk(self, masses, powers):
+        p = labelled(masses)
+        for t in powers:
+            assert typed(dist.product_spectrum(p, t)) == typed(oracles.product_spectrum_walk(p, t))
+
+    def test_random_masses_equal_walk(self):
+        rng = np.random.default_rng(20)
+        for case in range(self.RNG_CASES):
+            k = int(rng.integers(1, 7))
+            weights = rng.integers(1, 5, size=k)
+            if case % 2:
+                masses = [Fraction(int(w), int(weights.sum())) for w in weights]
+            else:
+                masses = (weights / weights.sum()).tolist()
+            p = labelled(masses)
+            for t in range(1, 7):
+                assert typed(dist.product_spectrum(p, t)) == typed(oracles.product_spectrum_walk(p, t))
+
+    @pytest.mark.parametrize("k,t", [(64, 2), (16, 4), (4, 12)])
+    def test_wide_supports_equal_walk(self, k, t):
+        raw = np.random.default_rng(k).random(k) + 0.05
+        p = labelled((raw / raw.sum()).tolist())
+        assert typed(dist.product_spectrum(p, t)) == typed(oracles.product_spectrum_walk(p, t))
+
+    def test_counts_past_int64_equal_walk(self):
+        # two values, one held by two atoms, at power 4096: counts such as
+        # C(4096, 2048) * 2^2048 pass 2^63, and most products underflow to
+        # one merged 0.0
+        p = labelled([1 - 2 ** -10, 2 ** -11, 2 ** -11])
+        got = dist.product_spectrum(p, 4096)
+        assert typed(got) == typed(oracles.product_spectrum_walk(p, 4096))
+        assert sum(c for _, c in got) == 3 ** 4096
+        assert max(c for _, c in got) >= 2 ** 63 and len(got) > 2
+
+    def test_cached_tables_are_read_only(self):
+        parts, ways = dist._composition_table(5, 3)
+        assert parts.shape == (3, math.comb(7, 2)) and parts.dtype == np.uint8
+        assert ways.dtype == np.int64
+        for array in (parts, ways):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_a_call_caches_only_its_table(self):
+        dist._composition_table.cache_clear()
+        dist.product_spectrum(labelled([0.5, 0.3, 0.2]), 6)
+        info = dist._composition_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        dist._composition_table(6, 3)
+        info = dist._composition_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        # multinomials that could pass int64 are built per call, never kept
+        dist.product_spectrum(labelled([0.5, 0.5 - 2 ** -20, 2 ** -20]), 40)
+        assert dist._composition_table.cache_info().currsize == 1
 
 
 class TestBitPacking:

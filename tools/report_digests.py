@@ -7,9 +7,12 @@ SRC is the directory that holds the `qclab` package to run (a checkout's
 for seeds 0 and 7, the csv reports of `entropy` and `efi-sweep` for the
 same seeds, and the five hash-pipeline manifests of `perfbench/workloads.py`
 (read, never changed) at their benchmark trial counts for the same seeds.
-Last come `efi-sweep` manifests with non-uniform weights, one per seed:
+Then come `efi-sweep` manifests with non-uniform weights, one per seed:
 uniform weights over 2^w atoms give the same report under any labelling of
 the atoms, so only these show a change to which bit string labels an atom.
+Last come `concentration` manifests at shapes the defaults do not reach,
+for each seed: support 2 out to power 300 (counts past int64), support 16
+to power 4 and support 64 to power 2.
 Running this on two checkouts and diffing the output shows whether a change
 moved any report byte.
 """
@@ -24,6 +27,8 @@ from pathlib import Path
 
 SEEDS = (0, 7)
 SKEWED_WEIGHTS = [1, 2, 3]
+# (support, t_max) of the concentration manifests beyond the defaults
+SPECTRUM_SHAPES = ((2, 300), (16, 4), (64, 2))
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -48,6 +53,11 @@ def manifests():
         yield f"efi-sweep weights={SKEWED_WEIGHTS} seed={seed}", {
             "subcommand": "efi-sweep", "seed": seed,
             "params": {"weights": SKEWED_WEIGHTS}}
+    for seed in SEEDS:
+        for support, t_max in SPECTRUM_SHAPES:
+            yield f"concentration support={support} t_max={t_max} seed={seed}", {
+                "subcommand": "concentration", "seed": seed,
+                "params": {"support": support, "t_max": t_max}}
 
 
 def main(argv):
