@@ -4,13 +4,13 @@ Reports are canonical JSON (sorted keys, no whitespace), so a manifest run
 twice produces byte-identical output.  Timing goes to stderr only.  Child
 random streams are derived as sha256("seed:subcommand:trial")[:8], read as
 a big-endian unsigned 64-bit integer and fed to numpy's default generator,
-so any single trial can be reproduced outside this module.  Manifests are
-checked against data/manifest.schema.json by a small interpreter of the few
-JSON Schema keywords it uses, whose errors read as jsonschema's would.
+so any single trial can be reproduced outside this module.  Every manifest
+value is read once by _read, as a kind within bounds: the seven envelope
+fields as the _FIELDS table says (a fault exits 2), and each runner's
+parameters through _param (a fault exits 3).
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -18,7 +18,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -37,36 +36,40 @@ DEFAULT_TRIALS = {
     "efi-sweep": 200,
     "commit-suite": 1,
 }
+SUBCOMMANDS = sorted(DEFAULT_TRIALS)
+FORMATS = ["json", "csv"]
 
-
-class ManifestError(ValueError):
-    """Raised for anything wrong with the manifest itself."""
+# the default of a field every manifest must give
+_REQUIRED = object()
+# each manifest field's kind, default and bounds, as _read takes them; an
+# absent trials is the subcommand's DEFAULT_TRIALS entry, and a null or
+# absent out writes the report to stdout
+_FIELDS = {
+    "subcommand": (str, _REQUIRED, SUBCOMMANDS),
+    "params": (dict, {}, None),
+    "seed": (int, _REQUIRED, (0, 2 ** 64 - 1)),
+    "trials": (int, None, (1, math.inf)),
+    "out": ((str, type(None)), None, None),
+    # _run_trials starts one thread per worker
+    "workers": (int, 1, (1, 64)),
+    "format": (str, "json", FORMATS),
+}
 
 
 class ExperimentManifest:
-    __slots__ = ("subcommand", "params", "seed", "trials", "out", "workers", "fmt", "read")
+    """One attribute per _FIELDS entry, plus `read`: the parameter names
+    the runner has read through _param."""
 
-    def __init__(self, subcommand, params, seed, trials, out, workers, fmt):
-        self.subcommand = subcommand
-        self.params = params
-        self.seed = seed
-        self.trials = trials
-        self.out = out
-        self.workers = workers
-        self.fmt = fmt
-        # the parameter names the runner has read through _param
+    __slots__ = (*_FIELDS, "read")
+
+    def __init__(self, fields):
+        for name, value in fields.items():
+            setattr(self, name, value)
         self.read = set()
 
     def embedded(self):
         # the output path names where the report goes; it is not part of it
-        return {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "trials": self.trials,
-            "workers": self.workers,
-            "format": self.fmt,
-        }
+        return {name: getattr(self, name) for name in _FIELDS if name != "out"}
 
 
 def child_rng(seed, subcommand, trial_index):
@@ -76,99 +79,18 @@ def child_rng(seed, subcommand, trial_index):
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def _load_schema():
-    raw = resources.files("qclab").joinpath("data/manifest.schema.json").read_text()
-    return json.loads(raw)
-
-
-# the JSON Schema types the schema names (Draft 2020-12): an integral float
-# is an integer, and a bool is neither an integer nor a number
-_JSON_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "string": lambda v: isinstance(v, str),
-    "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
-}
-# the keywords _schema_errors interprets; "$schema" and "title" only annotate
-_SCHEMA_KEYWORDS = {"$schema", "title", "type", "enum", "required",
-                    "additionalProperties", "properties", "minimum", "maximum"}
-
-
-def _type_names(schema):
-    names = schema.get("type", [])
-    return [names] if isinstance(names, str) else names
-
-
-def _check_schema(schema):
-    """Refuse a schema that _schema_errors would read wrongly."""
-    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
-    if unknown:
-        raise ValueError("manifest schema keywords {} are not supported".format(unknown))
-    if schema.get("additionalProperties", False) is not False:
-        raise ValueError("manifest schema: additionalProperties must be false")
-    if not set(_type_names(schema)) <= set(_JSON_TYPES):
-        raise ValueError("manifest schema: unknown type {!r}".format(schema["type"]))
-    if not all(isinstance(e, str) for e in schema.get("enum", [])):
-        raise ValueError("manifest schema: enum values must be strings")
-    for sub in schema.get("properties", {}).values():
-        _check_schema(sub)
-
-
-@functools.cache
-def _schema():
-    # read and checked once per process
-    schema = _load_schema()
-    _check_schema(schema)
-    return schema
-
-
-def _schema_errors(schema, value, path=()):
-    """(path, message) of each error jsonschema finds in `value`, in the
-    order it yields them."""
-    number = _JSON_TYPES["number"](value)
-    for keyword, arg in schema.items():
-        if keyword == "type":
-            names = _type_names(schema)
-            if not any(_JSON_TYPES[t](value) for t in names):
-                yield path, "{!r} is not of type {}".format(
-                    value, ", ".join(map(repr, names)))
-        elif keyword == "enum" and value not in arg:
-            yield path, "{!r} is not one of {!r}".format(value, arg)
-        elif keyword == "minimum" and number and value < arg:
-            yield path, "{!r} is less than the minimum of {!r}".format(value, arg)
-        elif keyword == "maximum" and number and value > arg:
-            yield path, "{!r} is greater than the maximum of {!r}".format(value, arg)
-        elif not isinstance(value, dict):
-            continue
-        elif keyword == "required":
-            for name in arg:
-                if name not in value:
-                    yield path, "{!r} is a required property".format(name)
-        elif keyword == "additionalProperties":
-            extras = sorted(set(value) - set(schema.get("properties", {})))
-            if extras:
-                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
-                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
-        elif keyword == "properties":
-            for name, sub in arg.items():
-                if name in value:
-                    yield from _schema_errors(sub, value[name], path + (name,))
-
-
 def _parser():
     p = argparse.ArgumentParser(
         prog="qclab",
         description="Run one pipeline experiment from a manifest.")
-    p.add_argument("subcommand", nargs="?", choices=sorted(DEFAULT_TRIALS),
+    p.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS,
                    help="experiment to run; may also come from the manifest")
     p.add_argument("--manifest", help="path to a manifest JSON file")
     p.add_argument("--seed", type=int, help="override the manifest seed")
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--out", help="report path; stdout when omitted")
     p.add_argument("--workers", type=int, help="parallel trial workers")
-    p.add_argument("--format", choices=["json", "csv"],
+    p.add_argument("--format", choices=FORMATS,
                    help="report format, default json")
     return p
 
@@ -179,14 +101,14 @@ def _resolve(args):
         try:
             body = json.loads(Path(args.manifest).read_text())
         except OSError as exc:
-            raise ManifestError("cannot read manifest: {}".format(exc))
-        except json.JSONDecodeError as exc:
-            raise ManifestError("manifest is not JSON: {}".format(exc))
+            raise ValueError("cannot read manifest: {}".format(exc))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError("manifest is not JSON: {}".format(exc))
         if not isinstance(body, dict):
-            raise ManifestError("manifest must be a JSON object")
+            raise ValueError("manifest must be a JSON object")
     if args.subcommand:
         if body.get("subcommand", args.subcommand) != args.subcommand:
-            raise ManifestError("subcommand disagrees with the manifest")
+            raise ValueError("subcommand disagrees with the manifest")
         body["subcommand"] = args.subcommand
     overrides = (("seed", args.seed), ("trials", args.trials),
                  ("out", args.out), ("workers", args.workers),
@@ -194,19 +116,29 @@ def _resolve(args):
     for field, value in overrides:
         if value is not None:
             body[field] = value
-    # the error jsonschema.validate would raise, by best_match's relevance:
-    # the shallowest path, then the greatest, then the first yielded (its
-    # type-match criterion never decides, as one subschema makes all the
-    # errors at a path)
-    error = max(_schema_errors(_schema(), body),
-                key=lambda e: (-len(e[0]), e[0]), default=None)
-    if error is not None:
-        raise ManifestError(error[1])
-    sub = body["subcommand"]
-    return ExperimentManifest(
-        sub, body.get("params", {}), int(body["seed"]),
-        int(body.get("trials", DEFAULT_TRIALS[sub])), body.get("out"),
-        int(body.get("workers", 1)), body.get("format", "json"))
+    return _manifest(body)
+
+
+def _manifest(body):
+    """The manifest whose JSON object is `body`, each field read by _read
+    as _FIELDS says.  An unknown or missing field, or a value of the wrong
+    kind or out of bounds, raises ValueError (exit 2)."""
+    unknown = sorted(set(body) - set(_FIELDS))
+    if unknown:
+        raise ValueError("unknown manifest field {}".format(
+            ", ".join(map(repr, unknown))))
+    fields = {}
+    for name, (kind, default, bounds) in _FIELDS.items():
+        if name in body:
+            fields[name] = _read("manifest field {!r}".format(name),
+                                 body[name], kind, bounds)
+        elif default is _REQUIRED:
+            raise ValueError("manifest field {!r} is required".format(name))
+        else:
+            fields[name] = default
+    if fields["trials"] is None:
+        fields["trials"] = DEFAULT_TRIALS[fields["subcommand"]]
+    return ExperimentManifest(fields)
 
 
 def _run_trials(fn, m):
@@ -220,27 +152,53 @@ def _run_trials(fn, m):
         return list(pool.map(trial, range(m.trials)))
 
 
-def _param(m, name, default, kind=int):
-    """Manifest parameter `name` as an int, float, str or list of ints, or
-    `default` when absent.  A wrong JSON type raises ValueError (exit 3).
-    The name counts as read; main rejects a parameter never read."""
+def _param(m, name, default, kind=int, bounds=None):
+    """Manifest parameter `name`, or `default` when absent, read by _read
+    as `kind` within `bounds`; its ValueError exits 3.  The name counts as
+    read; main rejects a parameter never read."""
     m.read.add(name)
-    value = m.params.get(name, default)
+    return _read("parameter {!r}".format(name), m.params.get(name, default),
+                 kind, bounds)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "an object", list: "a list of integers",
+               (str, type(None)): "a string or null"}
+
+
+def _read(label, value, kind, bounds):
+    """`value` as `kind`, one of _KIND_NAMES' keys (list means a list of
+    ints), within `bounds`: a (low, high) pair for a number, or the allowed
+    values of a string; None for none.  Anything else raises ValueError
+    naming `label`."""
+    if not _is_a(value, kind):
+        raise ValueError("{} must be {}, got {!r}".format(label, _KIND_NAMES[kind], value))
     if kind is list:
-        ok = isinstance(value, list) and all(_is_a(v, int) for v in value)
-    else:
-        ok = _is_a(value, kind)
-    if not ok:
-        raise ValueError("parameter {!r} must be {}, got {!r}".format(
-            name, "a list of ints" if kind is list else kind.__name__, value))
-    return [int(v) for v in value] if kind is list else kind(value)
+        return [int(v) for v in value]
+    if kind is int or kind is float:
+        value = kind(value)
+    if bounds is None:
+        return value
+    if kind is str and value not in bounds:
+        raise ValueError("{} must be one of {}, got {!r}".format(
+            label, ", ".join(map(repr, bounds)), value))
+    if kind is not str and not bounds[0] <= value <= bounds[1]:
+        raise ValueError("{} must lie in [{}, {}], got {}".format(label, *bounds, value))
+    return value
 
 
 def _is_a(value, kind):
-    if kind is str:
-        return isinstance(value, str)
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and (kind is float or value == int(value)))
+    if kind is list:
+        return isinstance(value, list) and all(_is_a(v, int) for v in value)
+    if kind is not int and kind is not float:
+        return isinstance(value, kind)
+    # a bool is not a number and an integral float reads as an int; a
+    # float is finite, and so is an int that float() can convert
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int) or value.is_integer()
+    return abs(value) <= sys.float_info.max
 
 
 def _indexed_pmf(weights):
@@ -266,9 +224,7 @@ def _run_entropy(m):
 
 
 def _run_extractor(m):
-    n = _param(m, "n", 6)
-    if not 0 <= n <= gf2.EXACT_INPUT_LIMIT:
-        raise ValueError(f"source width must lie in [0, {gf2.EXACT_INPUT_LIMIT}], got {n}")
+    n = _param(m, "n", 6, int, (0, gf2.EXACT_INPUT_LIMIT))
     atoms = list(map(tuple, dist.bits_of(np.arange(2 ** n), n).tolist()))
 
     def one(rng):
@@ -317,9 +273,7 @@ def _run_gl(m):
 
 def _run_shadows(m):
     n = _param(m, "n", 2)
-    snapshots = _param(m, "snapshots", 32)
-    if not 1 <= snapshots <= puzzles.SNAPSHOT_LIMIT:
-        raise ValueError(f"snapshots must lie in [1, {puzzles.SNAPSHOT_LIMIT}], got {snapshots}")
+    snapshots = _param(m, "snapshots", 32, int, (1, puzzles.SNAPSHOT_LIMIT))
     groups = _param(m, "groups", 8)
     tol = _param(m, "eps", 0.25, float)
     scheme = owsg.wiesner_owsg(n)
@@ -343,9 +297,7 @@ def _run_shadows(m):
 
 def _tabulated_fixture(m):
     fixtures = puzzles.tabulated_puzzles()
-    name = _param(m, "fixture", "geometric", str)
-    if name not in fixtures:
-        raise ValueError("unknown puzzle fixture {!r}".format(name))
+    name = _param(m, "fixture", "geometric", str, sorted(fixtures))
     return name, fixtures[name]
 
 
@@ -406,13 +358,11 @@ def _run_core_lemma(m):
 
 
 def _run_concentration(m):
-    support = _param(m, "support", 4)
-    if not 1 <= support <= dist.SPECTRUM_VALUE_LIMIT:
-        raise ValueError(f"support must lie in [1, {dist.SPECTRUM_VALUE_LIMIT}], got {support}")
-    t_max = _param(m, "t_max", 12)
+    support = _param(m, "support", 4, int, (1, dist.SPECTRUM_VALUE_LIMIT))
+    t_max = _param(m, "t_max", 12, int, (1, math.inf))
     # the spectra of t = 1 .. t_max enumerate C(t_max + support, support) - 1 compositions
-    if t_max < 1 or math.comb(t_max + support, support) > dist.SPECTRUM_WALK_LIMIT:
-        raise ValueError(f"t_max {t_max} at support {support} is < 1 or past the walk limit")
+    if math.comb(t_max + support, support) > dist.SPECTRUM_WALK_LIMIT:
+        raise ValueError(f"t_max {t_max} at support {support} is past the walk limit")
     eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
 
@@ -445,9 +395,7 @@ def _run_concentration(m):
 
 def _run_efi_sweep(m):
     pmf, width = _indexed_pmf(_param(m, "weights", [1] * 16, list))
-    s_max = _param(m, "s_max", 2 * width)
-    if s_max < 0:
-        raise ValueError("s_max must be non-negative, got {}".format(s_max))
+    s_max = _param(m, "s_max", 2 * width, int, (0, math.inf))
     rng = child_rng(m.seed, m.subcommand, 0)
     ests, radius = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
     rows = [{"s": s, "sd_estimate": est, "radius": radius} for s, est in enumerate(ests)]
@@ -535,7 +483,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         manifest = _resolve(args)
-    except ManifestError as exc:
+    except ValueError as exc:
         print(_error_json("validation", str(exc)))
         return 2
     start = time.monotonic()
@@ -552,7 +500,7 @@ def main(argv=None):
         print(_error_json("internal", "{}: {}".format(type(exc).__name__, exc)))
         return 4
     elapsed = time.monotonic() - start
-    if manifest.fmt == "csv":
+    if manifest.format == "csv":
         text = table if table is not None else \
             "key,value\n" + "\n".join(_scalar_csv(results)) + "\n"
     else:

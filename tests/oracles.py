@@ -13,6 +13,8 @@ brick circuit, whose states are not product states, and a noisy variant
 whose verifier thresholds the overlap, with an exact per-key correctness
 profile.  The single-qubit gates beyond H that the circuit menu offers live
 here too, since the library uses none of them.
+MANIFEST_SCHEMA is the manifest envelope as a JSON Schema (Draft 2020-12),
+for jsonschema to judge which manifests cli must accept.
 """
 
 import itertools
@@ -34,6 +36,27 @@ CIRCUIT_KEY_LIMIT = 12
 _PAIR_ACTIONS = {"CNOT": (0, 1), "CNOT_REVERSED": (1, 0)}
 
 GATE_MENU = Path(__file__).with_name("gate_menu.json")
+
+MANIFEST_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "qclab experiment manifest",
+    "type": "object",
+    "required": ["subcommand", "seed"],
+    "additionalProperties": False,
+    "properties": {
+        "subcommand": {
+            "type": "string",
+            "enum": ["entropy", "extractor", "gl", "shadows", "puzzle", "wpeg-gap",
+                     "core-lemma", "concentration", "efi-sweep", "commit-suite"],
+        },
+        "params": {"type": "object"},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
+        "trials": {"type": "integer", "minimum": 1},
+        "out": {"type": ["string", "null"]},
+        "workers": {"type": "integer", "minimum": 1, "maximum": 64},
+        "format": {"type": "string", "enum": ["json", "csv"]},
+    },
+}
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)

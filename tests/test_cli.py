@@ -1,13 +1,11 @@
 """End-to-end tests for the experiment runner.
 
 Every invocation goes through cli.main with a real manifest file, so these
-cover flag resolution, schema validation, exit codes, and the byte-level
+cover flag resolution, manifest validation, exit codes, and the byte-level
 determinism contract in one place.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -48,8 +46,7 @@ def read_report(out):
 
 class TestManifestHandling:
     def test_schema_file_is_a_valid_schema(self):
-        schema = cli._load_schema()
-        jsonschema.Draft202012Validator.check_schema(schema)
+        jsonschema.Draft202012Validator.check_schema(oracles.MANIFEST_SCHEMA)
 
     def test_missing_seed_rejected(self, capsys):
         assert cli.main(["entropy"]) == 2
@@ -76,6 +73,23 @@ class TestManifestHandling:
         path.write_text("{not json")
         assert cli.main(["--manifest", str(path)]) == 2
         capsys.readouterr()
+
+    def test_undecodable_manifest_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"subcommand": "entropy", "seed": 1, "out": "\xe9"}')
+        assert cli.main(["--manifest", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "validation"
+        assert err["detail"].startswith("manifest is not JSON: 'utf-8' codec")
+
+    def test_workers_past_the_maximum_rejected(self):
+        # rejected while resolving, before _run_trials starts a thread
+        args = cli._parser().parse_args(["gl", "--seed", "1", "--trials", "100000",
+                                         "--workers", "65"])
+        with pytest.raises(ValueError, match=r"'workers' must lie in \[1, 64\], got 65"):
+            cli._resolve(args)
+        args.workers = 64
+        assert cli._resolve(args).workers == 64
 
     def test_flag_overrides_land_in_report(self, tmp_path):
         body = {"subcommand": "entropy", "seed": 3}
@@ -421,8 +435,8 @@ def test_param_keys_are_what_each_runner_reads(sub, monkeypatch, capsys):
 
 
 class TestBadParameters:
-    """A manifest that passes the schema is either run or rejected as a
-    parameter problem (exit 3); exit 4 is kept for bugs."""
+    """A manifest that passes oracles.MANIFEST_SCHEMA is either run or
+    rejected as a parameter problem (exit 3); exit 4 is kept for bugs."""
 
     @pytest.mark.parametrize("sub,params", [
         ("gl", {"n": [1]}),
@@ -450,6 +464,8 @@ class TestBadParameters:
         ("gl", {"noise": 0.49999}),
         ("shadows", {"snapshots": 10 ** 12}),
         ("shadows", {"snapshot": 5}),
+        ("gl", {"noise": 10 ** 400}),
+        ("gl", {"n": 10 ** 400}),
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
@@ -489,7 +505,7 @@ class TestBadParameters:
     @settings(max_examples=250, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_valid_manifests_never_exit_four(self, body):
-        jsonschema.validate(body, cli._load_schema())
+        jsonschema.validate(body, oracles.MANIFEST_SCHEMA)
         assert exit_code(body) in (0, 3)
 
 
@@ -525,7 +541,8 @@ class TestGlBatchedPredictor:
         assert got == want
 
 
-SCHEMA = cli._load_schema()
+SCHEMA = oracles.MANIFEST_SCHEMA
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 _FIELDS = SCHEMA["properties"]
 _ENUM_VALUES = [v for f in _FIELDS.values() for v in f.get("enum", [])]
 # every integer bound, one either side of it, and the same as floats
@@ -555,67 +572,66 @@ def manifest_bodies(draw):
     return body
 
 
-def assert_validated_as_jsonschema_would(body):
-    """A body jsonschema accepts resolves to a manifest; any other exits 2
-    with jsonschema.validate's message as the detail."""
-    try:
-        jsonschema.validate(body, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        want = exc.message
-    else:
-        want = None
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "manifest.json"
-        path.write_text(json.dumps(body))
-        if want is None:
-            cli._resolve(cli._parser().parse_args(["--manifest", str(path)]))
-            return
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["--manifest", str(path)]) == 2
-    assert json.loads(out.getvalue())["detail"] == want
+def assert_resolved_as_jsonschema_would(body):
+    """cli._manifest rejects `body` (main exits 2) exactly when jsonschema
+    rejects it, and resolves an accepted body to the body plus defaults,
+    with each integral float read as an int."""
+    if not VALIDATOR.is_valid(body):
+        with pytest.raises(ValueError):
+            cli._manifest(body)
+        return
+    m = cli._manifest(body)
+    want = {"params": {}, "trials": cli.DEFAULT_TRIALS[body["subcommand"]],
+            "workers": 1, "format": "json", **body}
+    assert m.out == want.pop("out", None)
+    assert m.embedded() == want
+    assert all(type(getattr(m, f)) is int for f in ("seed", "trials", "workers"))
 
 
 class TestValidatorBuiltOnce:
-    """The schema interpreter reports what jsonschema.validate would, and
-    refuses a schema keyword it does not interpret."""
+    """cli's field table accepts exactly the manifests jsonschema accepts
+    under oracles.MANIFEST_SCHEMA, and names the first fault it finds."""
 
-    @pytest.mark.parametrize("body", [
-        {"subcommand": "entropy"},
-        {"subcommand": "nope", "seed": 0},
-        {"subcommand": "gl", "seed": -1, "trials": 0},
-        {"subcommand": "gl", "seed": 0, "colour": "red", "format": "xml"},
-        {"subcommand": "gl", "seed": 0, "params": [1], "workers": 0},
-        {"subcommand": 3, "seed": "x", "out": 5},
-    ])
-    def test_error_message_matches_validate(self, body):
-        assert_validated_as_jsonschema_would(body)
+    @pytest.mark.parametrize("body,detail", [
+        ({"subcommand": "entropy"}, "manifest field 'seed' is required"),
+        ({"subcommand": "nope", "seed": 0},
+         "manifest field 'subcommand' must be one of 'commit-suite', 'concentration', "
+         "'core-lemma', 'efi-sweep', 'entropy', 'extractor', 'gl', 'puzzle', "
+         "'shadows', 'wpeg-gap', got 'nope'"),
+        ({"subcommand": "gl", "seed": -1, "trials": 0},
+         "manifest field 'seed' must lie in [0, 18446744073709551615], got -1"),
+        ({"subcommand": "gl", "seed": 0, "colour": "red", "format": "xml"},
+         "unknown manifest field 'colour'"),
+        ({"subcommand": "gl", "seed": 0, "params": [1], "workers": 0},
+         "manifest field 'params' must be an object, got [1]"),
+        ({"subcommand": 3, "seed": "x", "out": 5},
+         "manifest field 'subcommand' must be a string, got 3"),
+    ], ids=[f"body{i}" for i in range(6)])
+    def test_error_message_matches_validate(self, body, detail, tmp_path, capsys):
+        assert not VALIDATOR.is_valid(body)
+        assert cli.main(["--manifest", write_manifest(tmp_path, body)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "validation",
+                                                       "detail": detail}
 
     @given(manifest_bodies())
     @settings(max_examples=400, deadline=None, database=None)
     def test_corpus_matches_validate(self, body):
-        assert_validated_as_jsonschema_would(body)
+        assert_resolved_as_jsonschema_would(body)
 
-    @pytest.mark.parametrize("schema", [
-        {"type": "object", "pattern": "^m"},
-        {"properties": {"seed": {"type": "integer", "multipleOf": 2}}},
-        {"additionalProperties": {"type": "string"}},
-        {"properties": {"seed": {"type": "int"}}},
-        {"properties": {"seed": {"enum": [0, 1]}}},
-    ])
-    def test_unsupported_schema_refused(self, schema, monkeypatch):
-        monkeypatch.setattr(cli, "_load_schema", lambda: schema)
-        cli._schema.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="manifest schema"):
-                cli._schema()
-        finally:
-            cli._schema.cache_clear()
+    def test_each_edge_value_alone_matches_validate(self):
+        # one field set to one value on an otherwise valid manifest, so that
+        # the value alone decides: every bound, one either side, every enum
+        # entry and a value of each other JSON type, for every field
+        for name in [*_FIELDS, "bogus"]:
+            for value in _EDGE_VALUES + [[], {}]:
+                assert_resolved_as_jsonschema_would(
+                    {"subcommand": "gl", "seed": 7, name: value})
 
 
 class TestModuleEntryPoint:
     """python -m qclab.cli runs main() and exits with its code; importing
-    the module loads no jsonschema."""
+    the module loads no jsonschema, which only the tests use, as the
+    manifest oracle."""
 
     @staticmethod
     def python(*argv, cwd):
