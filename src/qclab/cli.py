@@ -331,8 +331,7 @@ def _run_wpeg_gap(m):
         density_floor=floor,
         i_max=_param(m, "i_max", base.i_max))
     rng = child_rng(m.seed, m.subcommand, 0)
-    report = pseudoentropy.wpeg_entropy_gap(puz.exact_joint, sp, m.trials, rng)
-    results = report.as_dict()
+    results = pseudoentropy.wpeg_entropy_gap(puz.exact_joint, sp, m.trials, rng)
     results["fixture"] = name
     return results, None
 
@@ -379,7 +378,7 @@ def _run_concentration(m):
             margin = have - pseudoentropy.concentration_bound(shannon, t, eps,
                                                               support)
             worst = min(worst, margin)
-            violations += margin < -pseudoentropy.ENTROPY_TOL
+            violations += margin < -dist.ENTROPY_TOL
         return violations, worst
 
     rows = _run_trials(one, m)

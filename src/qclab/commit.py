@@ -8,8 +8,9 @@ Both experiments reduce to trace distances of small density matrices, so
 every reported advantage is exact up to floating point; nothing here
 samples (the played binding game is a test oracle, in tests/oracles.py).
 
-COMMIT_TOL is how far a given measurement may be from Hermitian, positive
-and resolving the identity.
+A given measurement is held to qsim's bounds on a density matrix: it may
+be CHECK_TOL from Hermitian and from resolving the identity, and its least
+eigenvalue as low as EIGENVALUE_FLOOR.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import dist, qsim
 
-COMMIT_TOL = 1e-9
 ALPHABET_LIMIT = 6
 
 
@@ -98,11 +98,11 @@ class AdversaryStrategy:
             if e0.shape != e1.shape or e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
                 raise ValueError("measurement operators must be square and matched")
             for op in (e0, e1):
-                if not np.abs(op - op.conj().T).max() <= COMMIT_TOL:
+                if not np.abs(op - op.conj().T).max() <= qsim.CHECK_TOL:
                     raise ValueError("measurement operators must be Hermitian")
-                if not np.linalg.eigvalsh(op).min() >= -COMMIT_TOL:
+                if not np.linalg.eigvalsh(op).min() >= qsim.EIGENVALUE_FLOOR:
                     raise ValueError("measurement operators must be positive")
-            if not np.abs(e0 + e1 - np.eye(e0.shape[0])).max() <= COMMIT_TOL:
+            if not np.abs(e0 + e1 - np.eye(e0.shape[0])).max() <= qsim.CHECK_TOL:
                 raise ValueError("measurement operators must resolve the identity")
             measurement = (e0, e1)
         self.state = state

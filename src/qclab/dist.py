@@ -18,7 +18,10 @@ MASS_TOL is how far a float probability mass may be from the value it is
 compared with: a total from 1, an atom's mass or a statistical distance
 from its bound, or a smoothing budget from the masses it deletes.  It is
 also the mass treated as zero: qsim.project conditions on no outcome
-lighter than MASS_TOL.
+lighter than MASS_TOL.  ENTROPY_TOL is how far apart two entropies or
+surprisals (in bits) computed in floats may be and still count as equal:
+for bucket edges, for matching conditional entropies, for the bound checks
+and for placing a truncation at an integer.
 """
 
 import functools
@@ -29,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 MASS_TOL = 1e-12
+ENTROPY_TOL = 1e-9
 PRODUCT_ATOM_LIMIT = 2 ** 24
 MATERIALIZE_ATOM_LIMIT = 2 ** 18
 SPECTRUM_VALUE_LIMIT = 64
@@ -182,7 +186,8 @@ def max_entropy(p):
     return -math.log2(min(p.as_dict().values()))
 
 
-def _check_eps(eps):
+def check_eps(eps):
+    """Raise ValueError unless the smoothing parameter eps lies in [0, 1)."""
     if not 0 <= eps < 1:
         raise ValueError(f"smoothing parameter must lie in [0, 1): {eps!r}")
 
@@ -320,7 +325,7 @@ def entropy_spectrum(spectrum):
 
 def smooth_min_entropy_spectrum(spectrum, eps):
     """Water-filling smoothing straight off a (value, count) spectrum."""
-    _check_eps(eps)
+    check_eps(eps)
     ordered = sorted(spectrum, key=lambda vc: -vc[0])
     if eps == 0:
         return -math.log2(ordered[0][0])
@@ -350,7 +355,7 @@ def _lightest_survivor(spectrum, eps):
     added atom by atom; MASS_TOL of slack lets a float eps such as 0.3
     delete atoms whose masses sum to it exactly.
     """
-    _check_eps(eps)
+    check_eps(eps)
     cum = 0
     for v, c in sorted(spectrum, key=lambda vc: vc[0]):
         can_remove = min(c, int((eps - cum) / v + MASS_TOL)) if v > 0 else c

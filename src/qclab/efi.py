@@ -10,9 +10,10 @@ per seed. The generator is always a Pmf, and distance_sweep is the one
 estimate of the seed-averaged (leftover-hash) distance: it returns numbers,
 and cli writes them as report text.
 
-EFI_TOL is how far past an integer the crossover may fall and still place
-the truncation at that integer, so float noise in the max-entropy cannot
-push the truncation one bit longer.
+truncation_for places the truncation at the first integer at or past the
+crossover.  A crossover within dist.ENTROPY_TOL past an integer counts as
+that integer, so float noise in the max-entropy cannot push the
+truncation one bit longer.
 """
 
 import math
@@ -21,8 +22,6 @@ import numpy as np
 
 from . import dist, gf2
 from ._mc import hoeffding_radius
-
-EFI_TOL = 1e-9
 
 
 def crossover_truncation(g0, gap_inst):
@@ -37,26 +36,9 @@ def crossover_truncation(g0, gap_inst):
     return dist.max_entropy(g0) + gap_inst / 2
 
 
-class EfiParams:
-    """Distinguishing-pair settings: the truncation and the crossover point."""
-
-    __slots__ = ("truncation", "crossover")
-
-    def __init__(self, truncation, crossover):
-        if truncation < 0:
-            raise ValueError(f"truncation must be nonnegative: {truncation!r}")
-        self.truncation = int(truncation)
-        self.crossover = crossover
-
-    @classmethod
-    def from_generator(cls, g0, gap_inst):
-        """Place the truncation at the first integer at or past the crossover."""
-        star = crossover_truncation(g0, gap_inst)
-        return cls(max(0, math.ceil(star - EFI_TOL)), star)
-
-    def __repr__(self):
-        return (f"EfiParams(truncation={self.truncation}, "
-                f"crossover={self.crossover})")
+def truncation_for(g0, gap_inst):
+    """The truncation length: the first integer at or past the crossover."""
+    return max(0, math.ceil(crossover_truncation(g0, gap_inst) - dist.ENTROPY_TOL))
 
 
 def efi_sample(source, truncation, b, rng):

@@ -7,8 +7,9 @@ fair coin measurably raises entropy; the routines here compute that gap with
 exact per-seed conditionals and Monte Carlo only over hash seeds. The same
 file carries the heavy-atom core gap in exact form, the slicing chain-rule
 check, product amplification with smooth-entropy concentration, and a demo
-turning a generator distinguisher back into a puzzle inverter.  The reports
-hand their fields back as dicts (as_dict); cli writes the report text.
+turning a generator distinguisher back into a puzzle inverter.  Each step
+takes its settings as arguments and returns plain numbers, dicts or tuples;
+cli writes the report text.  Entropies compare within dist.ENTROPY_TOL.
 """
 
 import math
@@ -18,10 +19,6 @@ import numpy as np
 from . import dist, gf2
 from ._mc import hoeffding_radius
 
-# How far apart two entropies or surprisals (base 2, in bits) computed in
-# floats may be and still count as equal: for bucket edges, for matching
-# conditional entropies and for the bound checks.
-ENTROPY_TOL = 1e-9
 
 def _h2(p):
     """Binary entropy, elementwise, with exact zeros at the endpoints."""
@@ -103,7 +100,7 @@ def find_flat_slice(k_s, params):
     """
     items = k_s.items_sorted()
     probs = np.array([float(p) for _, p in items])
-    js = np.array([math.floor(-math.log2(p) + ENTROPY_TOL) for p in probs.tolist()])
+    js = np.array([math.floor(-math.log2(p) + dist.ENTROPY_TOL) for p in probs.tolist()])
     kept = js < params.levels
     # bincount adds in atom order, as a running sum per bucket would; argmax
     # takes the first, shallowest, of tied buckets
@@ -175,7 +172,7 @@ def slice_analysis(k_s, params):
     i_max, which marks the parameter set as rejected for this distribution.
     """
     j_s, g_s = find_flat_slice(k_s, params)
-    limit = j_s + params.slack + ENTROPY_TOL
+    limit = j_s + params.slack + dist.ENTROPY_TOL
     a_s = tuple(atom for atom, p in k_s.items_sorted()
                 if -math.log2(float(p)) <= limit)
     i_s = j_s + params.pad
@@ -225,33 +222,6 @@ def g_pair_conditional(k_s, seed, i, r, analysis):
     }
 
 
-class GapReport:
-    """Entropy-gap estimate with its confidence radius and accounting."""
-
-    __slots__ = ("params", "gap", "radius", "trigger_mass", "per_s", "seed_samples")
-
-    def __init__(self, params, gap, radius, trigger_mass, per_s, seed_samples):
-        self.params = params
-        self.gap = gap
-        self.radius = radius
-        self.trigger_mass = trigger_mass
-        self.per_s = per_s
-        self.seed_samples = seed_samples
-
-    def as_dict(self):
-        return {
-            "params": self.params.describe(),
-            "gap": self.gap,
-            "radius": self.radius,
-            "trigger_mass": self.trigger_mass,
-            "per_s": self.per_s,
-            "seed_samples": self.seed_samples,
-        }
-
-    def __repr__(self):
-        return f"GapReport(gap={self.gap:.6f}, radius={self.radius:.6f})"
-
-
 def _group_sums(bins, probs, kbits):
     # one bincount adds probs[i] * kbits[i, r] into bin bins[i * R + r],
     # R = kbits.shape[1], taking the rows i in order: key by key in atom
@@ -269,10 +239,16 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     average is Monte Carlo. Off-trigger positions contribute exactly zero,
     so the sum runs over the triggered slice alone.
 
+    Each per-seed value lies in [-1/2, 1/2] up to rounding, so none is
+    clipped: SliceParams forces pad > slack >= 1, so i_s >= 2, and
+    slice_analysis rejects i_s > i_max, so i_max >= 2; each instance adds
+    its accepted masses (at most 1 in all) times gains in [-1, 1], over
+    i_max, weighted by the instance's probability.
+
     Returns:
-        GapReport; gap is the mean per-seed value, radius the 99% Hoeffding
-        bound on values clipped to [-1, 1]. A provably dead trigger reports
-        radius zero.
+        dict of params.describe(), gap (the mean per-seed value), radius
+        (99% Hoeffding for values in [-1, 1]; zero for a provably dead
+        trigger), trigger_mass, per_s and seed_samples.
     """
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
@@ -317,15 +293,14 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
         values += ps * diff_s / params.i_max
         trigger += ps * trig_s / params.i_max
         per_s_acc[code] = sum((diff_s / params.i_max).tolist(), 0.0)
-    values = np.clip(values, -1.0, 1.0)
-    gap = float(values.mean())
     trigger_mass = float(trigger.mean())
     if trigger_mass == 0.0 and not values.any():
         radius = 0.0
     else:
         radius = hoeffding_radius(seed_samples, value_range=2.0)
     per_s = {k: v / seed_samples for k, v in per_s_acc.items()}
-    return GapReport(params, gap, radius, trigger_mass, per_s, seed_samples)
+    return {"params": params.describe(), "gap": float(values.mean()), "radius": radius,
+            "trigger_mass": trigger_mass, "per_s": per_s, "seed_samples": seed_samples}
 
 
 def core_lemma_gap(x, x_star, theta_heavy, theta_light):
@@ -350,32 +325,13 @@ def core_lemma_gap(x, x_star, theta_heavy, theta_light):
     return 1.0 - float(np.sum(_h2((1 - w) / 2))) / len(w)
 
 
-class BiasedCoinBounds:
-    """Exact entropy of a d-biased bit next to its quadratic bounds."""
-
-    __slots__ = ("d", "entropy", "lower", "upper", "lower_applies")
-
-    def __init__(self, d):
-        if not 0.0 <= d <= 1.0:
-            raise ValueError(f"bias must lie in [0, 1]: {d!r}")
-        self.d = d
-        self.entropy = float(_h2((1 + d) / 2))
-        self.lower = 1 - d ** 2
-        self.upper = 1 - d ** 2 / 2
-        self.lower_applies = d <= 0.5
-
-
-class SlicingCheck:
-    """Both sides of the marked-slice entropy inequality."""
-
-    __slots__ = ("difference", "min_gap", "a_star_mass", "bound", "holds")
-
-    def __init__(self, difference, min_gap, a_star_mass):
-        self.difference = difference
-        self.min_gap = min_gap
-        self.a_star_mass = a_star_mass
-        self.bound = min_gap * a_star_mass
-        self.holds = difference >= self.bound - ENTROPY_TOL
+def biased_coin_bounds(d):
+    """Exact entropy of a d-biased bit next to its quadratic bounds, and
+    whether the lower one applies (d <= 1/2), as a dict."""
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"bias must lie in [0, 1]: {d!r}")
+    return {"entropy": float(_h2((1 + d) / 2)), "lower": 1 - d ** 2,
+            "upper": 1 - d ** 2 / 2, "lower_applies": d <= 0.5}
 
 
 def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
@@ -383,7 +339,9 @@ def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
 
     Requires a conditional pair for every atom of a, and equal conditional
     entropies outside the marked set (the whole difference must come from
-    marked atoms). The bound uses the smallest marked conditional gap.
+    marked atoms). Returns a dict of the difference, the smallest marked
+    conditional gap min_gap, the marked mass a_star_mass, their product
+    bound, and holds: difference >= bound within dist.ENTROPY_TOL.
     """
     rows = []
     for atom, p in a.items_sorted():
@@ -392,7 +350,7 @@ def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
         h0 = dist.shannon_entropy(b0_given_a[atom])
         h1 = dist.shannon_entropy(b1_given_a[atom])
         marked = atom in a_star
-        if not marked and abs(h1 - h0) > ENTROPY_TOL:
+        if not marked and abs(h1 - h0) > dist.ENTROPY_TOL:
             raise ValueError(
                 f"conditional entropies differ outside the marked set at {atom!r}")
         rows.append((float(p), h0, h1, marked))
@@ -400,21 +358,9 @@ def public_slicing_check(a, b0_given_a, b1_given_a, a_star):
     marked_rows = [(p, h1 - h0) for p, h0, h1, m in rows if m]
     min_gap = min((g for _, g in marked_rows), default=0.0)
     mass = sum(p for p, _ in marked_rows)
-    return SlicingCheck(difference, min_gap, mass)
-
-
-class PegParams:
-    """Product-amplification settings: copies and smoothing."""
-
-    __slots__ = ("repetitions", "eps")
-
-    def __init__(self, repetitions, eps):
-        if repetitions < 1:
-            raise ValueError("need at least one repetition")
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"smoothing must lie in [0, 1): {eps!r}")
-        self.repetitions = int(repetitions)
-        self.eps = eps
+    bound = min_gap * mass
+    return {"difference": difference, "min_gap": min_gap, "a_star_mass": mass,
+            "bound": bound, "holds": difference >= bound - dist.ENTROPY_TOL}
 
 
 def concentration_bound(shannon, t, eps, support_size):
@@ -425,8 +371,7 @@ def concentration_bound(shannon, t, eps, support_size):
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"smoothing must lie in [0, 1): {eps!r}")
+    dist.check_eps(eps)
     if support_size < 1:
         raise ValueError("support must be nonempty")
     if eps == 0.0:
@@ -435,52 +380,38 @@ def concentration_bound(shannon, t, eps, support_size):
     return t * shannon - dev
 
 
-class PegReport:
-    """Product entropies, their gap, and the concentration floor."""
-
-    __slots__ = ("repetitions", "eps", "h_min_smooth", "h_max_smooth", "gap",
-                 "concentration_bound", "shannon_product_0", "shannon_product_1")
-
-    def __init__(self, repetitions, eps, h_min_smooth, h_max_smooth,
-                 conc_bound, shannon_0, shannon_1):
-        self.repetitions = repetitions
-        self.eps = eps
-        self.h_min_smooth = h_min_smooth
-        self.h_max_smooth = h_max_smooth
-        self.gap = h_min_smooth - h_max_smooth
-        self.concentration_bound = conc_bound
-        self.shannon_product_0 = shannon_0
-        self.shannon_product_1 = shannon_1
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def peg_product(g0, g1, params):
-    """Amplify a generator pair by independent repetition.
+def peg_product(g0, g1, repetitions, eps):
+    """Amplify a generator pair by `repetitions` independent copies,
+    smoothing the product entropies by eps in [0, 1).
 
     Entropies of the q-fold products are computed exactly from the value
     spectrum whatever q is, and the product distributions themselves are
     materialized only while they stay small.
 
     Returns:
-        (product0, product1, PegReport); the products are None above the
-        materialization limit.
+        (product0, product1, report); the products are None above the
+        materialization limit, and report is a dict of the settings, the
+        smoothed and Shannon product entropies and the concentration floor.
     """
-    q = params.repetitions
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    dist.check_eps(eps)
+    q = int(repetitions)
     for g in (g0, g1):
         if len(g) == 0:
             raise ValueError("generator support is empty")
-        if q * math.log2(len(g)) > math.log2(dist.PRODUCT_ATOM_LIMIT) + ENTROPY_TOL:
+        if q * math.log2(len(g)) > math.log2(dist.PRODUCT_ATOM_LIMIT) + dist.ENTROPY_TOL:
             raise ValueError(
                 f"{q} copies of {len(g)} atoms would exceed the exact-mode limit")
     spec0 = dist.product_spectrum(g0, q)
     spec1 = dist.product_spectrum(g1, q)
-    h_min = dist.smooth_min_entropy_spectrum(spec1, params.eps)
-    h_max = dist.smooth_max_entropy_spectrum(spec0, params.eps)
-    bound = concentration_bound(dist.shannon_entropy(g1), q, params.eps, len(g1))
-    report = PegReport(q, params.eps, h_min, h_max, bound,
-                       dist.entropy_spectrum(spec0), dist.entropy_spectrum(spec1))
+    h_min = dist.smooth_min_entropy_spectrum(spec1, eps)
+    h_max = dist.smooth_max_entropy_spectrum(spec0, eps)
+    bound = concentration_bound(dist.shannon_entropy(g1), q, eps, len(g1))
+    report = {"repetitions": q, "eps": eps, "h_min_smooth": h_min, "h_max_smooth": h_max,
+              "gap": h_min - h_max, "concentration_bound": bound,
+              "shannon_product_0": dist.entropy_spectrum(spec0),
+              "shannon_product_1": dist.entropy_spectrum(spec1)}
     prod0 = dist.product_power(g0, q) if len(g0) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     prod1 = dist.product_power(g1, q) if len(g1) ** q <= dist.MATERIALIZE_ATOM_LIMIT else None
     return prod0, prod1, report

@@ -141,10 +141,10 @@ def test_criterion_05_biased_coin_bounds_on_grid():
     ok = True
     for step in range(1001):
         d = step / 1000
-        b = pseudoentropy.BiasedCoinBounds(d)
-        ok &= b.upper - b.entropy >= -1e-9
-        if b.lower_applies:
-            ok &= b.entropy - b.lower >= -1e-9
+        b = pseudoentropy.biased_coin_bounds(d)
+        ok &= b["upper"] - b["entropy"] >= -1e-9
+        if b["lower_applies"]:
+            ok &= b["entropy"] - b["lower"] >= -1e-9
     verdict(5, ok, time.perf_counter() - start, 1, "biased-coin entropy bounds")
 
 
@@ -174,9 +174,9 @@ def test_criterion_06_public_slicing_identity():
                            for atom in atoms
                            for out, q in b1[atom].as_dict().items()})
         want = dist.shannon_entropy(joint1) - dist.shannon_entropy(joint0)
-        ok &= abs(check.difference - want) <= 1e-9
-        ok &= check.holds
-        ok &= check.difference - check.min_gap * check.a_star_mass >= -1e-9
+        ok &= abs(check["difference"] - want) <= 1e-9
+        ok &= check["holds"]
+        ok &= check["difference"] - check["min_gap"] * check["a_star_mass"] >= -1e-9
     verdict(6, ok, time.perf_counter() - start, 5, "public slicing chain rule")
 
 
@@ -240,14 +240,14 @@ def test_criterion_09_weak_peg_entropy_gap():
         joint = puzzles.tabulated_puzzles()[name].exact_joint
         report = pseudoentropy.wpeg_entropy_gap(joint, params, 16000,
                                                 np.random.default_rng(seed))
-        ok &= report.gap - report.radius > 0
+        ok &= report["gap"] - report["radius"] > 0
     disabled = pseudoentropy.SliceParams(
         levels=params.levels, pad=params.pad, slack=params.slack,
         density_floor=math.inf, i_max=params.i_max)
     control = pseudoentropy.wpeg_entropy_gap(
         puzzles.tabulated_puzzles()["geometric"].exact_joint, disabled, 200,
         np.random.default_rng(107))
-    ok &= control.gap == 0.0 and control.radius == 0.0
+    ok &= control["gap"] == 0.0 and control["radius"] == 0.0
     verdict(9, ok, time.perf_counter() - start, 120, "weak-generator entropy gap")
 
 

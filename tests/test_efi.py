@@ -56,30 +56,22 @@ HEAVY = dist.Pmf({oracles.bit_tuple(v, 4): Fraction(3, 10) if v == 0
 
 
 class TestEfiParams:
-    def test_fields_roundtrip(self):
-        p = efi.EfiParams(truncation=5, crossover=5.0)
-        assert (p.truncation, p.crossover) == (5, 5.0)
-
-    def test_rejects_negative_truncation(self):
-        with pytest.raises(ValueError):
-            efi.EfiParams(truncation=-1, crossover=0.0)
+    """efi.truncation_for, next to the crossover it rounds up."""
 
     def test_from_generator_uniform(self):
         g = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
-        p = efi.EfiParams.from_generator(g, gap_inst=4.0)
-        assert p.crossover == pytest.approx(5.0)
-        assert p.truncation == 5
+        assert efi.crossover_truncation(g, gap_inst=4.0) == pytest.approx(5.0)
+        assert efi.truncation_for(g, gap_inst=4.0) == 5
 
     def test_from_generator_forgives_noise_up_to_efi_tol(self):
         g = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(1, 8) for v in range(8)})
-        for past, truncation in ((efi.EFI_TOL / 10, 5), (efi.EFI_TOL * 10, 6)):
-            p = efi.EfiParams.from_generator(g, gap_inst=4.0 + 2 * past)
-            assert p.truncation == truncation
+        for past, truncation in ((dist.ENTROPY_TOL / 10, 5), (dist.ENTROPY_TOL * 10, 6)):
+            assert efi.truncation_for(g, gap_inst=4.0 + 2 * past) == truncation
 
     def test_from_generator_point_mass(self):
-        p = efi.EfiParams.from_generator(dist.Pmf({(1, 1): 1.0}), gap_inst=0.0)
-        assert p.crossover == 0.0
-        assert p.truncation == 0
+        g = dist.Pmf({(1, 1): 1.0})
+        assert efi.crossover_truncation(g, gap_inst=0.0) == 0.0
+        assert efi.truncation_for(g, gap_inst=0.0) == 0
 
 
 class TestCrossoverTruncation:

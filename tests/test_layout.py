@@ -9,7 +9,12 @@ tests (oracles.py) or nowhere; the chain steps below are the named
 exceptions.  The public methods and properties of src/qclab's classes are
 held to the same rule, matched by attribute name: one counts as used when
 src/qclab or a file among the same callers reads an attribute of its name,
-or when the tracer patches it.  Methods of the UNCALLED classes are exempt.
+or when the tracer patches it.
+
+Field carriers: no top-level class of src/qclab only carries fields, that
+is, has no method but __init__, __repr__ and as_dict and an __init__ that
+raises nothing.  Such a class checks nothing a dict or tuple would not, so
+a step returns the dict or tuple and takes its settings as arguments.
 
 Settings: every defaulted parameter of a top-level function or class
 constructor is passed by some call in src/, tools/, perfbench/ or the
@@ -30,13 +35,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "qclab"
 
-# steps of the reduction chain, and their settings, that nothing calls yet,
+# steps of the reduction chain that nothing calls yet,
 # and the reader of the scheme JSON that commit-suite writes
 UNCALLED = {
-    ("efi", "EfiParams"),
+    ("efi", "truncation_for"),
     ("efi", "efi_sample"),
     ("pseudoentropy", "g_pair_conditional"),
-    ("pseudoentropy", "PegParams"),
     ("pseudoentropy", "peg_product"),
     ("pseudoentropy", "distinguisher_to_inverter"),
     ("puzzles", "puzzle_from_owsg"),
@@ -131,16 +135,15 @@ def test_only_the_named_chain_steps_lack_a_caller():
 
 def unread_members(trees, callers, traced=frozenset()):
     """(module, class, name) of each public method or property of a
-    top-level class in the package modules `trees`, outside UNCALLED,
-    whose name no attribute in `trees` or `callers` reads and no traced
-    attribute path names."""
+    top-level class in the package modules `trees` whose name no attribute
+    in `trees` or `callers` reads and no traced attribute path names."""
     read = {node.attr for tree in [*trees.values(), *callers]
             for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     read |= {part for _, path in traced for part in path.split(".")[1:]}
     unread = set()
     for module, tree in trees.items():
         for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef) or (module, cls.name) in UNCALLED:
+            if not isinstance(cls, ast.ClassDef):
                 continue
             unread |= {(module, cls.name, fn.name) for fn in cls.body
                        if isinstance(fn, ast.FunctionDef)
@@ -157,13 +160,50 @@ def test_guard_sees_an_unread_method():
     tree = ast.parse("class C:\n    def read(self):\n        return self.shown\n"
                      "    def unread(self):\n        return 1\n"
                      "    @property\n    def shown(self):\n        return 2\n"
-                     "    def _private(self):\n        return 3\n"
-                     "class EfiParams:\n    def unread(self):\n        return 4\n")
-    # EfiParams is an UNCALLED class of efi, so its methods are exempt
+                     "    def _private(self):\n        return 3\n")
     caller = ast.parse("from qclab import efi\nefi.C().read()\n")
     assert unread_members({"efi": tree}, []) == {("efi", "C", "read"), ("efi", "C", "unread")}
     assert unread_members({"efi": tree}, [caller]) == {("efi", "C", "unread")}
     assert unread_members({"efi": tree}, [], {("efi", "C.read")}) == {("efi", "C", "unread")}
+
+
+# the methods of a class that only carries fields
+CARRIER_METHODS = {"__init__", "__repr__", "as_dict"}
+
+
+def field_carriers(trees):
+    """(module, class) of each top-level class in the package modules
+    `trees` whose methods are all CARRIER_METHODS and whose __init__
+    raises nothing."""
+    found = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+            checks = any(isinstance(node, ast.Raise) for fn in methods
+                         if fn.name == "__init__" for node in ast.walk(fn))
+            if {fn.name for fn in methods} <= CARRIER_METHODS and not checks:
+                found.add((module, cls.name))
+    return found
+
+
+def test_no_class_only_carries_fields():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert field_carriers(trees) == set()
+
+
+def test_guard_sees_a_field_carrier():
+    tree = ast.parse("class Report:\n    __slots__ = ('gap',)\n"
+                     "    def __init__(self, gap):\n        self.gap = gap\n"
+                     "    def __repr__(self):\n        return 'Report'\n"
+                     "    def as_dict(self):\n        return {'gap': self.gap}\n"
+                     "class Checked:\n    def __init__(self, d):\n"
+                     "        if d < 0:\n            raise ValueError(d)\n"
+                     "        self.d = d\n"
+                     "class Computed:\n    def __init__(self, d):\n        self.d = d\n"
+                     "    def value(self):\n        return self.d\n")
+    assert field_carriers({"m": tree}) == {("m", "Report")}
 
 
 # defaults no caller overrides, kept because the binding definition

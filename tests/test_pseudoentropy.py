@@ -450,9 +450,9 @@ class TestWpegEntropyGap:
         params = pseudoentropy.SliceParams.default(2)
         report = pseudoentropy.wpeg_entropy_gap(
             identity_joint(2), params, 40, np.random.default_rng(37))
-        assert report.gap == pytest.approx(1 / 6, abs=1e-9)
-        assert report.trigger_mass == pytest.approx(1 / 6, abs=1e-9)
-        assert report.radius > 0
+        assert report["gap"] == pytest.approx(1 / 6, abs=1e-9)
+        assert report["trigger_mass"] == pytest.approx(1 / 6, abs=1e-9)
+        assert report["radius"] > 0
 
     def test_disabled_trigger_is_exactly_zero(self):
         params = pseudoentropy.SliceParams(levels=6, pad=4, slack=3,
@@ -460,35 +460,34 @@ class TestWpegEntropyGap:
         joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
         report = pseudoentropy.wpeg_entropy_gap(
             joint, params, 60, np.random.default_rng(41))
-        assert report.gap == 0.0
-        assert report.radius == 0.0
-        assert report.trigger_mass == 0.0
+        assert report["gap"] == 0.0
+        assert report["radius"] == 0.0
+        assert report["trigger_mass"] == 0.0
 
     def test_geometric_gap_clears_its_radius(self):
         # the true gap sits near 0.05; 8000 seeds push the 99% radius to 0.036
         joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
         report = pseudoentropy.wpeg_entropy_gap(
             joint, P3, 8000, np.random.default_rng(43))
-        assert report.gap - report.radius > 0
+        assert report["gap"] - report["radius"] > 0
 
     def test_per_instance_breakdown_recombines(self):
         joint = puzzles.tabulated_puzzles()["two-level"].exact_joint
         report = pseudoentropy.wpeg_entropy_gap(
             joint, P3, 200, np.random.default_rng(47))
         s_marginal = joint.marginal_puzzles()
-        recombined = sum(float(q) * report.per_s[dist.encode_atom(s)]
+        recombined = sum(float(q) * report["per_s"][dist.encode_atom(s)]
                          for s, q in s_marginal.as_dict().items())
-        assert recombined == pytest.approx(report.gap, abs=1e-9)
+        assert recombined == pytest.approx(report["gap"], abs=1e-9)
 
     def test_report_serialization_is_deterministic(self):
         joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
         a = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
         b = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
-        assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
-        decoded = a.as_dict()
-        assert set(decoded) == {"params", "gap", "radius", "trigger_mass",
-                                "per_s", "seed_samples"}
-        assert decoded["params"]["pad"]["value"] == 4
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert set(a) == {"params", "gap", "radius", "trigger_mass",
+                          "per_s", "seed_samples"}
+        assert a["params"]["pad"]["value"] == 4
 
     def test_sample_budget_validated(self):
         joint = puzzles.tabulated_puzzles()["flat"].exact_joint
@@ -592,34 +591,34 @@ class TestCoreLemmaGap:
 
 class TestBiasedCoinBounds:
     def test_fair_coin(self):
-        b = pseudoentropy.BiasedCoinBounds(0.0)
-        assert b.entropy == 1.0
-        assert b.lower == 1.0
-        assert b.upper == 1.0
-        assert b.lower_applies
+        b = pseudoentropy.biased_coin_bounds(0.0)
+        assert b["entropy"] == 1.0
+        assert b["lower"] == 1.0
+        assert b["upper"] == 1.0
+        assert b["lower_applies"]
 
     def test_deterministic_coin(self):
-        b = pseudoentropy.BiasedCoinBounds(1.0)
-        assert b.entropy == 0.0
-        assert b.upper == 0.5
-        assert not b.lower_applies
+        b = pseudoentropy.biased_coin_bounds(1.0)
+        assert b["entropy"] == 0.0
+        assert b["upper"] == 0.5
+        assert not b["lower_applies"]
 
     def test_grid_slack(self):
         for d in np.arange(0.0, 0.5 + 1e-12, 0.01):
-            b = pseudoentropy.BiasedCoinBounds(float(d))
-            assert b.upper - b.entropy >= -1e-9
-            assert b.entropy - b.lower >= -1e-9
+            b = pseudoentropy.biased_coin_bounds(float(d))
+            assert b["upper"] - b["entropy"] >= -1e-9
+            assert b["entropy"] - b["lower"] >= -1e-9
 
     def test_matches_distribution_entropy(self):
         for d in (0.1, 0.35, 0.8):
-            b = pseudoentropy.BiasedCoinBounds(d)
-            assert b.entropy == pytest.approx(
+            b = pseudoentropy.biased_coin_bounds(d)
+            assert b["entropy"] == pytest.approx(
                 dist.shannon_entropy(coin((1 + d) / 2)), abs=1e-12)
 
     @pytest.mark.parametrize("d", [-0.01, 1.01])
     def test_domain_guard(self, d):
         with pytest.raises(ValueError):
-            pseudoentropy.BiasedCoinBounds(d)
+            pseudoentropy.biased_coin_bounds(d)
 
 
 class TestPublicSlicingCheck:
@@ -627,19 +626,19 @@ class TestPublicSlicingCheck:
         a = dist.Pmf({(0,): 0.4, (1,): 0.6})
         b = {(0,): coin(0.3), (1,): coin(0.9)}
         res = pseudoentropy.public_slicing_check(a, b, dict(b), set())
-        assert res.difference == pytest.approx(0.0, abs=1e-12)
-        assert res.bound == 0.0
-        assert res.holds
+        assert res["difference"] == pytest.approx(0.0, abs=1e-12)
+        assert res["bound"] == 0.0
+        assert res["holds"]
 
     def test_deterministic_versus_uniform(self):
         a = dist.Pmf({(0,): 0.5, (1,): 0.5})
         b0 = {(0,): coin(0.0), (1,): coin(1.0)}
         b1 = {(0,): coin(0.5), (1,): coin(0.5)}
         res = pseudoentropy.public_slicing_check(a, b0, b1, {(0,), (1,)})
-        assert res.difference == pytest.approx(1.0)
-        assert res.min_gap == pytest.approx(1.0)
-        assert res.a_star_mass == pytest.approx(1.0)
-        assert res.holds
+        assert res["difference"] == pytest.approx(1.0)
+        assert res["min_gap"] == pytest.approx(1.0)
+        assert res["a_star_mass"] == pytest.approx(1.0)
+        assert res["holds"]
 
     def test_random_instances_match_chain_rule_oracle(self):
         rng = np.random.default_rng(59)
@@ -660,10 +659,10 @@ class TestPublicSlicingCheck:
                     b0[atom] = shared
                     b1[atom] = shared
             res = pseudoentropy.public_slicing_check(a, b0, b1, a_star)
-            assert res.difference == pytest.approx(
+            assert res["difference"] == pytest.approx(
                 float(slicing_oracle(a, b0, b1)), abs=1e-9)
-            assert res.difference >= res.bound - 1e-9
-            assert res.holds
+            assert res["difference"] >= res["bound"] - 1e-9
+            assert res["holds"]
 
     def test_equality_violation_outside_marked_set(self):
         a = dist.Pmf({(0,): 0.5, (1,): 0.5})
@@ -683,55 +682,50 @@ class TestPublicSlicingCheck:
 class TestPegProduct:
     def test_uniform_pair_frozen_values(self):
         g = dist.Pmf({(0,): 0.5, (1,): 0.5})
-        params = pseudoentropy.PegParams(repetitions=8, eps=0.01)
-        p0, p1, report = pseudoentropy.peg_product(g, g, params)
+        p0, p1, report = pseudoentropy.peg_product(g, g, 8, 0.01)
         assert len(p0) == 256 and len(p1) == 256
-        assert report.h_min_smooth == pytest.approx(8 - math.log2(0.99), abs=1e-9)
+        assert report["h_min_smooth"] == pytest.approx(8 - math.log2(0.99), abs=1e-9)
         expected_bound = 8 - math.sqrt(16 * math.log2(100)) * math.log2(5)
-        assert report.concentration_bound == pytest.approx(expected_bound, abs=1e-9)
-        assert report.h_min_smooth >= report.concentration_bound
+        assert report["concentration_bound"] == pytest.approx(expected_bound, abs=1e-9)
+        assert report["h_min_smooth"] >= report["concentration_bound"]
 
     def test_single_copy_zero_smoothing_reduces_to_plain_entropies(self):
         g0 = dist.Pmf({(0, 0): 0.7, (0, 1): 0.2, (1, 0): 0.1})
         g1 = dist.Pmf({(0, 0): 0.4, (0, 1): 0.6})
-        params = pseudoentropy.PegParams(repetitions=1, eps=0.0)
-        _, _, report = pseudoentropy.peg_product(g0, g1, params)
-        assert report.h_min_smooth == pytest.approx(dist.min_entropy(g1), abs=1e-12)
-        assert report.h_max_smooth == pytest.approx(dist.max_entropy(g0), abs=1e-12)
+        _, _, report = pseudoentropy.peg_product(g0, g1, 1, 0.0)
+        assert report["h_min_smooth"] == pytest.approx(dist.min_entropy(g1), abs=1e-12)
+        assert report["h_max_smooth"] == pytest.approx(dist.max_entropy(g0), abs=1e-12)
 
     def test_biased_bit_product_against_materialized_oracle(self):
         g = coin(0.9)
-        params = pseudoentropy.PegParams(repetitions=12, eps=0.01)
-        p0, p1, report = pseudoentropy.peg_product(g, g, params)
+        p0, p1, report = pseudoentropy.peg_product(g, g, 12, 0.01)
         direct = dist.smooth_min_entropy(dist.product_power(g, 12), 0.01)
-        assert report.h_min_smooth == pytest.approx(direct, abs=1e-9)
-        assert report.h_min_smooth >= report.concentration_bound
+        assert report["h_min_smooth"] == pytest.approx(direct, abs=1e-9)
+        assert report["h_min_smooth"] >= report["concentration_bound"]
 
     def test_shannon_additivity(self):
         g = dist.Pmf({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-        params = pseudoentropy.PegParams(repetitions=9, eps=0.02)
-        _, _, report = pseudoentropy.peg_product(g, g, params)
-        assert report.shannon_product_1 == pytest.approx(
+        _, _, report = pseudoentropy.peg_product(g, g, 9, 0.02)
+        assert report["shannon_product_1"] == pytest.approx(
             9 * dist.shannon_entropy(g), abs=1e-9)
 
     def test_materialization_skipped_above_limit(self):
         g = dist.Pmf({oracles.bit_tuple(v, 3): 1 / 8 for v in range(8)})
-        params = pseudoentropy.PegParams(repetitions=7, eps=0.01)
-        p0, p1, report = pseudoentropy.peg_product(g, g, params)
+        p0, p1, report = pseudoentropy.peg_product(g, g, 7, 0.01)
         assert p0 is None and p1 is None
-        assert report.h_min_smooth > 0
+        assert report["h_min_smooth"] > 0
 
     def test_overflow_guard(self):
         g = dist.Pmf({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25})
-        params = pseudoentropy.PegParams(repetitions=16, eps=0.01)
         with pytest.raises(ValueError, match="exceed"):
-            pseudoentropy.peg_product(g, g, params)
+            pseudoentropy.peg_product(g, g, 16, 0.01)
 
     def test_param_validation(self):
+        g = dist.Pmf({(0,): 0.5, (1,): 0.5})
         with pytest.raises(ValueError):
-            pseudoentropy.PegParams(repetitions=0, eps=0.01)
+            pseudoentropy.peg_product(g, g, 0, 0.01)
         with pytest.raises(ValueError):
-            pseudoentropy.PegParams(repetitions=2, eps=1.0)
+            pseudoentropy.peg_product(g, g, 2, 1.0)
 
 
 class TestDistinguisherToInverter:
@@ -790,7 +784,7 @@ def key_sums(member, kbits):
 
 def wpeg_oracle(puzzle, params, seed_samples, rng):
     """wpeg_entropy_gap with the seed loop outside: one filter call per
-    seed per instance and left-to-right sums, as a GapReport."""
+    seed per instance and left-to-right sums, as the same report dict."""
     s_marginal = puzzle.marginal_puzzles()
     instances = []
     for s in s_marginal.support():
@@ -827,8 +821,8 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
     radius = 0.0 if trigger_mass == 0.0 and not values.any() else \
         hoeffding_radius(seed_samples, value_range=2.0)
     per_s = {k: v / seed_samples for k, v in per_s_acc.items()}
-    return pseudoentropy.GapReport(params, float(values.mean()), radius, trigger_mass,
-                                   per_s, seed_samples)
+    return {"params": params.describe(), "gap": float(values.mean()), "radius": radius,
+            "trigger_mass": trigger_mass, "per_s": per_s, "seed_samples": seed_samples}
 
 
 def slice_params(n, **change):
@@ -852,8 +846,7 @@ class TestSeedBatchedGap:
             got = pseudoentropy.wpeg_entropy_gap(joint, params, seeds,
                                                  np.random.default_rng(stream))
             want = wpeg_oracle(joint, params, seeds, np.random.default_rng(stream))
-            assert (json.dumps(got.as_dict(), sort_keys=True)
-                    == json.dumps(want.as_dict(), sort_keys=True))
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
     def test_stacked_filter_equals_one_seed_filter(self, fixture):
