@@ -245,7 +245,7 @@ def _run_extractor(m):
 
 def _run_gl(m):
     n = _param(m, "n", 6)
-    noise = _param(m, "noise", 0.0, float)
+    noise = _param(m, "noise", 0.0, float, (0, 0.5))
     advantage = 0.5 - noise
 
     def one(rng):
@@ -275,7 +275,7 @@ def _run_shadows(m):
     n = _param(m, "n", 2)
     snapshots = _param(m, "snapshots", 32, int, (1, puzzles.SNAPSHOT_LIMIT))
     groups = _param(m, "groups", 8)
-    tol = _param(m, "eps", 0.25, float)
+    tol = _param(m, "eps", 0.25, float, (0, 1))
     scheme = owsg.wiesner_owsg(n)
 
     def one(rng):
@@ -394,7 +394,7 @@ def _run_concentration(m):
 
 def _run_efi_sweep(m):
     pmf, width = _indexed_pmf(_param(m, "weights", [1] * 16, list))
-    s_max = _param(m, "s_max", 2 * width, int, (0, math.inf))
+    s_max = _param(m, "s_max", 2 * width, int, (0, 3 * width))
     rng = child_rng(m.seed, m.subcommand, 0)
     ests, radius = efi.distance_sweep(pmf, list(range(s_max + 1)), m.trials, rng)
     rows = [{"s": s, "sd_estimate": est, "radius": radius} for s, est in enumerate(ests)]

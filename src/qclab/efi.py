@@ -51,7 +51,7 @@ def efi_sample(source, truncation, b, rng):
         rng: numpy Generator; the hash seed is fresh per call.
 
     Returns:
-        (seed, y) with y a tuple of `truncation` bits.
+        (seed, y): a one-seed hash pair and a tuple of `truncation` bits.
     """
     if b not in (0, 1):
         raise ValueError(f"branch must be 0 or 1: {b!r}")
@@ -69,14 +69,14 @@ def efi_sample(source, truncation, b, rng):
     return seed, gf2.hash_eval(seed, x, truncation)
 
 
-def hash_truncation_sd(g0, seed, truncation):
-    """Exact distance between the hashed generator and uniform, one seed.
+def hash_truncation_sd(g0, seeds, truncation):
+    """Exact distance between the hashed generator and uniform, per seed.
 
     The cost is the support size rather than 2^truncation; see
     gf2.hashed_distances.
     """
     xs, probs = gf2.support_matrix(g0)
-    return float(gf2.hashed_distances(gf2.hash_eval_stack([seed], xs, truncation), probs)[0])
+    return gf2.hashed_distances(gf2.hash_eval_batch(seeds, xs, truncation), probs)
 
 
 def distance_sweep(g0, truncations, seed_samples, rng):
@@ -102,9 +102,9 @@ def distance_sweep(g0, truncations, seed_samples, rng):
         if not 0 <= s <= 3 * width:
             raise ValueError(
                 f"truncation {s} outside [0, {3 * width}]")
-    seeds = [gf2.sample_hash_seed(rng, width) for _ in range(seed_samples)]
+    seeds = gf2.sample_hash_seed(rng, width, count=seed_samples)
     # prefixes nest, so every row reads the first s of the longest hashes
-    ys = gf2.hash_eval_stack(seeds, xs, max(truncations, default=0))
+    ys = gf2.hash_eval_batch(seeds, xs, max(truncations, default=0))
     estimates = [float(np.mean(gf2.hashed_distances(ys[:, :, :s], probs)))
                  for s in truncations]
     return estimates, hoeffding_radius(seed_samples)

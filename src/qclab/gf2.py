@@ -5,11 +5,13 @@ Bit vectors are tuples of 0/1 ints at API boundaries; hot paths use uint8
 numpy arrays internally.  Where a vector stands for an integer (a Walsh
 mask, a GL subset), the integer is dist.index_of's: bit 0 most significant.
 
-`group_prefixes` is the only place in the package that groups atoms by a
-hash prefix.  It sorts the (S, N, i) bits of S seeds (`hash_eval_stack`)
+S seeds of the affine hash x -> Ax + b are a pair (rows, offsets) of uint8
+arrays, (S, n_out, n_in) and (S, n_out); `hash_eval_batch` evaluates them
+and `hash_eval` is its form for one seed and one input.  `group_prefixes`,
+the one grouping by hash prefix, sorts hash_eval_batch's (S, N, i) bits
 once, by seed and then by prefix, so each seed's groups stay contiguous
 and in order: `np.bincount` over the global group ids adds per seed
-exactly as a one-seed call (`prefix_groups`) would.
+exactly as a call for that seed alone would.
 
 A GL predictor is a callable that takes the (Q, n) uint8 matrix of all
 its queries and returns Q bits.  Goldreich-Levin queries are
@@ -46,73 +48,40 @@ def inner_product(a, b):
     return sum(x & y for x, y in zip(a, b)) & 1
 
 
-class HashSeed:
-    """Seed of an affine GF(2) hash: a row matrix and an offset per output bit.
-
-    Evaluating on x gives rows @ x + offsets (mod 2); truncation to the first
-    i output bits is the canonical prefix family.
-    """
-
-    __slots__ = ("rows", "offsets")
-
-    def __init__(self, rows, offsets):
-        rows = np.asarray(rows, dtype=np.uint8)
-        offsets = np.asarray(offsets, dtype=np.uint8)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-d matrix")
-        if offsets.shape != (rows.shape[0],):
-            raise ValueError("need one offset per row")
-        if rows.max(initial=0) > 1 or offsets.max(initial=0) > 1:
-            raise ValueError("seed entries must be bits")
-        self.rows = rows
-        self.offsets = offsets
-
-    @property
-    def n_in(self):
-        return self.rows.shape[1]
-
-    @property
-    def n_out(self):
-        return self.rows.shape[0]
-
-    def __repr__(self):
-        return f"HashSeed(n_in={self.n_in}, n_out={self.n_out})"
-
-
-def sample_hash_seed(rng, n_in, n_out=None):
-    """Uniform affine hash seed; n_out defaults to 3 * n_in."""
+def sample_hash_seed(rng, n_in, n_out=None, count=1):
+    """count uniform affine hash seeds as the pair (rows, offsets), uint8
+    arrays of shapes (count, n_out, n_in) and (count, n_out); n_out
+    defaults to 3 * n_in.  Each seed draws its rows, then its offsets."""
     if n_out is None:
         n_out = 3 * n_in
-    # rng bits are bits of the right shapes: skip the constructor's re-check
-    seed = object.__new__(HashSeed)
-    seed.rows = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
-    seed.offsets = rng.integers(0, 2, size=n_out, dtype=np.uint8)
-    return seed
+    rows = np.empty((count, n_out, n_in), dtype=np.uint8)
+    offsets = np.empty((count, n_out), dtype=np.uint8)
+    for s in range(count):
+        rows[s] = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
+        offsets[s] = rng.integers(0, 2, size=n_out, dtype=np.uint8)
+    return rows, offsets
 
 
-def hash_eval(seed, x, i):
-    """First i output bits of the hash on input x."""
+def hash_eval(seeds, x, i):
+    """First i output bits of the hash on input x, for a pair holding one seed."""
     _check_bits(x)
-    return tuple(hash_eval_batch(seed, [x], i)[0].tolist())
+    if len(seeds[0]) != 1:
+        raise ValueError(f"need exactly one seed, got {len(seeds[0])}")
+    return tuple(hash_eval_batch(seeds, [x], i)[0, 0].tolist())
 
 
-def hash_eval_batch(seed, xs, i):
-    """hash_eval over the rows of an (N, n_in) uint8 matrix; returns (N, i)."""
-    return hash_eval_stack([seed], xs, i)[0]
-
-
-def hash_eval_stack(seeds, xs, i):
-    """hash_eval of S seeds over the rows of an (N, n_in) uint8 matrix;
+def hash_eval_batch(seeds, xs, i):
+    """First i output bits, rows @ x + offsets (mod 2), of each seed of the
+    pair (rows, offsets) on each row x of an (N, n_in) uint8 matrix;
     returns (S, N, i)."""
+    rows, offsets = seeds
     xs = np.asarray(xs, dtype=np.uint8)
-    if xs.ndim != 2 or any(seed.n_in != xs.shape[1] for seed in seeds):
-        raise ValueError("xs must be an (N, n_in) bit matrix")
-    n_out = min(seed.n_out for seed in seeds)
-    if not 0 <= i <= n_out:
-        raise ValueError(f"prefix length {i} outside [0, {n_out}]")
-    rows = np.stack([seed.rows[:i] for seed in seeds])
-    offsets = np.stack([seed.offsets[:i] for seed in seeds])
-    return (xs @ rows.transpose(0, 2, 1) + offsets[:, None, :]) & 1
+    if (xs.ndim != 2 or rows.ndim != 3 or rows.shape[2] != xs.shape[1]
+            or offsets.shape != rows.shape[:2]):
+        raise ValueError("need (S, n_out, n_in) rows, (S, n_out) offsets and (N, n_in) xs")
+    if not 0 <= i <= rows.shape[1]:
+        raise ValueError(f"prefix length {i} outside [0, {rows.shape[1]}]")
+    return (xs @ rows[:, :i].transpose(0, 2, 1) + offsets[:, None, :i]) & 1
 
 
 def _walsh_transform(vec):
@@ -208,8 +177,8 @@ def support_matrix(p):
 
 
 def group_prefixes(ys):
-    """Group each seed's rows of an (S, N, i) hash-bit array by value, at
-    any i: prefixes are compared as packed bytes, never as 2^i table indices.
+    """Group each seed's rows of hash_eval_batch's (S, N, i) bits by value,
+    at any i: prefixes are compared as packed bytes, never as 2^i indices.
 
     Returns:
         (labels, owner, prefixes): labels[s, r] is the group of row r under
@@ -226,13 +195,6 @@ def group_prefixes(ys):
     keys = keys.reshape(s * n, -1).view(np.dtype((np.void, keys.shape[2]))).ravel()
     _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
     return labels.reshape(s, n), first // n, ys.reshape(s * n, i)[first]
-
-
-def prefix_groups(seed, xs, i):
-    """Group the rows of an (N, n_in) bit matrix by their first i hash bits:
-    group_prefixes for one seed, returning (labels, prefixes)."""
-    labels, _, prefixes = group_prefixes(hash_eval_stack([seed], xs, i))
-    return labels[0], prefixes
 
 
 def hashed_distances(ys, probs):

@@ -126,8 +126,8 @@ class SliceAnalysis:
         self._floor = params.density_floor
 
     def filter_groups(self, seeds):
-        """Hash every key to i_s bits under each seed and run the slice
-        filter on each value.
+        """Hash every key to i_s bits under each seed of a
+        gf2.sample_hash_seed pair and run the slice filter on each value.
 
         The filter accepts a hash value when at most one light-set key
         hashes to it and its flat-slice mass is at least the density floor
@@ -140,24 +140,23 @@ class SliceAnalysis:
             conditional and flat-slice masses and the filter decision.
         """
         labels, owner, prefixes = gf2.group_prefixes(
-            gf2.hash_eval_stack(seeds, self._keys, self.i_s))
-        ids, s = labels.ravel(), len(seeds)
+            gf2.hash_eval_batch(seeds, self._keys, self.i_s))
+        ids, s = labels.ravel(), len(labels)
         mass = np.bincount(ids, weights=np.tile(self._probs, s))
         flat = np.bincount(ids, weights=np.tile(np.where(self._flat, self._probs, 0.0), s))
         light = np.bincount(ids, weights=np.tile(self._light, s))
         accept = (light <= 1) & (flat >= self._floor * mass)
         return labels, owner, prefixes, mass, flat, accept
 
-    def f_s(self, seed, y):
-        """Does hash value y isolate the flat slice under this seed?
-
-        Reads the decision for y out of filter_groups.
-        """
-        if len(y) != self.i_s:
-            raise ValueError(f"hash value must be {self.i_s} bits, got {len(y)}")
-        _, _, prefixes, _, _, accept = self.filter_groups([seed])
-        hit = (prefixes == np.asarray(y, dtype=np.uint8)).all(axis=1)
-        return bool(accept[hit].any())
+    def f_s(self, seeds, ys):
+        """Does hash value ys[s] isolate the flat slice under seed s?  One
+        bool per seed, read out of one filter_groups call."""
+        ys = np.asarray(ys, dtype=np.uint8)
+        if ys.shape != (len(seeds[0]), self.i_s):
+            raise ValueError(f"need one {self.i_s}-bit hash value per seed: {ys.shape}")
+        _, owner, prefixes, _, _, accept = self.filter_groups(seeds)
+        hit = accept & (prefixes == ys[owner]).all(axis=1)
+        return np.bincount(owner[hit], minlength=len(ys)) > 0
 
     def __repr__(self):
         return (f"SliceAnalysis(j_s={self.j_s}, i_s={self.i_s}, "
@@ -167,9 +166,10 @@ class SliceAnalysis:
 def slice_analysis(k_s, params):
     """Run the slicing pipeline for one key distribution.
 
-    The filter takes its hash seeds per call, and hash_eval_stack checks
-    their shapes there. Raises if the prefix index j_s + pad overruns
-    i_max, which marks the parameter set as rejected for this distribution.
+    The filter takes its hash seeds per call, as a gf2.sample_hash_seed
+    pair (rows, offsets), and gf2.hash_eval_batch checks their shapes
+    there. Raises if the prefix index j_s + pad overruns i_max, which marks
+    the parameter set as rejected for this distribution.
     """
     j_s, g_s = find_flat_slice(k_s, params)
     limit = j_s + params.slack + dist.ENTROPY_TOL
@@ -183,7 +183,8 @@ def slice_analysis(k_s, params):
 
 
 def g_pair_conditional(k_s, seed, i, r, analysis):
-    """Exact last-bit conditionals of both generators, per hash value.
+    """Exact last-bit conditionals of both generators under a one-seed hash
+    pair, per hash value.
 
     For each observed y the real side carries the inner product <k, r>; the
     patched side replaces it with a fair coin exactly on keys of the flat
@@ -196,12 +197,13 @@ def g_pair_conditional(k_s, seed, i, r, analysis):
     """
     items = k_s.items_sorted()
     xs, _ = gf2.support_matrix(k_s)
-    labels, prefixes = gf2.prefix_groups(seed, xs, i)
+    # one labels row: unpacking raises unless the pair holds one seed
+    (labels,), _, prefixes = gf2.group_prefixes(gf2.hash_eval_batch(seed, xs, i))
     ys = [tuple(y) for y in prefixes.tolist()]
     bits = ((xs @ np.asarray(r, dtype=np.uint8)) & 1).tolist()
     fired = set()
     if i == analysis.i_s:
-        _, _, accepted, _, _, accept = analysis.filter_groups([seed])
+        _, _, accepted, _, _, accept = analysis.filter_groups(seed)
         fired = {tuple(y) for y in accepted[accept].tolist()}
     flat = frozenset(analysis.g_s)
     weight = [0] * len(ys)
@@ -266,7 +268,7 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
 
     n_out = max(3 * width, max(analysis.i_s for _, _, analysis in instances))
-    seeds = [gf2.sample_hash_seed(rng, width, n_out) for _ in range(seed_samples)]
+    seeds = gf2.sample_hash_seed(rng, width, n_out, count=seed_samples)
     values = np.zeros(seed_samples)
     trigger = np.zeros(seed_samples)
     per_s_acc = {}
@@ -398,8 +400,6 @@ def peg_product(g0, g1, repetitions, eps):
     dist.check_eps(eps)
     q = int(repetitions)
     for g in (g0, g1):
-        if len(g) == 0:
-            raise ValueError("generator support is empty")
         if q * math.log2(len(g)) > math.log2(dist.PRODUCT_ATOM_LIMIT) + dist.ENTROPY_TOL:
             raise ValueError(
                 f"{q} copies of {len(g)} atoms would exceed the exact-mode limit")
@@ -425,7 +425,8 @@ def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng):
     key list (at GL advantage 0.3) from the distinguisher-built predictor at
     each candidate, and hand the single highest-agreement candidate to the
     verifier. The predictor draws one fair coin per query, in query order,
-    and asks the distinguisher with it. One verifier call per trial keeps
+    and asks the distinguisher with it and the trial's seed (a
+    gf2.sample_hash_seed pair of one). One verifier call per trial keeps
     the no-signal baseline at random guessing even though the key spaces
     here are tiny.
 

@@ -69,6 +69,18 @@ def bit_tuple(v, n):
     return tuple(dist.bits_of(v, n).tolist())
 
 
+def one_seed_pairs(seeds):
+    """Each seed of a gf2.sample_hash_seed pair (rows, offsets) as a pair
+    of its own, in order."""
+    rows, offsets = seeds
+    return [(rows[s:s + 1], offsets[s:s + 1]) for s in range(len(rows))]
+
+
+def join_seeds(pairs):
+    """The one pair holding the seeds of `pairs`, in order."""
+    return tuple(np.concatenate(arrays) for arrays in zip(*pairs))
+
+
 def smooth_max_support(p, eps):
     """Atoms surviving the smooth_max_entropy deletion, in label order.
     Atoms tied at the lightest surviving value are deleted in label order."""

@@ -434,6 +434,14 @@ def test_param_keys_are_what_each_runner_reads(sub, monkeypatch, capsys):
     assert read == [set(PARAM_KEYS[sub])]
 
 
+# parameters whose bounds cli._read checks, at a value past them
+BOUNDED_AT_READ = [
+    ("shadows", {"eps": -1.0}),
+    ("efi-sweep", {"s_max": 1000000}),
+    ("gl", {"noise": -1.0}),
+]
+
+
 class TestBadParameters:
     """A manifest that passes oracles.MANIFEST_SCHEMA is either run or
     rejected as a parameter problem (exit 3); exit 4 is kept for bugs."""
@@ -466,11 +474,15 @@ class TestBadParameters:
         ("shadows", {"snapshot": 5}),
         ("gl", {"noise": 10 ** 400}),
         ("gl", {"n": 10 ** 400}),
+        *BOUNDED_AT_READ,
     ])
     def test_rejected_with_exit_three(self, sub, params, capsys):
         assert exit_code({"subcommand": sub, "seed": 0, "params": params}) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "parameter-rejection"
+        if (sub, params) in BOUNDED_AT_READ:
+            (name,) = params
+            assert err["detail"].startswith("parameter {!r} must lie in".format(name))
 
     @pytest.mark.parametrize("sub,params", [
         ("shadows", {"snapshot": 5, "n": 2}),

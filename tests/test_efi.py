@@ -102,7 +102,7 @@ class TestEfiSample:
         for b in (0, 1):
             h, y = efi.efi_sample(LADDER, 0, b, rng)
             assert y == ()
-            assert h.n_in == 3
+            assert h[0].shape == (1, 9, 3)
 
     def test_reference_branch_is_uniform(self):
         rng = np.random.default_rng(5)
@@ -134,7 +134,7 @@ class TestEfiSample:
         rng = np.random.default_rng(13)
         h1, _ = efi.efi_sample(LADDER, 2, 1, rng)
         h2, _ = efi.efi_sample(LADDER, 2, 1, rng)
-        assert not np.array_equal(h1.rows, h2.rows)
+        assert not np.array_equal(h1[0], h2[0])
 
     def test_truncation_beyond_hash_rejected(self):
         with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ class TestHashTruncationSd:
         for _ in range(8):
             seed = gf2.sample_hash_seed(rng, width)
             for s in (1, 2, 3):
-                got = efi.hash_truncation_sd(pmf, seed, s)
+                (got,) = efi.hash_truncation_sd(pmf, seed, s)
                 assert got == pytest.approx(sd_oracle(pmf, seed, s), abs=1e-12)
 
     def test_point_mass_value_exact(self):
@@ -161,18 +161,18 @@ class TestHashTruncationSd:
         rng = np.random.default_rng(23)
         for _ in range(6):
             seed = gf2.sample_hash_seed(rng, 3)
-            assert efi.hash_truncation_sd(pm, seed, 4) == 1 - 2 ** -4
+            assert efi.hash_truncation_sd(pm, seed, 4).tolist() == [1 - 2 ** -4]
 
     def test_zero_truncation_is_zero(self):
         seed = gf2.sample_hash_seed(np.random.default_rng(29), 3)
-        assert efi.hash_truncation_sd(LADDER, seed, 0) == 0.0
+        assert efi.hash_truncation_sd(LADDER, seed, 0).tolist() == [0.0]
 
     def test_support_counting_floor(self):
         # at s = H_max + 3 every seed is within 2^-3 of full distance
         rng = np.random.default_rng(31)
         for _ in range(10):
             seed = gf2.sample_hash_seed(rng, 4)
-            sd = efi.hash_truncation_sd(UNIFORM_16, seed, 7)
+            (sd,) = efi.hash_truncation_sd(UNIFORM_16, seed, 7)
             assert sd >= 1 - 16 * 2 ** -7 - 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -186,7 +186,7 @@ class TestHashTruncationSd:
         pmf = dist.Pmf({oracles.bit_tuple(v, 3): Fraction(w, total)
                         for v, w in enumerate(weights)})
         seed = gf2.sample_hash_seed(np.random.default_rng(seed_val), 3)
-        sds = [efi.hash_truncation_sd(pmf, seed, s) for s in range(10)]
+        sds = [efi.hash_truncation_sd(pmf, seed, s)[0] for s in range(10)]
         for lo, hi in zip(sds, sds[1:]):
             assert hi >= lo - 1e-12
 
@@ -195,7 +195,7 @@ class TestHashTruncationSd:
         rng = np.random.default_rng(37)
         for _ in range(5):
             seed = gf2.sample_hash_seed(rng, 2)
-            got = efi.hash_truncation_sd(prod, seed, 2)
+            (got,) = efi.hash_truncation_sd(prod, seed, 2)
             assert got == pytest.approx(sd_oracle(prod, seed, 2), abs=1e-12)
 
 
@@ -213,9 +213,10 @@ def dyadic_sds(pmf, seed):
     group order enters the sum."""
     masses = {atom: Fraction(q) for atom, q in pmf.as_dict().items()}
     denom = math.lcm(*(q.denominator for q in masses.values()))
-    hashes = {atom: gf2.hash_eval(seed, flat_bits(atom), seed.n_out) for atom in masses}
+    n_out = seed[0].shape[1]
+    hashes = {atom: gf2.hash_eval(seed, flat_bits(atom), n_out) for atom in masses}
     out = []
-    for m in range(seed.n_out + 1):
+    for m in range(n_out + 1):
         groups = {}
         for atom, q in masses.items():
             groups[hashes[atom][:m]] = groups.get(hashes[atom][:m], 0) + int(q * denom)
@@ -241,12 +242,12 @@ class TestExactPerSeedOnDyadicFixtures:
     def test_hashed_distances_equal_fraction_sum(self, pmf):
         xs, probs = gf2.support_matrix(pmf)
         rng = np.random.default_rng(113)
-        seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(40)]
-        want = [dyadic_sds(pmf, seed) for seed in seeds]
+        seeds = gf2.sample_hash_seed(rng, xs.shape[1], count=40)
+        want = [dyadic_sds(pmf, seed) for seed in oracles.one_seed_pairs(seeds)]
         for m in range(3 * xs.shape[1] + 1):
-            got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
+            got = gf2.hashed_distances(gf2.hash_eval_batch(seeds, xs, m), probs)
             assert [Fraction(v) for v in got.tolist()] == [w[m] for w in want]
-            assert ([Fraction(efi.hash_truncation_sd(pmf, seed, m)) for seed in seeds]
+            assert ([Fraction(v) for v in efi.hash_truncation_sd(pmf, seeds, m).tolist()]
                     == [w[m] for w in want])
 
 
@@ -303,7 +304,7 @@ class TestEfiDistance:
         got = efi.distance_sweep(pmf, [s], 40, np.random.default_rng(89))
         rng = np.random.default_rng(89)
         width = gf2.support_matrix(pmf)[0].shape[1]
-        values = [efi.hash_truncation_sd(pmf, gf2.sample_hash_seed(rng, width), s)
+        values = [efi.hash_truncation_sd(pmf, gf2.sample_hash_seed(rng, width), s)[0]
                   for _ in range(40)]
         assert got == ([float(np.mean(values))], hoeffding_radius(40))
 
@@ -344,7 +345,7 @@ def sweep_oracle(g0, truncations, seed_samples, rng):
     """distance_sweep with one distance call per seed per row."""
     xs, _ = gf2.support_matrix(g0)
     seeds = [gf2.sample_hash_seed(rng, xs.shape[1]) for _ in range(seed_samples)]
-    ests = [float(np.mean([efi.hash_truncation_sd(g0, seed, s) for seed in seeds]))
+    ests = [float(np.mean([efi.hash_truncation_sd(g0, seed, s)[0] for seed in seeds]))
             for s in truncations]
     return ests, hoeffding_radius(seed_samples)
 

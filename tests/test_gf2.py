@@ -57,16 +57,19 @@ class TestBitOps:
 
 
 class TestHashSeed:
+    """A set of S seeds is the pair (rows, offsets) of uint8 arrays, shapes
+    (S, n_out, n_in) and (S, n_out)."""
+
     def test_fixed_evaluation(self):
-        seed = gf2.HashSeed(rows=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8),
-                            offsets=np.array([0, 0, 1], dtype=np.uint8))
+        seed = (np.array([[[1, 0], [0, 1], [1, 1]]], dtype=np.uint8),
+                np.array([[0, 0, 1]], dtype=np.uint8))
         assert gf2.hash_eval(seed, (1, 1), 3) == (1, 1, 1)
         assert gf2.hash_eval(seed, (1, 1), 1) == (1,)
         assert gf2.hash_eval(seed, (1, 1), 0) == ()
 
     def test_truncation_bounds(self):
         seed = gf2.sample_hash_seed(np.random.default_rng(0), 4)
-        assert seed.n_out == 12
+        assert seed[0].shape == (1, 12, 4)
         with pytest.raises(ValueError):
             gf2.hash_eval(seed, (0, 0, 0, 0), 13)
         with pytest.raises(ValueError):
@@ -77,26 +80,42 @@ class TestHashSeed:
         seed = gf2.sample_hash_seed(rng, 3)
         xs = rng.integers(0, 2, size=(10, 3), dtype=np.uint8)
         batch = gf2.hash_eval_batch(seed, xs, 5)
-        for row, x in zip(batch, xs):
+        assert batch.shape == (1, 10, 5)
+        for row, x in zip(batch[0], xs):
             assert tuple(row) == gf2.hash_eval(seed, tuple(int(b) for b in x), 5)
+
+    def test_one_input_form_takes_one_seed(self):
+        seeds = gf2.sample_hash_seed(np.random.default_rng(5), 2, count=2)
+        for pair in (seeds, (seeds[0][:0], seeds[1][:0])):
+            with pytest.raises(ValueError, match="exactly one seed"):
+                gf2.hash_eval(pair, (0, 1), 1)
 
     @pytest.mark.parametrize("n_in,n_out", [(1, None), (4, None), (3, 5), (6, 0)])
     def test_sampled_seed_is_the_rng_bits(self, n_in, n_out):
-        # sample_hash_seed skips the constructor's check, so check its output
-        seed = gf2.sample_hash_seed(np.random.default_rng(12), n_in, n_out)
-        rows_want = 3 * n_in if n_out is None else n_out
+        # each seed is the rng's rows, then its offsets
+        rows, offsets = gf2.sample_hash_seed(np.random.default_rng(12), n_in, n_out, count=3)
+        width = 3 * n_in if n_out is None else n_out
         rng = np.random.default_rng(12)
-        rows = rng.integers(0, 2, size=(rows_want, n_in), dtype=np.uint8)
-        offsets = rng.integers(0, 2, size=rows_want, dtype=np.uint8)
-        for got, want in ((seed.rows, rows), (seed.offsets, offsets)):
-            assert got.dtype == np.uint8 and got.shape == want.shape
-            assert set(got.ravel().tolist()) <= {0, 1}
-            assert np.array_equal(got, want)
+        for s in range(3):
+            want_rows = rng.integers(0, 2, size=(width, n_in), dtype=np.uint8)
+            want_offsets = rng.integers(0, 2, size=width, dtype=np.uint8)
+            for got, want in ((rows[s], want_rows), (offsets[s], want_offsets)):
+                assert got.dtype == np.uint8 and got.shape == want.shape
+                assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("rows,offsets", [([[0, 2]], [0]), ([[0, 1]], [2])])
-    def test_constructor_rejects_non_bits(self, rows, offsets):
-        with pytest.raises(ValueError, match="bits"):
-            gf2.HashSeed(rows, offsets)
+    @pytest.mark.parametrize("n_in,n_out,count", [
+        (1, None, 1), (3, 5, 4), (4, None, 7), (6, 0, 3), (2, 6, 0)])
+    def test_count_equals_successive_single_draws(self, n_in, n_out, count):
+        # the draw order that keeps every report digest in place
+        batched, single = np.random.default_rng(13), np.random.default_rng(13)
+        rows, offsets = gf2.sample_hash_seed(batched, n_in, n_out, count=count)
+        width = 3 * n_in if n_out is None else n_out
+        assert rows.shape == (count, width, n_in) and offsets.shape == (count, width)
+        for s in range(count):
+            one_rows, one_offsets = gf2.sample_hash_seed(single, n_in, n_out)
+            assert np.array_equal(rows[s:s + 1], one_rows)
+            assert np.array_equal(offsets[s:s + 1], one_offsets)
+        assert batched.integers(2 ** 62) == single.integers(2 ** 62)
 
 
 class TestExtractor:
@@ -181,7 +200,7 @@ class TestPrefixGroups:
             xs = rng.integers(0, 2, size=(int(rng.integers(1, 30)), n), dtype=np.uint8)
             seed = gf2.sample_hash_seed(rng, n)
             i = int(rng.integers(0, 3 * n + 1))
-            labels, prefixes = gf2.prefix_groups(seed, xs, i)
+            (labels,), _, prefixes = gf2.group_prefixes(gf2.hash_eval_batch(seed, xs, i))
             ys = [gf2.hash_eval(seed, tuple(int(b) for b in x), i) for x in xs]
             # groups in increasing order of the prefix as an integer, bit 0 most significant
             order = sorted(set(ys), key=dist.index_of)
@@ -190,8 +209,9 @@ class TestPrefixGroups:
 
     def test_zero_prefix_is_one_group(self):
         seed = gf2.sample_hash_seed(np.random.default_rng(4), 3)
-        labels, prefixes = gf2.prefix_groups(seed, np.eye(3, dtype=np.uint8), 0)
-        assert labels.tolist() == [0, 0, 0]
+        ys = gf2.hash_eval_batch(seed, np.eye(3, dtype=np.uint8), 0)
+        labels, _, prefixes = gf2.group_prefixes(ys)
+        assert labels.tolist() == [[0, 0, 0]]
         assert prefixes.shape == (1, 0)
 
 
@@ -328,9 +348,10 @@ def extractor_oracle(p, n):
     return float(np.abs(vec).sum()) / 2 ** (n + 1)
 
 
-def prefix_groups_oracle(seed, xs, i):
-    """One seed's grouping as a call of its own, before seeds were stacked."""
-    ys = (xs @ seed.rows[:i].T + seed.offsets[:i]) & 1
+def prefix_groups_oracle(rows, offsets, xs, i):
+    """One seed's grouping, from its (n_out, n_in) rows and n_out offsets,
+    as a call of its own, before seeds were stacked."""
+    ys = (xs @ rows[:i].T + offsets[:i]) & 1
     packed = np.packbits(ys, axis=1)
     keys = np.zeros((len(ys), 1 + packed.shape[1]), dtype=np.uint8)
     keys[:, 1:] = packed
@@ -339,11 +360,11 @@ def prefix_groups_oracle(seed, xs, i):
     return labels, ys[first]
 
 
-def hashed_distance_oracle(seed, xs, probs, m):
+def hashed_distance_oracle(rows, offsets, xs, probs, m):
     """One seed's hashed distance, before seeds were stacked."""
     if m == 0:
         return 0.0
-    labels, _ = prefix_groups_oracle(seed, xs, m)
+    labels, _ = prefix_groups_oracle(rows, offsets, xs, m)
     mass = np.bincount(labels, weights=probs)
     u = 2.0 ** -m
     return 0.5 * (sum(np.abs(mass - u).tolist(), 0.0) + (1.0 - len(mass) * u))
@@ -389,12 +410,12 @@ class TestBatchedKernels:
         for _ in range(40):
             n = int(rng.integers(1, 6))
             xs = random_rows(rng, n, int(rng.integers(1, 30)))
-            seeds = [gf2.sample_hash_seed(rng, n) for _ in range(int(rng.integers(1, 300)))]
+            seeds = gf2.sample_hash_seed(rng, n, count=int(rng.integers(1, 300)))
             i = int(rng.integers(0, 3 * n + 1))
-            labels, owner, prefixes = gf2.group_prefixes(gf2.hash_eval_stack(seeds, xs, i))
+            labels, owner, prefixes = gf2.group_prefixes(gf2.hash_eval_batch(seeds, xs, i))
             start = 0
-            for s, seed in enumerate(seeds):
-                want_labels, want_prefixes = prefix_groups_oracle(seed, xs, i)
+            for s, (rows, offsets) in enumerate(zip(*seeds)):
+                want_labels, want_prefixes = prefix_groups_oracle(rows, offsets, xs, i)
                 groups = np.flatnonzero(owner == s)
                 assert groups.tolist() == list(range(start, start + len(want_prefixes)))
                 assert np.array_equal(labels[s] - start, want_labels)
@@ -408,10 +429,10 @@ class TestBatchedKernels:
             xs = np.unique(random_rows(rng, n, int(rng.integers(1, 40))), axis=0)
             probs = rng.random(len(xs)) * rng.choice([1e-3, 1.0, 7.0])
             probs /= probs.sum()
-            seeds = [gf2.sample_hash_seed(rng, n) for _ in range(int(rng.integers(1, 200)))]
+            seeds = gf2.sample_hash_seed(rng, n, count=int(rng.integers(1, 200)))
             for m in range(3 * n + 1):
-                got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
-                want = [hashed_distance_oracle(seed, xs, probs, m) for seed in seeds]
+                got = gf2.hashed_distances(gf2.hash_eval_batch(seeds, xs, m), probs)
+                want = [hashed_distance_oracle(*seed, xs, probs, m) for seed in zip(*seeds)]
                 assert got.tolist() == want
 
     def test_wide_prefix_distances_equal_one_seed_distances(self):
@@ -419,18 +440,21 @@ class TestBatchedKernels:
         xs = random_rows(rng, 20, 40)
         probs = rng.random(40)
         probs /= probs.sum()
-        seeds = [gf2.sample_hash_seed(rng, 20) for _ in range(25)]
+        seeds = gf2.sample_hash_seed(rng, 20, count=25)
         for m in (59, 60):
-            got = gf2.hashed_distances(gf2.hash_eval_stack(seeds, xs, m), probs)
-            assert got.tolist() == [hashed_distance_oracle(s, xs, probs, m) for s in seeds]
+            got = gf2.hashed_distances(gf2.hash_eval_batch(seeds, xs, m), probs)
+            assert got.tolist() == [hashed_distance_oracle(*s, xs, probs, m)
+                                    for s in zip(*seeds)]
 
     def test_stack_checks_widths_and_prefix_length(self):
         rng = np.random.default_rng(67)
-        seeds = [gf2.sample_hash_seed(rng, 3), gf2.sample_hash_seed(rng, 3, 5)]
+        rows, offsets = gf2.sample_hash_seed(rng, 3, 5, count=2)
         with pytest.raises(ValueError, match="prefix length 6 outside"):
-            gf2.hash_eval_stack(seeds, np.eye(3, dtype=np.uint8), 6)
-        with pytest.raises(ValueError):
-            gf2.hash_eval_stack(seeds, np.eye(4, dtype=np.uint8), 2)
+            gf2.hash_eval_batch((rows, offsets), np.eye(3, dtype=np.uint8), 6)
+        for seeds, xs in (((rows, offsets), np.eye(4)), ((rows, offsets[:, :4]), np.eye(3)),
+                          ((rows[0], offsets[0]), np.eye(3))):
+            with pytest.raises(ValueError, match="need"):
+                gf2.hash_eval_batch(seeds, xs.astype(np.uint8), 2)
 
     @pytest.mark.parametrize("n,eps,noise", [(4, 0.4, 0.1), (6, 0.25, 0.0), (8, 0.2, 0.3)])
     def test_gl_candidates_equal_for_scalar_and_batched_predictors(self, n, eps, noise):

@@ -318,7 +318,7 @@ class TestSliceAnalysis:
         for _ in range(10):
             seed = gf2.sample_hash_seed(rng, 3)
             y = gf2.hash_eval(seed, k0, a.i_s)
-            assert a.f_s(seed, y)
+            assert a.f_s(seed, [y]).tolist() == [True]
 
     def test_prefix_overrun_rejected(self):
         params = pseudoentropy.SliceParams(levels=6, pad=9, slack=3,
@@ -329,12 +329,11 @@ class TestSliceAnalysis:
     def test_collision_inside_light_set_rejects_that_hash(self):
         flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
         # all-zero rows send every key to the same offset-only hash value
-        seed = gf2.HashSeed(np.zeros((9, 3), dtype=np.uint8),
-                            np.zeros(9, dtype=np.uint8))
+        seed = (np.zeros((1, 9, 3), dtype=np.uint8), np.zeros((1, 9), dtype=np.uint8))
         a = pseudoentropy.slice_analysis(flat, P3)
         y = gf2.hash_eval(seed, (0, 0, 0), a.i_s)
         assert len(a.a_s) == 8
-        assert not a.f_s(seed, y)
+        assert a.f_s(seed, [y]).tolist() == [False]
 
     def test_flat_puzzle_filter_density(self):
         flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
@@ -346,7 +345,7 @@ class TestSliceAnalysis:
         for _ in range(trials):
             seed = gf2.sample_hash_seed(rng, 3)
             k = flat.support()[rng.integers(0, 8)]
-            hits += a.f_s(seed, gf2.hash_eval(seed, k, a.i_s))
+            hits += int(a.f_s(seed, [gf2.hash_eval(seed, k, a.i_s)])[0])
         frac = hits / trials
         assert frac >= P3.density_floor - 0.1
         assert frac >= 0.8  # isolation is the common case at 128 slots
@@ -355,28 +354,38 @@ class TestSliceAnalysis:
     def test_filter_matches_enumeration_oracle(self, fixture):
         joint = puzzles.tabulated_puzzles()[fixture].exact_joint
         rng = np.random.default_rng(71)
-        zero_rows = gf2.HashSeed(np.zeros((9, 3), dtype=np.uint8),
-                                 np.zeros(9, dtype=np.uint8))
+        zero_rows = (np.zeros((1, 9, 3), dtype=np.uint8), np.zeros((1, 9), dtype=np.uint8))
         for s in joint.marginal_puzzles().support():
             k_s = joint.condition_on_puzzle(s)
             a = pseudoentropy.slice_analysis(k_s, P3)
             seeds = [gf2.sample_hash_seed(rng, 3) for _ in range(20)] + [zero_rows]
+            # every (seed, y) pair asked at once, one row each
+            asked = []
             for seed in seeds:
                 ys = {gf2.hash_eval(seed, k, a.i_s) for k in k_s.support()}
                 ys.add(tuple(int(b) for b in rng.integers(0, 2, size=a.i_s)))
-                for y in ys:
-                    assert a.f_s(seed, y) == filter_oracle(
-                        k_s, a, P3.density_floor, seed, y)
+                asked.extend((seed, y) for y in sorted(ys))
+            got = a.f_s(oracles.join_seeds([seed for seed, _ in asked]),
+                        [y for _, y in asked])
+            assert got.tolist() == [filter_oracle(k_s, a, P3.density_floor, seed, y)
+                                    for seed, y in asked]
 
     def test_seed_shape_checked_when_supplied(self):
-        # the filter's seeds are checked where they are used, by hash_eval_stack
+        # the filter's seeds are checked where they are used, by hash_eval_batch
         a = pseudoentropy.slice_analysis(geometric_keys(), P3)
         rng = np.random.default_rng(0)
         narrow = gf2.sample_hash_seed(rng, 2)
         short = gf2.sample_hash_seed(rng, 3, a.i_s - 1)
         for seed in (narrow, short):
             with pytest.raises(ValueError):
-                a.filter_groups([seed])
+                a.filter_groups(seed)
+
+    def test_filter_takes_one_value_per_seed(self):
+        a = pseudoentropy.slice_analysis(geometric_keys(), P3)
+        seeds = gf2.sample_hash_seed(np.random.default_rng(3), 3, count=2)
+        for ys in (np.zeros((1, a.i_s)), np.zeros((2, a.i_s - 1)), np.zeros(a.i_s)):
+            with pytest.raises(ValueError, match="one 5-bit hash value per seed"):
+                a.f_s(seeds, ys)
 
 
 class TestGPairConditional:
@@ -390,6 +399,13 @@ class TestGPairConditional:
                 pairs = pseudoentropy.g_pair_conditional(k_s, seed, i, r, a)
                 for y, (p0, p1) in pairs.items():
                     assert p0.as_dict() == p1.as_dict()
+
+    def test_takes_one_seed(self):
+        k_s = geometric_keys()
+        a = pseudoentropy.slice_analysis(k_s, P3)
+        seeds = gf2.sample_hash_seed(np.random.default_rng(19), 3, count=2)
+        with pytest.raises(ValueError):
+            pseudoentropy.g_pair_conditional(k_s, seeds, a.i_s, (0, 1, 1), a)
 
     def test_point_mass_trigger_flattens_the_bit(self):
         k0 = (0, 1, 1)
@@ -802,7 +818,7 @@ def wpeg_oracle(puzzle, params, seed_samples, rng):
         value = 0.0
         trig = 0.0
         for (ps, code, analysis), kbits in zip(instances, bits):
-            labels, _, _, mass, flat, accept = analysis.filter_groups([seed])
+            labels, _, _, mass, flat, accept = analysis.filter_groups(seed)
             fired = np.flatnonzero(accept)
             member = (labels[0] == fired[:, None]) * analysis._probs
             w = mass[fired, None]
@@ -854,10 +870,10 @@ class TestSeedBatchedGap:
         rng = np.random.default_rng(17)
         for s in joint.marginal_puzzles().support():
             analysis = pseudoentropy.slice_analysis(joint.condition_on_puzzle(s), P3)
-            seeds = [gf2.sample_hash_seed(rng, 3, 9) for _ in range(50)]
+            seeds = gf2.sample_hash_seed(rng, 3, 9, count=50)
             labels, owner, prefixes, mass, flat, accept = analysis.filter_groups(seeds)
-            for t, seed in enumerate(seeds):
-                one = analysis.filter_groups([seed])
+            for t, seed in enumerate(oracles.one_seed_pairs(seeds)):
+                one = analysis.filter_groups(seed)
                 groups = np.flatnonzero(owner == t)
                 assert np.array_equal(labels[t] - groups[0], one[0][0])
                 for got, want in zip((prefixes, mass, flat, accept), one[2:]):
