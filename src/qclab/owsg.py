@@ -1,10 +1,10 @@
 """One-way state generator schemes over small key spaces.
 
-A scheme maps classical keys to pure states deterministically and verifies a
-claimed key against a state.  Verification is faithful to the operational
-definition: a single Bernoulli trial whose success probability is the exact
-squared overlap with the honest state, computed from the simulator rather
-than estimated.
+A scheme maps classical keys to pure states deterministically and judges a
+claimed key against a state.  The operational verifier is a single
+Bernoulli trial; accept_prob is its exact acceptance probability, the
+squared overlap with the honest state computed from the simulator, and
+every caller reads that probability rather than sampling the trial.
 """
 
 import numpy as np
@@ -17,9 +17,8 @@ PROFILE_KEY_LIMIT = 16
 class OwsgScheme:
     """Key sampling, deterministic state preparation, and verification.
 
-    accept_prob(key, state) is the exact acceptance probability of the
-    verifier: the squared overlap with the honest state, which a single-trial
-    Bernoulli verifier realizes.
+    accept_prob(key, state) is the verifier's exact acceptance: the squared
+    overlap with the honest state.
     """
 
     __slots__ = ("name", "key_bits", "n_qubits", "_state_fn", "_honest")
@@ -41,9 +40,6 @@ class OwsgScheme:
 
     def accept_prob(self, key, state):
         return qsim.overlap(self.state_gen(key), state)
-
-    def verify(self, key, state, rng):
-        return bool(rng.random() < self.accept_prob(key, state))
 
     def all_keys(self):
         if self.key_bits > PROFILE_KEY_LIMIT:

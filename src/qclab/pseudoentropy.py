@@ -417,34 +417,37 @@ def peg_product(g0, g1, repetitions, eps):
     return prod0, prod1, report
 
 
-def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng):
+def distinguisher_to_inverter(joint, distinguisher, params, trials, rng):
     """Turn a generator distinguisher into a puzzle-key search, empirically.
 
-    Per trial: draw (key, instance), fix the prefix index at the designated
-    length, enumerate candidate hash values over a bounded suffix, decode a
-    key list (at GL advantage 0.3) from the distinguisher-built predictor at
-    each candidate, and hand the single highest-agreement candidate to the
-    verifier. The predictor draws one fair coin per query, in query order,
-    and asks the distinguisher with it and the trial's seed (a
-    gf2.sample_hash_seed pair of one). One verifier call per trial keeps
-    the no-signal baseline at random guessing even though the key spaces
-    here are tiny.
+    Per trial: draw (key, instance) from the joint table (one rng.choice
+    over its support), fix the prefix index at the designated length,
+    enumerate candidate hash values over a bounded suffix, decode a key
+    list (at GL advantage 0.3) from the distinguisher-built predictor at
+    each candidate, and accept the single highest-agreement candidate when
+    it has positive mass with the instance. The predictor draws one fair
+    coin per query, in query order, and asks the distinguisher with it and
+    the trial's seed (a gf2.sample_hash_seed pair of one). One guess per
+    trial keeps the no-signal baseline at random guessing even though the
+    key spaces here are tiny.
 
     Returns:
-        Fraction of trials whose selected key the puzzle accepts.
+        Fraction of trials whose selected key has positive mass with the
+        instance.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    joint = puzzle.exact_joint
+    pairs = joint.support()
+    probs = np.array([float(joint.prob(k, s)) for k, s in pairs])
     cache = {}
     for s in joint.marginal_puzzles().support():
         k_s = joint.condition_on_puzzle(s)
         cache[s] = slice_analysis(k_s, params)
-    width = len(joint.support()[0][0])
+    width = len(pairs[0][0])
     suffix_budget = math.ceil(math.log2(3 * width)) + 2
     hits = 0
     for _ in range(trials):
-        _, s = puzzle.sample(rng)
+        _, s = pairs[rng.choice(len(pairs), p=probs)]
         analysis = cache[s]
         seed = gf2.sample_hash_seed(rng, width, max(3 * width, analysis.i_s))
         i = analysis.i_s
@@ -468,6 +471,6 @@ def distinguisher_to_inverter(puzzle, distinguisher, params, trials, rng):
             if score > best_score:
                 best_score = score
                 best_key = key
-        if puzzle.verify(best_key, s):
+        if joint.prob(best_key, s) > 0:
             hits += 1
     return hits / trials

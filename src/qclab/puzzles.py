@@ -1,5 +1,6 @@
 """One-way puzzles: classical-shadow puzzles built on state generators, and
-small tabulated puzzles with exactly known joint distributions.
+small tabulated puzzles, each given as its exact joint table, a
+dist.JointPmf over (key, instance) pairs.
 
 A shadow is a list of random-basis single-qubit measurement records.  The
 overlap estimator averages, per snapshot, the tensor product of 3|s><s| - I
@@ -292,33 +293,6 @@ def puzzle_from_owsg(scheme, params=None):
     return ShadowPuzzle(scheme, params)
 
 
-class TabulatedPuzzle:
-    """Puzzle given by an explicit joint table over (key, instance) pairs."""
-
-    __slots__ = ("name", "exact_joint", "_support", "_probs")
-
-    def __init__(self, name, exact_joint):
-        self.name = name
-        self.exact_joint = exact_joint
-        self._support = list(exact_joint.support())
-        self._probs = np.array(
-            [float(exact_joint.prob(k, s)) for k, s in self._support]
-        )
-
-    def sample(self, rng):
-        pick = rng.choice(len(self._support), p=self._probs)
-        return self._support[pick]
-
-    def verify(self, key, instance):
-        try:
-            return self.exact_joint.prob(tuple(key), tuple(instance)) > 0
-        except (ValueError, TypeError):
-            return False
-
-    def __repr__(self):
-        return f"TabulatedPuzzle({self.name!r})"
-
-
 def _three_bit_joint(probs_zero, probs_one):
     keys = list(map(tuple, dist.bits_of(np.arange(8), 3).tolist()))
     return dist.JointPmf({(key, (s,)): Fraction(1, 2) * p
@@ -327,7 +301,8 @@ def _three_bit_joint(probs_zero, probs_one):
 
 
 def tabulated_puzzles():
-    """Three fixed 3-bit-key puzzles with a fair binary instance.
+    """Three fixed 3-bit-key puzzles with a fair binary instance, each a
+    dist.JointPmf over (key, instance) pairs, by name.
 
     flat keeps the key uniform given either instance; geometric halves key
     mass down a ladder (reversed for the second instance); two-level puts
@@ -337,11 +312,7 @@ def tabulated_puzzles():
     two_level = [Fraction(1, 2)] + [Fraction(1, 14)] * 7
     flat = [Fraction(1, 8)] * 8
     return {
-        "flat": TabulatedPuzzle("flat", _three_bit_joint(flat, flat)),
-        "geometric": TabulatedPuzzle(
-            "geometric", _three_bit_joint(geometric, list(reversed(geometric)))
-        ),
-        "two-level": TabulatedPuzzle(
-            "two-level", _three_bit_joint(two_level, list(reversed(two_level)))
-        ),
+        "flat": _three_bit_joint(flat, flat),
+        "geometric": _three_bit_joint(geometric, list(reversed(geometric))),
+        "two-level": _three_bit_joint(two_level, list(reversed(two_level))),
     }

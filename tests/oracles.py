@@ -4,7 +4,8 @@ The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
 The product-spectrum oracle builds each value by a recursive walk over the
 compositions of the power, one Python call per composition prefix.
-The GL oracle asks its predictor one query at a time, and the binding
+The GL oracle asks its predictor one query at a time, the puzzle oracle
+samples and verifies a tabulated puzzle trial by trial, and the binding
 oracle plays commit.binding_experiment's game round by round.  The
 density partial trace reduces a mixed state, which the library never does:
 qsim.partial_trace takes pure states only.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qclab import commit, dist, owsg, qsim
+from qclab import cli, commit, dist, owsg, qsim
 
 EXACT_SUPPORT_LIMIT = 2 ** 16
 
@@ -249,6 +250,27 @@ def gl_oracle(predictor, n, eps, rng):
         if len(out) >= list_cap:
             break
     return out
+
+
+def puzzle_results(name, joint, seed, trials):
+    """The `puzzle` report's results by the sample-and-verify loop: trial i
+    draws one (key, instance) pair from cli.child_rng(seed, "puzzle", i) by
+    rng.choice over the joint's support, and the verifier accepts the pair
+    when it has positive mass."""
+    pairs = joint.support()
+    probs = np.array([float(joint.prob(k, s)) for k, s in pairs])
+    accepts = 0
+    for i in range(trials):
+        rng = cli.child_rng(seed, "puzzle", i)
+        key, instance = pairs[rng.choice(len(pairs), p=probs)]
+        accepts += int(joint.prob(key, instance) > 0)
+    return {
+        "fixture": name,
+        "trials": trials,
+        "accepts": accepts,
+        "accept_rate": accepts / trials,
+        "key_shannon": dist.shannon_entropy(joint.marginal_keys()),
+    }
 
 
 def density_partial_trace(rho, keep):

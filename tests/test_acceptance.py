@@ -210,7 +210,7 @@ def test_criterion_08_flat_slice_structure():
     rng = np.random.default_rng(47)
     ok = True
     for name in ("flat", "geometric", "two-level"):
-        joint = puzzles.tabulated_puzzles()[name].exact_joint
+        joint = puzzles.tabulated_puzzles()[name]
         for s in joint.marginal_puzzles().support():
             cond = joint.condition_on_puzzle(s)
             j_s, g_s = pseudoentropy.find_flat_slice(cond, params)
@@ -241,7 +241,7 @@ def test_criterion_09_weak_peg_entropy_gap():
     params = pseudoentropy.SliceParams.default(3)
     ok = True
     for name, seed in (("geometric", 101), ("two-level", 103)):
-        joint = puzzles.tabulated_puzzles()[name].exact_joint
+        joint = puzzles.tabulated_puzzles()[name]
         report = pseudoentropy.wpeg_entropy_gap(joint, params, 16000,
                                                 np.random.default_rng(seed))
         ok &= report["gap"] - report["radius"] > 0
@@ -249,7 +249,7 @@ def test_criterion_09_weak_peg_entropy_gap():
         levels=params.levels, pad=params.pad, slack=params.slack,
         density_floor=math.inf, i_max=params.i_max)
     control = pseudoentropy.wpeg_entropy_gap(
-        puzzles.tabulated_puzzles()["geometric"].exact_joint, disabled, 200,
+        puzzles.tabulated_puzzles()["geometric"], disabled, 200,
         np.random.default_rng(107))
     ok &= control["gap"] == 0.0 and control["radius"] == 0.0
     verdict(9, ok, time.perf_counter() - start, 120, "weak-generator entropy gap")
@@ -275,17 +275,17 @@ def test_criterion_10_product_concentration():
 def test_criterion_11_shadow_puzzle_correctness():
     start = time.perf_counter()
     scheme = owsg.wiesner_owsg(6)
+    puzzle = puzzles.puzzle_from_owsg(scheme, puzzles.ShadowParams(0.1, 96, 8))
     rng = np.random.default_rng(2026)
     trials = 500
     accepts = tight = 0
     for _ in range(trials):
-        key = scheme.key_gen(rng)
+        key, instance = puzzle.sample(rng)
+        accepts += puzzle.verify(key, instance)
         state = scheme.state_gen(key)
-        shadow = puzzles.shadow_gen(state, 96, rng)
+        shadow = puzzles.shadow_from_bytes(instance)
         listed = puzzles.preimage_list(shadow, scheme, 0.1, 8)
-        accepts += tuple(key) in listed
-        tight += all(qsim.overlap(scheme.state_gen(k), state) >= 1 - 2 * 0.1
-                     for k in listed)
+        tight += all(scheme.accept_prob(k, state) >= 1 - 2 * 0.1 for k in listed)
     ok = accepts / trials >= 0.99 and tight / trials >= 0.95
     verdict(11, ok, time.perf_counter() - start, 300,
             "shadow puzzle (accept {:.3f}, listed-overlap {:.3f})".format(

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qclab import cli, dist, gf2, pseudoentropy
+from qclab import cli, dist, gf2, pseudoentropy, puzzles
 
 import oracles
 
@@ -264,6 +264,20 @@ class TestSampledSubcommands:
         assert got["accept_rate"] == 1.0
         assert got["key_shannon"] > 0
 
+    @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("trials", [1, 200])
+    def test_puzzle_report_equals_sampled_loop(self, tmp_path, fixture, seed, trials):
+        body = {"subcommand": "puzzle", "seed": seed, "trials": trials,
+                "params": {"fixture": fixture}}
+        code, out = run_to_file(tmp_path, body)
+        assert code == 0
+        joint = puzzles.tabulated_puzzles()[fixture]
+        want = oracles.puzzle_results(fixture, joint, seed, trials)
+        # compared as text, so 1 and 1.0 differ
+        assert (json.dumps(read_report(out)["results"], sort_keys=True)
+                == json.dumps(want, sort_keys=True))
+
     def test_unknown_puzzle_fixture_rejected(self, tmp_path, capsys):
         body = {"subcommand": "puzzle", "seed": 8, "params": {"fixture": "nope"}}
         m = write_manifest(tmp_path, body)
@@ -439,6 +453,7 @@ BOUNDED_AT_READ = [
     ("shadows", {"eps": -1.0}),
     ("efi-sweep", {"s_max": 1000000}),
     ("gl", {"noise": -1.0}),
+    ("gl", {"noise": 0.5}),
 ]
 
 

@@ -235,7 +235,7 @@ class TestExactPerSeedOnDyadicFixtures:
         indexed_pmf([8, 4, 2, 1, 1]),
         indexed_pmf([3, 5, 7, 1, 2, 9, 1, 4]),
         dist.product_power(coin(Fraction(1, 4)), 3),
-        *(puzzles.tabulated_puzzles()[name].exact_joint.marginal_keys()
+        *(puzzles.tabulated_puzzles()[name].marginal_keys()
           for name in ("flat", "geometric")),
     ], ids=["ladder", "uniform16", "uniform64", "indexed16", "indexed32", "product",
             "flat-keys", "geometric-keys"])

@@ -43,7 +43,6 @@ UNCALLED = {
     ("pseudoentropy", "g_pair_conditional"),
     ("pseudoentropy", "peg_product"),
     ("pseudoentropy", "distinguisher_to_inverter"),
-    ("puzzles", "puzzle_from_owsg"),
     ("commit", "scheme_from_json"),
 }
 

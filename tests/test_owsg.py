@@ -47,7 +47,6 @@ class TestWiesner:
         for _ in range(20):
             key = scheme.key_gen(rng)
             assert scheme.accept_prob(key, scheme.state_gen(key)) == pytest.approx(1.0)
-            assert scheme.verify(key, scheme.state_gen(key), rng)
 
     def test_cross_key_matches_overlap_table(self):
         scheme = owsg.wiesner_owsg(4)
@@ -80,13 +79,6 @@ class TestWiesner:
         p_zero, _ = qsim.project(psi, [0], (0,))
         expect = 0.5 + 0.5 * scheme.accept_prob((0, 0), b)
         assert p_zero == pytest.approx(expect, abs=1e-12)
-
-    def test_bernoulli_verification_rate(self):
-        scheme = owsg.wiesner_owsg(2)
-        rng = np.random.default_rng(7)
-        state = scheme.state_gen((1, 0))
-        rate = sum(scheme.verify((0, 0), state, rng) for _ in range(400)) / 400
-        assert 0.4 < rate < 0.6
 
 
 class TestRandomCircuit:
@@ -143,10 +135,8 @@ class TestCorrectnessProfile:
     def test_noisy_verify_is_deterministic(self):
         base = owsg.wiesner_owsg(4)
         noisy = oracles.thresholded_noisy_scheme(base, threshold=0.98, noise=0.05)
-        rng = np.random.default_rng(13)
         key = (1, 1, 1, 1)
-        results = {noisy.verify(key, noisy.state_gen(key), rng) for _ in range(10)}
-        assert len(results) == 1
+        assert noisy.accept_prob(key, noisy.state_gen(key)) in (0.0, 1.0)
 
     def test_profile_size_guard(self):
         scheme = owsg.wiesner_owsg(18)

@@ -163,7 +163,7 @@ def slicing_oracle(a, b0, b1):
 
 
 def geometric_keys():
-    return puzzles.tabulated_puzzles()["geometric"].exact_joint.condition_on_puzzle((0,))
+    return puzzles.tabulated_puzzles()["geometric"].condition_on_puzzle((0,))
 
 
 def identity_joint(bits=2):
@@ -327,7 +327,7 @@ class TestSliceAnalysis:
             pseudoentropy.slice_analysis(geometric_keys(), params)
 
     def test_collision_inside_light_set_rejects_that_hash(self):
-        flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
+        flat = puzzles.tabulated_puzzles()["flat"].condition_on_puzzle((0,))
         # all-zero rows send every key to the same offset-only hash value
         seed = (np.zeros((1, 9, 3), dtype=np.uint8), np.zeros((1, 9), dtype=np.uint8))
         a = pseudoentropy.slice_analysis(flat, P3)
@@ -336,7 +336,7 @@ class TestSliceAnalysis:
         assert a.f_s(seed, [y]).tolist() == [False]
 
     def test_flat_puzzle_filter_density(self):
-        flat = puzzles.tabulated_puzzles()["flat"].exact_joint.condition_on_puzzle((0,))
+        flat = puzzles.tabulated_puzzles()["flat"].condition_on_puzzle((0,))
         a = pseudoentropy.slice_analysis(flat, P3)
         assert a.i_s >= math.log2(8) + 2
         rng = np.random.default_rng(17)
@@ -352,7 +352,7 @@ class TestSliceAnalysis:
 
     @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
     def test_filter_matches_enumeration_oracle(self, fixture):
-        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        joint = puzzles.tabulated_puzzles()[fixture]
         rng = np.random.default_rng(71)
         zero_rows = (np.zeros((1, 9, 3), dtype=np.uint8), np.zeros((1, 9), dtype=np.uint8))
         for s in joint.marginal_puzzles().support():
@@ -437,7 +437,7 @@ class TestGPairConditional:
                             float(want[y][side].prob(bit)), abs=1e-12)
 
     def test_fraction_masses_stay_fractions(self):
-        k_s = puzzles.tabulated_puzzles()["two-level"].exact_joint.condition_on_puzzle((0,))
+        k_s = puzzles.tabulated_puzzles()["two-level"].condition_on_puzzle((0,))
         a = pseudoentropy.slice_analysis(k_s, P3)
         rng = np.random.default_rng(43)
         for _ in range(5):
@@ -473,7 +473,7 @@ class TestWpegEntropyGap:
     def test_disabled_trigger_is_exactly_zero(self):
         params = pseudoentropy.SliceParams(levels=6, pad=4, slack=3,
                                            density_floor=math.inf, i_max=9)
-        joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
+        joint = puzzles.tabulated_puzzles()["geometric"]
         report = pseudoentropy.wpeg_entropy_gap(
             joint, params, 60, np.random.default_rng(41))
         assert report["gap"] == 0.0
@@ -482,13 +482,13 @@ class TestWpegEntropyGap:
 
     def test_geometric_gap_clears_its_radius(self):
         # the true gap sits near 0.05; 8000 seeds push the 99% radius to 0.036
-        joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
+        joint = puzzles.tabulated_puzzles()["geometric"]
         report = pseudoentropy.wpeg_entropy_gap(
             joint, P3, 8000, np.random.default_rng(43))
         assert report["gap"] - report["radius"] > 0
 
     def test_per_instance_breakdown_recombines(self):
-        joint = puzzles.tabulated_puzzles()["two-level"].exact_joint
+        joint = puzzles.tabulated_puzzles()["two-level"]
         report = pseudoentropy.wpeg_entropy_gap(
             joint, P3, 200, np.random.default_rng(47))
         s_marginal = joint.marginal_puzzles()
@@ -497,7 +497,7 @@ class TestWpegEntropyGap:
         assert recombined == pytest.approx(report["gap"], abs=1e-9)
 
     def test_report_serialization_is_deterministic(self):
-        joint = puzzles.tabulated_puzzles()["geometric"].exact_joint
+        joint = puzzles.tabulated_puzzles()["geometric"]
         a = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
         b = pseudoentropy.wpeg_entropy_gap(joint, P3, 50, np.random.default_rng(53))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -506,7 +506,7 @@ class TestWpegEntropyGap:
         assert a["params"]["pad"]["value"] == 4
 
     def test_sample_budget_validated(self):
-        joint = puzzles.tabulated_puzzles()["flat"].exact_joint
+        joint = puzzles.tabulated_puzzles()["flat"]
         with pytest.raises(ValueError):
             pseudoentropy.wpeg_entropy_gap(joint, P3, 0, np.random.default_rng(0))
 
@@ -746,48 +746,52 @@ class TestPegProduct:
 
 class TestDistinguisherToInverter:
     def test_zero_trials_rejected(self):
-        puzzle = puzzles.TabulatedPuzzle("id", identity_joint(2))
         with pytest.raises(ValueError):
             pseudoentropy.distinguisher_to_inverter(
-                puzzle, lambda *a: 0, pseudoentropy.SliceParams.default(2),
+                identity_joint(2), lambda *a: 0, pseudoentropy.SliceParams.default(2),
                 0, np.random.default_rng(0))
 
     def test_likelihood_ratio_beats_random_guessing(self):
         joint = identity_joint(2)
-        puzzle = puzzles.TabulatedPuzzle("id", joint)
         params = pseudoentropy.SliceParams.default(2)
         analyses = {}
         for s in joint.marginal_puzzles().support():
             k_s = joint.condition_on_puzzle(s)
             analyses[s] = (k_s, pseudoentropy.slice_analysis(k_s, params))
+        conditionals = {}
 
         def likelihood(s, h, i, r, y, bit):
-            k_s, analysis = analyses[s]
-            pairs = pseudoentropy.g_pair_conditional(k_s, h, i, r, analysis)
+            # the conditionals hold every y, so one call serves each (s, h, i, r)
+            memo = (s, h[0].tobytes(), h[1].tobytes(), i, r)
+            if memo not in conditionals:
+                k_s, analysis = analyses[s]
+                conditionals[memo] = pseudoentropy.g_pair_conditional(
+                    k_s, h, i, r, analysis)
+            pairs = conditionals[memo]
             if y not in pairs:
                 return 0
             p0, p1 = pairs[y]
             return 1 if p1.prob((bit,)) > p0.prob((bit,)) else 0
 
         rate = pseudoentropy.distinguisher_to_inverter(
-            puzzle, likelihood, params, 20, np.random.default_rng(61))
+            joint, likelihood, params, 20, np.random.default_rng(61))
         assert rate > 0.6  # random guessing sits at 1/4
 
     def test_constant_distinguisher_sits_at_baseline(self):
-        puzzle = puzzles.TabulatedPuzzle("id", identity_joint(2))
         params = pseudoentropy.SliceParams.default(2)
         rate = pseudoentropy.distinguisher_to_inverter(
-            puzzle, lambda *a: 0, params, 60, np.random.default_rng(67))
+            identity_joint(2), lambda *a: 0, params, 60, np.random.default_rng(67))
         assert 0.05 <= rate <= 0.5
 
     def test_deterministic_under_seed(self):
-        puzzle = puzzles.TabulatedPuzzle("id", identity_joint(2))
+        joint = identity_joint(2)
         params = pseudoentropy.SliceParams.default(2)
         a = pseudoentropy.distinguisher_to_inverter(
-            puzzle, lambda *a: 0, params, 10, np.random.default_rng(71))
+            joint, lambda *a: 0, params, 10, np.random.default_rng(71))
         b = pseudoentropy.distinguisher_to_inverter(
-            puzzle, lambda *a: 0, params, 10, np.random.default_rng(71))
-        assert a == b
+            joint, lambda *a: 0, params, 10, np.random.default_rng(71))
+        # pins the draw order: one rng.choice over the joint's support per trial
+        assert a == b == 0.4
 
 
 def key_sums(member, kbits):
@@ -857,7 +861,7 @@ class TestSeedBatchedGap:
         slice_params(2), slice_params(4),
     ], ids=["n3", "floor-inf", "n2", "n4"])
     def test_report_equals_per_seed_loop(self, fixture, params):
-        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        joint = puzzles.tabulated_puzzles()[fixture]
         for stream, seeds in ((2, 200), (5, 200), (11, 1), (13, 40)):
             got = pseudoentropy.wpeg_entropy_gap(joint, params, seeds,
                                                  np.random.default_rng(stream))
@@ -866,7 +870,7 @@ class TestSeedBatchedGap:
 
     @pytest.mark.parametrize("fixture", ["flat", "geometric", "two-level"])
     def test_stacked_filter_equals_one_seed_filter(self, fixture):
-        joint = puzzles.tabulated_puzzles()[fixture].exact_joint
+        joint = puzzles.tabulated_puzzles()[fixture]
         rng = np.random.default_rng(17)
         for s in joint.marginal_puzzles().support():
             analysis = pseudoentropy.slice_analysis(joint.condition_on_puzzle(s), P3)

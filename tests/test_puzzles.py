@@ -376,44 +376,29 @@ class TestTabulatedPuzzles:
         assert set(catalog) == {"flat", "geometric", "two-level"}
 
     def test_marginal_puzzle_is_fair(self):
-        for puzzle in puzzles.tabulated_puzzles().values():
-            marg = puzzle.exact_joint.marginal_puzzles()
+        for joint in puzzles.tabulated_puzzles().values():
+            marg = joint.marginal_puzzles()
             assert marg.prob((0,)) == pytest.approx(0.5)
             assert marg.prob((1,)) == pytest.approx(0.5)
 
     def test_flat_conditionals_are_uniform(self):
         flat = puzzles.tabulated_puzzles()["flat"]
         for s in ((0,), (1,)):
-            cond = flat.exact_joint.condition_on_puzzle(s)
+            cond = flat.condition_on_puzzle(s)
             assert dist.shannon_entropy(cond) == pytest.approx(3.0)
 
     def test_geometric_ladder(self):
         geo = puzzles.tabulated_puzzles()["geometric"]
-        cond = geo.exact_joint.condition_on_puzzle((0,))
+        cond = geo.condition_on_puzzle((0,))
         assert cond.prob((0, 0, 0)) == pytest.approx(0.5)
         assert cond.prob((1, 1, 1)) == pytest.approx(1 / 128)
-        flipped = geo.exact_joint.condition_on_puzzle((1,))
+        flipped = geo.condition_on_puzzle((1,))
         assert flipped.prob((1, 1, 1)) == pytest.approx(0.5)
 
     def test_two_level_split(self):
         two = puzzles.tabulated_puzzles()["two-level"]
-        cond = two.exact_joint.condition_on_puzzle((0,))
+        cond = two.condition_on_puzzle((0,))
         assert cond.prob((0, 0, 0)) == pytest.approx(0.5)
         assert cond.prob((0, 0, 1)) == pytest.approx(1 / 14)
-        heavy = two.exact_joint.condition_on_puzzle((1,))
+        heavy = two.condition_on_puzzle((1,))
         assert heavy.prob((1, 1, 1)) == pytest.approx(0.5)
-
-    def test_verify_matches_support(self):
-        for puzzle in puzzles.tabulated_puzzles().values():
-            joint = puzzle.exact_joint
-            for key, s in joint.support():
-                assert puzzle.verify(key, s)
-            assert not puzzle.verify((1, 1, 0), (2,))
-
-    def test_sampling_tracks_joint(self):
-        geo = puzzles.tabulated_puzzles()["geometric"]
-        rng = np.random.default_rng(31)
-        draws = [geo.sample(rng) for _ in range(4000)]
-        top = sum(1 for k, s in draws if k == (0, 0, 0) and s == (0,))
-        # true probability 1/4; three sigma is about 0.02
-        assert abs(top / 4000 - 0.25) < 0.025
