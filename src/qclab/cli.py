@@ -248,6 +248,11 @@ def _run_gl(m):
     # GL needs a positive advantage 0.5 - noise
     noise = _param(m, "noise", 0.0, float, (0, math.nextafter(0.5, 0)))
     advantage = 0.5 - noise
+    entries = gf2.gl_sizes(n, advantage)[1]
+    if entries > gf2.GL_TABLE_LIMIT:
+        raise ValueError(
+            "parameters 'n' = {} and 'noise' = {} need GL tables of {} entries,"
+            " past the limit of {}".format(n, noise, entries, gf2.GL_TABLE_LIMIT))
 
     def one(rng):
         secret = rng.integers(0, 2, size=n).astype(np.uint8)

@@ -13,6 +13,7 @@ be CHECK_TOL from Hermitian and from resolving the identity, and its least
 eigenvalue as low as EIGENVALUE_FLOOR.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -29,8 +30,9 @@ class CommitScheme:
 
     Qubit 0 is the message, qubits 1..n-1 the work register.  `c_qubits`
     go to the receiver at commit time, `d_qubits` stay with the committer
-    and are handed over at opening.  `uncom` is the adjoint of `com`, built
-    once here for every opening to apply.
+    and are handed over at opening.  `com` is the only full-register array
+    a scheme holds: an opening applies its adjoint through a view of it
+    (see _uncommit).
 
     The constructor checks that `com` is unitary, and so do the schemes
     built through it: purification_commit, leaky_commit, toy_schemes and
@@ -39,8 +41,7 @@ class CommitScheme:
     only the partition.
     """
 
-    __slots__ = ("name", "com", "uncom", "n_qubits", "c_qubits", "d_qubits",
-                 "flavor")
+    __slots__ = ("name", "com", "n_qubits", "c_qubits", "d_qubits", "flavor")
 
     def __init__(self, name, com, c_qubits, d_qubits, flavor=""):
         com = np.asarray(com, dtype=complex)
@@ -56,7 +57,6 @@ class CommitScheme:
             raise ValueError("sent and kept registers must partition the qubits")
         self.name = str(name)
         self.com = com
-        self.uncom = com.conj().T
         self.n_qubits = n
         self.c_qubits = c
         self.d_qubits = d
@@ -110,19 +110,30 @@ class AdversaryStrategy:
         self.measurement = measurement
 
 
+def _uncommit(scheme, vector):
+    """The adjoint of the commit map on a register whose first qubits are
+    the scheme's, as conj(com^T conj(v)) with com^T a view of `com`.
+    Conjugation only flips signs, so this is bit for bit the product with
+    a built adjoint."""
+    out = qsim.apply_gate(vector.conj(), scheme.com.T,
+                          list(range(scheme.n_qubits)))
+    return np.conjugate(out, out=out)
+
+
 def commit_state(scheme, b):
-    """Honest commitment to bit b: the commit map on |b, 0...0>."""
+    """Honest commitment to bit b: the commit map on |b, 0...0>, which is
+    the map's column of that basis index."""
     if b not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    start = qsim.basis_state((b,) + (0,) * scheme.ell)
-    return qsim.apply_gate(start, scheme.com, list(range(scheme.n_qubits)))
+    column = scheme.com[:, dist.index_of((b,) + (0,) * scheme.ell)]
+    # contiguous, as a matvec's result is, so later products take its kernels
+    return qsim.PureState(column.copy())
 
 
 def decommit_probability(scheme, b):
     """Chance the honest opening of b passes the receiver's check."""
-    opened = qsim.apply_gate(commit_state(scheme, b), scheme.uncom,
-                             list(range(scheme.n_qubits)))
-    return float(np.abs(opened.vector[dist.index_of((b,) + (0,) * scheme.ell)]) ** 2)
+    opened = _uncommit(scheme, commit_state(scheme, b).vector)
+    return float(np.abs(opened[dist.index_of((b,) + (0,) * scheme.ell)]) ** 2)
 
 
 def hiding_advantage(scheme):
@@ -149,13 +160,13 @@ def binding_states(scheme, adv, redundant=False):
     if width != n + adv.e_qubits:
         raise ValueError("strategy state does not cover scheme plus private qubits")
     every = list(range(n))
-    state = qsim.apply_gate(adv.state, scheme.uncom, every)
+    vector = _uncommit(scheme, adv.state.vector)
     if redundant:
-        state = qsim.apply_gate(state, scheme.com, every)
-        state = qsim.apply_gate(state, scheme.uncom, every)
+        vector = _uncommit(scheme, qsim.apply_gate(vector, scheme.com, every))
     wires = list(range(1, n))
     try:
-        accept, opened = qsim.project(state, wires, (0,) * len(wires))
+        accept, opened = qsim.project(qsim.PureState(vector), wires,
+                                      (0,) * len(wires))
     except ValueError:
         return 0.0, None, None
     if redundant:
@@ -274,16 +285,55 @@ def toy_schemes():
     }
 
 
-def _copy_parity(u, sources, target):
-    """Follow u by a CNOT from each source qubit onto the target qubit.
+def _gate_product(n, gates):
+    """The product of (gate, targets) pairs on n qubits, the first applied
+    first, as one dense map.
 
-    The CNOTs flip each basis index's target bit by the parity of its
-    source bits, so their product permutes u's rows exactly.
+    Until the end the map is its nonzero (row, col, value) triples,
+    starting from the identity's.  A gate sends an entry whose target bits
+    read j to one entry per nonzero gate[a, j], with its target bits set to
+    a and value gate[a, j] * value, the product the dense pass over the
+    identity's columns forms; entries that then share a (row, col) are
+    summed.  Only a gate column with two nonzeros, met by a map column
+    with two entries, can make such a pair.
     """
-    n = u.shape[0].bit_length() - 1
-    bits = dist.bits_of(np.arange(2 ** n), n)
-    bits[:, target] ^= np.bitwise_xor.reduce(bits[:, sources], axis=1)
-    return u[dist.index_of(bits)]
+    dim = 2 ** n
+    every = dist.bits_of(np.arange(dim), n)
+    rows = cols = np.arange(dim)
+    vals = np.ones(dim, dtype=complex)
+    for u, targets in gates:
+        k = len(targets)
+        field = np.zeros((2 ** k, n), dtype=np.uint8)
+        field[:, targets] = dist.bits_of(np.arange(2 ** k), k)
+        place = dist.index_of(field)  # each target code as a row offset
+        # each gate column's nonzero rows first, in row order
+        live = u.T != 0
+        width = live.sum(axis=1).max()
+        lead = np.argsort(~live, axis=1, kind="stable")[:, :width]
+        j = dist.index_of(every[:, targets])[rows]
+        if width == 1:
+            e, a = slice(None), lead[j, 0]
+        else:
+            e, slot = np.nonzero(np.take_along_axis(live, lead, 1)[j])
+            j = j[e]
+            a = lead[j, slot]
+        shared = width > 1 and len(rows) > dim
+        rows, cols = rows[e] - place[j] + place[a], cols[e]
+        vals = u[a, j] * vals[e]
+        if shared:
+            key = rows * dim + cols
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            head = np.diff(key, prepend=-1) != 0
+            if not head.all():
+                group = np.cumsum(head) - 1
+                vals = vals[order]
+                vals = (np.bincount(group, vals.real)
+                        + 1j * np.bincount(group, vals.imag))
+                rows, cols = np.divmod(key[head], dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, cols] = vals
+    return out
 
 
 def dual_commit(com1, com2):
@@ -297,9 +347,9 @@ def dual_commit(com1, com2):
     n = n1 + n2
     if n > qsim.QUBIT_LIMIT:
         raise ValueError("combined register exceeds the qubit budget")
-    u = _copy_parity(np.eye(2 ** n, dtype=complex), [0], n1)
-    u = qsim.apply_gate(u, com2.com, list(range(n1, n)))
-    u = qsim.apply_gate(u, com1.com, list(range(n1)))
+    u = _gate_product(n, [(qsim.CNOT, [0, n1]),
+                          (com2.com, list(range(n1, n))),
+                          (com1.com, list(range(n1)))])
     c = tuple(sorted(com1.c_qubits + tuple(n1 + q for q in com2.c_qubits)))
     d = tuple(sorted(com1.d_qubits + tuple(n1 + q for q in com2.d_qubits)))
     name = "dual({},{})".format(com1.name, com2.name)
@@ -327,13 +377,19 @@ def xor_combine(schemes):
     for s in schemes:
         offsets.append(at)
         at += s.n_qubits
-    u = np.eye(2 ** n, dtype=complex)
-    for o in offsets[:-1]:
-        u = qsim.apply_gate(u, qsim.H, [o])
-    # the last share takes the parity of the rest
-    u = _copy_parity(u, [0] + offsets[:-1], offsets[-1])
-    for s, o in zip(schemes, offsets):
-        u = qsim.apply_gate(u, s.com, list(range(o, o + s.n_qubits)))
+    # one gate deals the shares onto the message qubit and each
+    # component's: a Hadamard coin on every share but the last, then a CNOT
+    # from the message and each coin onto the last.  Its entries are the
+    # products of 1/sqrt(2) that applying those gates one by one forms.
+    coins = functools.reduce(np.kron, [np.eye(2)] + [qsim.H] * (t - 1)
+                             + [np.eye(2)])
+    bits = dist.bits_of(np.arange(2 ** (t + 1)), t + 1)
+    bits[:, t] ^= np.bitwise_xor.reduce(bits[:, :t], axis=1)
+    deal = coins[dist.index_of(bits)]
+    gates = [(deal, [0] + offsets)]
+    gates += [(s.com, list(range(o, o + s.n_qubits)))
+              for s, o in zip(schemes, offsets)]
+    u = _gate_product(n, gates)
     c = []
     d = [0]
     for s, o in zip(schemes, offsets):

@@ -259,15 +259,22 @@ def gl_decode_scored(predictor, n, eps, rng):
     return [(out[k], float(agree[k])) for k in order]
 
 
+def gl_sizes(n, eps):
+    """(t, entries): gl_decode's 2^t guesses for advantage eps, and the
+    entries of its largest table on n bits, held to GL_TABLE_LIMIT."""
+    # 2^t guesses, at most ceil(4 / eps^2), and m = 2^t - 1 reference vectors
+    t = max(1, int(math.floor(math.log2(math.ceil(4 / eps ** 2)))))
+    return t, (2 ** t - 1) * n * max(n, 2 ** t)
+
+
 def _gl_candidates(predictor, n, eps, rng):
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"advantage must be in (0, 1/2], got {eps}")
     if n < 1:
         raise ValueError("need n >= 1")
-    # 2^t guesses, at most ceil(4 / eps^2), and m = 2^t - 1 reference vectors
-    t = max(1, int(math.floor(math.log2(math.ceil(4 / eps ** 2)))))
+    t, entries = gl_sizes(n, eps)
     m = 2 ** t - 1
-    if m * n * max(n, 2 ** t) > GL_TABLE_LIMIT:
+    if entries > GL_TABLE_LIMIT:
         raise ValueError(f"GL tables for n = {n}, eps = {eps} exceed {GL_TABLE_LIMIT} entries")
 
     base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)

@@ -14,11 +14,11 @@ The states qsim returns are computed from checked states and skip the
 constructors' checks.
 apply_gate applies a gate unchecked: it assumes a complex unitary of the
 right size and distinct in-range targets, as the library gates, the basis
-rotations, checked commit maps and maps composed from them are.  It views
-the register as (2^p, 2^k, rest), p the lowest of its k targets, and
-multiplies the gate into the middle axis.  Targets that run p, p+1, ...,
-p+k-1 need no transpose; any other order is moved to those positions and
-back, which copies the register twice.
+rotations, checked commit maps, their transposes and maps composed from
+them are.  It views the register as (2^p, 2^k, rest), p the lowest of its
+k targets, and multiplies the gate into the middle axis.  Targets that
+run p, p+1, ..., p+k-1 need no transpose; any other order is moved to
+those positions and back, which copies the register twice.
 
 check_unitary requires max |u u^H - I| <= CHECK_TOL from one dense product
 u u^H; a non-finite entry rejects the gate before any arithmetic, as it

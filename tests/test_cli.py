@@ -237,6 +237,18 @@ class TestSampledSubcommands:
         assert cli.main(["--manifest", m]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("noise", [0.49, 0.49999999999999994])
+    def test_gl_tables_past_the_limit_name_noise_and_n(self, tmp_path, capsys,
+                                                        noise):
+        body = {"subcommand": "gl", "seed": 2, "trials": 5,
+                "params": {"n": 6, "noise": noise}}
+        code, out = run_to_file(tmp_path, body)
+        assert code == 3 and not out.exists()
+        detail = json.loads(capsys.readouterr().out)["detail"]
+        assert detail.startswith(
+            "parameters 'n' = 6 and 'noise' = {} need GL tables of".format(noise))
+        assert "eps" not in detail
+
     def test_extractor_never_violates_bound(self, tmp_path):
         body = {"subcommand": "extractor", "seed": 4, "trials": 30,
                 "params": {"n": 6}}

@@ -4,13 +4,15 @@ Frozen values (basis scheme hiding 1, swap attack 3/4, leaky tau, the
 Bernoulli purification at 5/8) come from hand-computed reduced states; the
 binding experiment is additionally cross-checked by a raw index-shuffling
 oracle that never touches the simulator helpers, and by the former
-density-matrix opening game.  The combiners' row-gather copy wiring is
-checked against the former gate-by-gate composition.
+density-matrix opening game.  The combiners' composition on nonzero
+entries is checked against the former gate-by-gate composition: exactly on
+the catalog, within rounding on random component maps.
 """
 
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,8 +446,9 @@ def xor_combine_gates(schemes):
 
 
 class TestCopyWiring:
-    """The combiners' copy wiring is an exact row gather: bit-identical to
-    composing the CNOTs gate by gate."""
+    """On the catalog every sum the composition forms has at most one
+    nonzero term, so the combiners' maps are bit-identical to composing
+    every gate, the copy CNOTs included, gate by gate."""
 
     def test_xor_every_ordered_triple(self):
         for names in itertools.permutations(CATALOG, 3):
@@ -470,24 +473,93 @@ class TestCopyWiring:
             assert np.array_equal(got, dual_commit_gates(CATALOG[first],
                                                          CATALOG[second]))
 
-    def test_every_gate_acts_on_an_ascending_run(self, monkeypatch):
-        # so apply_gate never transposes the composed unitary
-        seen = []
-        apply_gate = qsim.apply_gate
 
-        def record(state, u, targets):
-            seen.append(list(targets))
-            return apply_gate(state, u, targets)
+def random_scheme(rng, n, complex_entries):
+    """A checked scheme whose map is a random orthogonal or unitary matrix,
+    so that the composed sums have many nonzero terms."""
+    raw = rng.normal(size=(2 ** n, 2 ** n))
+    if complex_entries:
+        raw = raw + 1j * rng.normal(size=raw.shape)
+    u, _ = np.linalg.qr(raw)
+    return commit.CommitScheme("random", u, (1,), (0,) + tuple(range(2, n)))
 
-        monkeypatch.setattr(qsim, "apply_gate", record)
-        components = ["purified-coins", "basis", "hiding"]
-        for names in itertools.permutations(components):
-            commit.xor_combine([CATALOG[name] for name in names])
-        for first, second in itertools.permutations(components, 2):
-            commit.dual_commit(CATALOG[first], CATALOG[second])
-        assert seen
-        for targets in seen:
-            assert targets == list(range(targets[0], targets[0] + len(targets)))
+
+class TestDenseComposition:
+    """Where sums have two or more nonzero terms the composition keeps
+    within rounding of the gate-by-gate one."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 2, 2), (2, 3, 2)])
+    def test_xor_random_components(self, sizes, complex_entries):
+        rng = np.random.default_rng(sum(sizes) + 10 * len(sizes))
+        schemes = [random_scheme(rng, k, complex_entries) for k in sizes]
+        got = commit.xor_combine(schemes).com
+        want = xor_combine_gates(schemes)
+        # the message qubit is only copied, so it keeps its value; every
+        # other entry is a sum over the random maps' dense columns
+        assert np.count_nonzero(want) == want.size // 2
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3)])
+    def test_dual_random_components(self, sizes, complex_entries):
+        rng = np.random.default_rng(sum(sizes) + 20)
+        first, second = (random_scheme(rng, k, complex_entries) for k in sizes)
+        got = commit.dual_commit(first, second).com
+        want = dual_commit_gates(first, second)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_random_then_catalog_components(self):
+        # a random map's dense columns met by the catalog's sparse ones
+        rng = np.random.default_rng(4)
+        schemes = [random_scheme(rng, 2, True), CATALOG["purified-coins"],
+                   CATALOG["leaky"]]
+        assert np.abs(commit.xor_combine(schemes).com
+                      - xor_combine_gates(schemes)).max() <= 1e-12
+
+
+def traced_peak(call):
+    """Bytes allocated at the peak of call(), above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneMapArray:
+    """The benchmark's 8-qubit XOR scheme holds one full-register array,
+    its map: composing it builds no second one, and opening and hiding
+    build none."""
+
+    def setup_method(self):
+        self.scheme = oracle_scheme("xor3")
+        self.map_bytes = self.scheme.com.nbytes
+        assert self.map_bytes == 2 ** 20
+
+    def test_composition_peaks_near_the_map(self):
+        components = [CATALOG[name] for name in ("purified-coins", "basis",
+                                                 "hiding")]
+        peak = traced_peak(lambda: commit.xor_combine(components))
+        assert peak <= 1.25 * self.map_bytes
+
+    def test_the_map_is_the_only_array_held(self):
+        arrays = [slot for slot in commit.CommitScheme.__slots__
+                  if isinstance(getattr(self.scheme, slot), np.ndarray)]
+        assert arrays == ["com"]
+
+    def test_opening_and_hiding_build_no_map(self):
+        scheme = self.scheme
+        adv = plus_commit(scheme)
+        calls = [lambda: commit.decommit_probability(scheme, 0),
+                 lambda: commit.decommit_probability(scheme, 1),
+                 lambda: commit.hiding_advantage(scheme),
+                 lambda: commit.binding_states(scheme, adv),
+                 lambda: commit.binding_states(scheme, adv, redundant=True)]
+        for call in calls:
+            assert traced_peak(call) < self.map_bytes / 4
 
 
 class TestDualCommit:
