@@ -11,6 +11,7 @@ parameters through _param (a fault exits 3).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -79,7 +80,9 @@ def child_rng(seed, subcommand, trial_index):
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
+@functools.cache
 def _parser():
+    # built once: parsing leaves the parser as it was
     p = argparse.ArgumentParser(
         prog="qclab",
         description="Run one pipeline experiment from a manifest.")

@@ -8,6 +8,12 @@ Both experiments reduce to trace distances of small density matrices, so
 every reported advantage is exact up to floating point; nothing here
 samples (the played binding game is a test oracle, in tests/oracles.py).
 
+Honest opening, hiding, the superposition attacker and the plain binding
+game read two columns of the map, the honest commitments c_0 and c_1 to
+|0, 0...0> and |1, 0...0>, and apply no full-register product; only the
+redundant binding game's cancelling commit/uncommit splice applies the
+whole map.
+
 A given measurement is held to qsim's bounds on a density matrix: it may
 be CHECK_TOL from Hermitian and from resolving the identity, and its least
 eigenvalue as low as EIGENVALUE_FLOOR.
@@ -31,8 +37,8 @@ class CommitScheme:
     Qubit 0 is the message, qubits 1..n-1 the work register.  `c_qubits`
     go to the receiver at commit time, `d_qubits` stay with the committer
     and are handed over at opening.  `com` is the only full-register array
-    a scheme holds: an opening applies its adjoint through a view of it
-    (see _uncommit).
+    a scheme holds, and an opening reads two of its columns (see
+    binding_states).
 
     The constructor checks that `com` is unitary, and so do the schemes
     built through it: purification_commit, leaky_commit, toy_schemes and
@@ -120,20 +126,28 @@ def _uncommit(scheme, vector):
     return np.conjugate(out, out=out)
 
 
+def _opening_indices(scheme):
+    # the basis indices of |0, 0...0> and |1, 0...0>, the states an
+    # honest opening accepts
+    return dist.index_of([(b,) + (0,) * scheme.ell for b in (0, 1)])
+
+
 def commit_state(scheme, b):
-    """Honest commitment to bit b: the commit map on |b, 0...0>, which is
-    the map's column of that basis index."""
+    """Honest commitment c_b to bit b: the commit map on |b, 0...0>, which
+    is the map's column of that basis index."""
     if b not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    column = scheme.com[:, dist.index_of((b,) + (0,) * scheme.ell)]
+    column = scheme.com[:, _opening_indices(scheme)[b]]
     # contiguous, as a matvec's result is, so later products take its kernels
     return qsim.PureState(column.copy())
 
 
 def decommit_probability(scheme, b):
-    """Chance the honest opening of b passes the receiver's check."""
-    opened = _uncommit(scheme, commit_state(scheme, b).vector)
-    return float(np.abs(opened[dist.index_of((b,) + (0,) * scheme.ell)]) ** 2)
+    """Chance the honest opening of b passes the receiver's check:
+    |<b, 0...0| com^H com |b, 0...0>|^2, which is |c_b^H c_b|^2 for the
+    honest commitment c_b, so only that column is read."""
+    column = commit_state(scheme, b).vector
+    return float(abs(np.vdot(column, column)) ** 2)
 
 
 def hiding_advantage(scheme):
@@ -148,40 +162,49 @@ def binding_states(scheme, adv, redundant=False):
 
     Returns (accept probability, unmeasured branch, measured branch) with
     the branches reduced to the kept-plus-private qubits, or (0, None,
-    None) when the validity check never passes.  The measured branch is
-    kept pure: measuring the message qubit is a CNOT copying it onto a
-    fresh environment qubit, which the reduction then traces out with the
-    sent register.  The redundant flag splices a cancelling
-    commit/uncommit pair, repeats the projection and makes a second copy,
-    none of which may change anything.
+    None) when the validity check passes with probability below
+    dist.MASS_TOL, the floor qsim.project applies.
+
+    The plain game reads the honest commitments c_0, c_1, two columns of
+    the map, and applies no full-register product.  Write Psi for the
+    adversary state as a (2^n, 2^e) array, scheme qubits by private ones.
+    The opening applies com^H and accepts when qubits 1..n-1 read 0, so of
+    com^H Psi only rows (0, 0...0) and (1, 0...0) survive; they are
+    a_b = c_b^H Psi, accepted with probability ||a_0||^2 + ||a_1||^2.  The
+    unmeasured branch re-commits the opened state
+    sum_b |b, 0...0> (x) a_b / sqrt(accept), and com sends |b, 0...0> to
+    c_b, so it is sum_b c_b (x) a_b / sqrt(accept).  The measured branch
+    is kept pure: measuring the message qubit is a CNOT copying it onto a
+    fresh environment qubit, giving
+    sum_b c_b (x) a_b (x) |b>_env / sqrt(accept), and the reduction traces
+    the environment out with the sent register.
+
+    The redundant flag splices a cancelling commit/uncommit pair onto Psi,
+    the only full-register products left, and makes a second copy onto a
+    second environment qubit; neither may change anything.
     """
     n = scheme.n_qubits
     width = adv.state.n_qubits
     if width != n + adv.e_qubits:
         raise ValueError("strategy state does not cover scheme plus private qubits")
-    every = list(range(n))
-    vector = _uncommit(scheme, adv.state.vector)
+    psi = adv.state.vector
     if redundant:
-        vector = _uncommit(scheme, qsim.apply_gate(vector, scheme.com, every))
-    wires = list(range(1, n))
-    try:
-        accept, opened = qsim.project(qsim.PureState(vector), wires,
-                                      (0,) * len(wires))
-    except ValueError:
+        psi = _uncommit(scheme, qsim.apply_gate(psi, scheme.com, list(range(n))))
+    columns = scheme.com[:, _opening_indices(scheme)]
+    opened = columns.conj().T @ psi.reshape(2 ** n, -1)  # rows a_0, a_1
+    accept = float(np.vdot(opened, opened).real)
+    if accept < dist.MASS_TOL:
         return 0.0, None, None
-    if redundant:
-        _, opened = qsim.project(opened, wires, (0,) * len(wires))
+    opened /= math.sqrt(accept)
     keep = list(scheme.d_qubits) + list(range(n, width))
-    plain = qsim.apply_gate(opened, scheme.com, every)
-    sigma0 = qsim.partial_trace(plain, keep)
+    plain = qsim.PureState((columns @ opened).reshape(-1))
     copies = 2 if redundant else 1
-    env = qsim.basis_state((0,) * copies).vector
-    measured = qsim.PureState(np.kron(opened.vector, env))
-    for copy in range(width, width + copies):
-        measured = qsim.apply_gate(measured, qsim.CNOT, [0, copy])
-    measured = qsim.apply_gate(measured, scheme.com, every)
-    sigma1 = qsim.partial_trace(measured, keep)
-    return float(accept), sigma0, sigma1
+    measured = np.zeros((2 ** n, 2 ** adv.e_qubits, 2 ** copies), dtype=complex)
+    measured[:, :, 0] = np.outer(columns[:, 0], opened[0])
+    measured[:, :, -1] = np.outer(columns[:, 1], opened[1])  # every copy reads 1
+    measured = qsim.PureState(measured.reshape(-1))
+    return (accept, qsim.partial_trace(plain, keep),
+            qsim.partial_trace(measured, keep))
 
 
 def binding_experiment(scheme, adv):
@@ -204,10 +227,11 @@ def binding_experiment(scheme, adv):
 
 
 def superposition_attacker(scheme):
-    """Honest commitment to |+>, opened with the optimal measurement."""
-    plus = qsim.apply_gate(qsim.basis_state((0,) * scheme.n_qubits), qsim.H, [0])
-    state = qsim.apply_gate(plus, scheme.com, list(range(scheme.n_qubits)))
-    return AdversaryStrategy(state)
+    """Honest commitment to |+>, opened with the optimal measurement.
+
+    com (|0, 0...0> + |1, 0...0>) / sqrt(2) is (c_0 + c_1) / sqrt(2), the
+    honest commitments weighted by H's first column."""
+    return AdversaryStrategy(scheme.com[:, _opening_indices(scheme)] @ qsim.H[:, 0])
 
 
 def _branch_isometry(pmf, width):

@@ -18,7 +18,7 @@ MASS_TOL is how far a float probability mass may be from the value it is
 compared with: a total from 1, an atom's mass or a statistical distance
 from its bound, or a smoothing budget from the masses it deletes.  It is
 also the mass treated as zero: qsim.project conditions on no outcome
-lighter than MASS_TOL.  ENTROPY_TOL is how far apart two entropies or
+lighter than MASS_TOL, nor commit.binding_states on an opening.  ENTROPY_TOL is how far apart two entropies or
 surprisals (in bits) computed in floats may be and still count as equal:
 for bucket edges, for matching conditional entropies, for the bound checks
 and for placing a truncation at an integer.

@@ -18,7 +18,8 @@ rotations, checked commit maps, their transposes and maps composed from
 them are.  It views the register as (2^p, 2^k, rest), p the lowest of its
 k targets, and multiplies the gate into the middle axis.  Targets that
 run p, p+1, ..., p+k-1 need no transpose; any other order is moved to
-those positions and back, which copies the register twice.
+those positions and back by two transposes, which copies the register
+twice.
 
 check_unitary requires max |u u^H - I| <= CHECK_TOL from one dense product
 u u^H; a non-finite entry rejects the gate before any arithmetic, as it
@@ -169,9 +170,14 @@ def apply_gate(state, u, targets):
     if targets == run:
         return np.matmul(u, state.reshape(2 ** p, 2 ** k, -1)).reshape(state.shape)
     shape = (2,) * (state.shape[0].bit_length() - 1) + state.shape[1:]
-    tensor = np.moveaxis(state.reshape(shape), targets, run)
+    # the axes with the targets moved to positions p..p+k-1, the others
+    # in order around them
+    others = [a for a in range(len(shape)) if a not in targets]
+    order = others[:p] + targets + others[p:]
+    tensor = state.reshape(shape).transpose(order)
     block = np.matmul(u, tensor.reshape(2 ** p, 2 ** k, -1))
-    return np.moveaxis(block.reshape(shape), run, targets).reshape(state.shape)
+    back = np.argsort(order)
+    return block.reshape(shape).transpose(back).reshape(state.shape)
 
 
 def apply_unitary(state, u, targets):
@@ -232,8 +238,7 @@ def partial_trace(state, keep):
     n = state.n_qubits
     _qubits_of(2 ** len(keep), DENSITY_QUBIT_LIMIT, "density matrix")
     drop = [j for j in range(n) if j not in keep]
-    tensor = state.vector.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, list(keep) + drop, range(n))
+    tensor = state.vector.reshape((2,) * n).transpose(list(keep) + drop)
     mat = tensor.reshape(2 ** len(keep), -1)
     return _result(DensityMatrix, mat @ mat.conj().T)
 

@@ -91,6 +91,35 @@ class TestManifestHandling:
         args.workers = 64
         assert cli._resolve(args).workers == 64
 
+    def test_back_to_back_runs_match_separate_runs(self, capsys):
+        # main builds its parser once; a run it rejects leaves nothing
+        # behind for the next
+        runs = [["entropy", "--seed", "1"],
+                ["entropy", "--seed", "2", "--format", "xml"],
+                ["commit-suite", "--seed", "4", "--format", "csv"],
+                ["entropy"],
+                ["entropy", "--seed", "1", "--format", "csv"]]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own rejection
+                code = exc.code
+            out, err = capsys.readouterr()
+            err = [line for line in err.splitlines()
+                   if not line.startswith("elapsed ")]
+            return code, out, err
+
+        assert cli._parser() is cli._parser()
+        back_to_back = [run(argv) for argv in runs]
+        separate = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            separate.append(run(argv))
+        assert [code for code, _, _ in back_to_back] == [0, 2, 0, 2, 0]
+        assert "invalid choice: 'xml'" in back_to_back[1][2][-1]
+        assert back_to_back == separate
+
     def test_flag_overrides_land_in_report(self, tmp_path):
         body = {"subcommand": "entropy", "seed": 3}
         code, out = run_to_file(tmp_path, body, extra=["--seed", "9"])

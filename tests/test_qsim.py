@@ -1,14 +1,15 @@
 """Tests for the dense statevector simulator.
 
 apply_unitary and partial_trace are checked against slow full-matrix oracles
-built by explicit basis-index bookkeeping, apply_gate against the former
-moveaxis kernel, trace_distance against the pure state closed form and an
+built by explicit basis-index bookkeeping, apply_gate and partial_trace
+against their former np.moveaxis forms, trace_distance against the pure state closed form and an
 SVD-based nuclear norm, and oracles.density_partial_trace against the slow
 trace.  check_unitary's accept or reject verdict is pinned on
 permuted block unitaries, small perturbations of them and patterns that rule
 a unitary out.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -273,13 +274,11 @@ def apply_gate_moveaxis(state, u, targets):
     return tensor.reshape(state.shape)
 
 
-class _NumpyWithoutMoveaxis:
-    """numpy as qsim sees it, except that a transpose of the register fails."""
+class _Untransposable(np.ndarray):
+    """A register whose transpose fails; np.moveaxis transposes too."""
 
-    def __getattr__(self, name):
-        if name == "moveaxis":
-            raise AssertionError("apply_gate transposed the register")
-        return getattr(np, name)
+    def transpose(self, *axes):
+        raise AssertionError("apply_gate transposed the register")
 
 
 class TestGateKernel:
@@ -335,12 +334,14 @@ class TestGateKernel:
                              apply_gate_moveaxis(bare, u, targets),
                              not narrow or p == 0)
 
-    def test_ascending_runs_never_transpose(self, monkeypatch):
+    def test_ascending_runs_never_transpose(self):
         rng = np.random.default_rng(77)
         psi = random_state(rng, 8)
+        psi.vector = psi.vector.view(_Untransposable)
         mixed = qsim.partial_trace(random_state(rng, 5), list(range(4)))
+        mixed.matrix = mixed.matrix.view(_Untransposable)
         square = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-        monkeypatch.setattr(qsim, "np", _NumpyWithoutMoveaxis())
+        square = square.view(_Untransposable)
         for targets in ([0], [5], [7], [1, 2], [4, 5, 6], list(range(8))):
             u = random_unitary(rng, len(targets))
             qsim.apply_gate(psi, u, targets)
@@ -349,6 +350,59 @@ class TestGateKernel:
                 qsim.apply_gate(mixed, u, targets)
         with pytest.raises(AssertionError, match="transposed"):
             qsim.apply_gate(psi, qsim.CNOT, [1, 0])
+
+
+def apply_gate_moveaxis_run(state, u, targets):
+    """The former non-run branch of apply_gate: np.moveaxis the targets to
+    positions p..p+k-1, multiply, np.moveaxis them back."""
+    p, k = min(targets), len(targets)
+    run = list(range(p, p + k))
+    shape = (2,) * (state.shape[0].bit_length() - 1) + state.shape[1:]
+    tensor = np.moveaxis(state.reshape(shape), targets, run)
+    block = np.matmul(u, tensor.reshape(2 ** p, 2 ** k, -1))
+    return np.moveaxis(block.reshape(shape), run, targets).reshape(state.shape)
+
+
+def partial_trace_moveaxis(state, keep):
+    """The former partial_trace: np.moveaxis the kept qubits to the front."""
+    n = state.n_qubits
+    drop = [j for j in range(n) if j not in keep]
+    tensor = np.moveaxis(state.vector.reshape((2,) * n), list(keep) + drop,
+                         range(n))
+    mat = tensor.reshape(2 ** len(keep), -1)
+    return mat @ mat.conj().T
+
+
+def ordered_subsets(n):
+    for k in range(1, n + 1):
+        yield from itertools.permutations(range(n), k)
+
+
+class TestTransposeMatchesMoveaxis:
+    """apply_gate and partial_trace permute axes with one transpose where
+    they used np.moveaxis; the permutation is the same, so every result is
+    bit-identical, for every target and keep order up to 5 qubits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_apply_gate_every_target_order(self, n):
+        rng = np.random.default_rng(300 + n)
+        gates = {k: random_unitary(rng, k) for k in range(1, n + 1)}
+        psi = random_state(rng, n).vector
+        tailed = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
+        for targets in ordered_subsets(n):
+            u = gates[len(targets)]
+            for state in (psi, tailed):
+                assert np.array_equal(
+                    qsim.apply_gate(state, u, list(targets)),
+                    apply_gate_moveaxis_run(state, u, list(targets))), targets
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_partial_trace_every_keep_order(self, n):
+        rng = np.random.default_rng(310 + n)
+        for psi in (random_state(rng, n), random_state(rng, n)):
+            for keep in ordered_subsets(n):
+                assert np.array_equal(qsim.partial_trace(psi, list(keep)).matrix,
+                                      partial_trace_moveaxis(psi, keep)), keep
 
 
 def dephase_masked_sum(rho, targets):
