@@ -4,7 +4,10 @@ Reports are canonical JSON (sorted keys, no whitespace), so a manifest run
 twice produces byte-identical output.  Timing goes to stderr only.  Child
 random streams are derived as sha256("seed:subcommand:trial")[:8], read as
 a big-endian unsigned 64-bit integer and fed to numpy's default generator,
-so any single trial can be reproduced outside this module.  Every manifest
+so any single trial can be reproduced outside this module.  `extractor` and
+`gl` draw each trial from its own generator in trial order, then compute a
+chunk of trials as one batch (_trial_chunks), with the arithmetic a trial
+run alone would do; the other runners compute trial by trial.  Every manifest
 value is read once by _read, as a kind within bounds: the seven envelope
 fields as the _FIELDS table says (a fault exits 2), and each runner's
 parameters through _param (a fault exits 3).
@@ -155,6 +158,14 @@ def _run_trials(fn, m):
         return list(pool.map(trial, range(m.trials)))
 
 
+def _trial_chunks(m, size):
+    """The trial indices in order, as ranges of at most `size`: a runner
+    draws each range's trials one by one, each from its own child_rng,
+    then computes them as one batch."""
+    trials = range(m.trials)
+    return (trials[start:start + size] for start in range(0, m.trials, size))
+
+
 def _param(m, name, default, kind=int, bounds=None):
     """Manifest parameter `name`, or `default` when absent, read by _read
     as `kind` within `bounds`; its ValueError exits 3.  The name counts as
@@ -228,49 +239,57 @@ def _run_entropy(m):
 
 def _run_extractor(m):
     n = _param(m, "n", 6, int, (0, gf2.EXACT_INPUT_LIMIT))
-    atoms = list(map(tuple, dist.bits_of(np.arange(2 ** n), n).tolist()))
-
-    def one(rng):
-        raw = rng.random(2 ** n) + 1e-3
-        pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
-        d = gf2.extractor_distance(pmf, n)
-        bound = gf2.extractor_bound(dist.min_entropy(pmf))
-        return int(d > bound + dist.MASS_TOL), bound - d
-
-    rows = _run_trials(one, m)
+    violations, margin = 0, math.inf
+    # a chunk's mass table holds as many entries as one table at n = EXACT_INPUT_LIMIT
+    for chunk in _trial_chunks(m, 2 ** (gf2.EXACT_INPUT_LIMIT - n)):
+        raw = np.empty((len(chunk), 2 ** n))
+        for k, i in enumerate(chunk):
+            raw[k] = child_rng(m.seed, m.subcommand, i).random(2 ** n)
+        raw += 1e-3
+        masses = raw / raw.sum(axis=1, keepdims=True)
+        bounds = np.array([gf2.extractor_bound(-math.log2(max(row)))
+                           for row in masses.tolist()])
+        d = gf2.extractor_distances(masses)
+        violations += int((d > bounds + dist.MASS_TOL).sum())
+        margin = min(margin, float((bounds - d).min()))
     return {
         "n": n,
         "trials": m.trials,
-        "violations": sum(r[0] for r in rows),
-        "min_margin": min(r[1] for r in rows),
+        "violations": violations,
+        "min_margin": margin,
     }, None
 
 
 def _run_gl(m):
-    n = _param(m, "n", 6)
+    n = _param(m, "n", 6, int, (1, math.inf))
     # GL needs a positive advantage 0.5 - noise
     noise = _param(m, "noise", 0.0, float, (0, math.nextafter(0.5, 0)))
     advantage = 0.5 - noise
-    entries = gf2.gl_sizes(n, advantage)[1]
+    t, entries = gf2.gl_sizes(n, advantage)
     if entries > gf2.GL_TABLE_LIMIT:
         raise ValueError(
             "parameters 'n' = {} and 'noise' = {} need GL tables of {} entries,"
             " past the limit of {}".format(n, noise, entries, gf2.GL_TABLE_LIMIT))
-
-    def one(rng):
-        secret = rng.integers(0, 2, size=n).astype(np.uint8)
-
-        def answer(queries):
-            bits = (queries @ secret) & 1
+    queries = (2 ** t - 1) * n
+    hits = 0
+    # a chunk's tables hold at most GL_TABLE_LIMIT entries, as one trial's may
+    for chunk in _trial_chunks(m, gf2.GL_TABLE_LIMIT // entries):
+        secrets = np.empty((len(chunk), n), dtype=np.uint8)
+        bases = np.empty((len(chunk), t, n), dtype=np.uint8)
+        flips = np.zeros((len(chunk), queries), dtype=bool)
+        for k, i in enumerate(chunk):
+            rng = child_rng(m.seed, m.subcommand, i)
+            secrets[k] = rng.integers(0, 2, size=n)
+            bases[k] = gf2.gl_base(n, advantage, rng)
             if noise:
                 # one draw per query, in query order
-                bits ^= rng.random(len(queries)) < noise
-            return bits
+                flips[k] = rng.random(queries) < noise
 
-        cands = gf2.gl_decode(answer, n, advantage, rng)
-        return int(tuple(secret.tolist()) in cands)
+        def answer(asked):
+            return ((asked @ secrets[:, :, None])[:, :, 0] & 1) ^ flips
 
-    hits = sum(_run_trials(one, m))
+        cands = gf2.gl_vote(bases, answer)[2]
+        hits += int((cands == secrets[:, None, :]).all(axis=2).any(axis=1).sum())
     return {
         "n": n,
         "noise": noise,

@@ -26,6 +26,7 @@ and for placing a truncation at an integer.
 
 import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -292,7 +293,6 @@ def _compositions(t, k):
     child per value 0..left of the next part, and its multinomial gains the
     factor C(left, c).  The last part takes what is left.
     """
-    comb = np.frompyfunc(math.comb, 2, 1)
     left = np.array([t])
     ways = np.ones(1, dtype=object)
     steps = []
@@ -300,7 +300,7 @@ def _compositions(t, k):
         size = left + 1
         parent = np.repeat(np.arange(len(left)), size)
         part = np.arange(len(parent)) - (np.cumsum(size) - size)[parent]
-        ways = ways[parent] * comb(left[parent], part)
+        ways = ways[parent] * _binomials(left[parent], part)
         left = left[parent] - part
         steps.append((parent, part))
     parts = np.empty((k, len(left)), np.uint8 if t < 256 else np.uint16)
@@ -316,6 +316,21 @@ def _compositions(t, k):
     return parts, ways
 
 
+def _binomials(ls, cs):
+    """C(l, c) for each pair of the int arrays ls and cs, 0 <= c <= l, as an
+    object array of Python ints.  The row of each distinct l is built once,
+    by C(l, c + 1) = C(l, c) * (l - c) / (c + 1) in exact ints."""
+    distinct = sorted(set(ls.tolist()))
+    first = np.zeros(distinct[-1] + 1, dtype=np.int64)
+    rows = []
+    for l in distinct:
+        first[l] = len(rows)
+        rows.append(1)
+        for c in range(l):
+            rows.append(rows[-1] * (l - c) // (c + 1))
+    return np.array(rows, dtype=object)[first[ls] + cs]
+
+
 _composition_table = functools.lru_cache(maxsize=32)(_compositions)
 
 
@@ -326,7 +341,7 @@ def entropy_spectrum(spectrum):
 def smooth_min_entropy_spectrum(spectrum, eps):
     """Water-filling smoothing straight off a (value, count) spectrum."""
     check_eps(eps)
-    ordered = sorted(spectrum, key=lambda vc: -vc[0])
+    ordered = sorted(spectrum, key=operator.itemgetter(0), reverse=True)
     if eps == 0:
         return -math.log2(ordered[0][0])
     mass = 0.0

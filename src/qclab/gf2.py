@@ -16,7 +16,9 @@ exactly as a call for that seed alone would.
 A GL predictor is a callable that takes the (Q, n) uint8 matrix of all
 its queries and returns Q bits.  Goldreich-Levin queries are
 non-adaptive: the random base fixes every query before the predictor is
-asked, so one batched call is the whole conversation.
+asked, so one batched call is the whole conversation.  `gl_vote` decodes
+T trials at once from their stacked bases, with a predictor over the
+(T, Q, n) queries; `gl_decode` is its form for one trial.
 """
 
 import math
@@ -29,7 +31,7 @@ from qclab import dist
 # Walsh transform materializes a 2^n table; beyond this the caller should sample.
 EXACT_INPUT_LIMIT = 16
 
-# Most entries of GL's (m n, n) query and (m, n, 2^t) vote tables (_gl_candidates).
+# Most entries of one trial's (m n, n) query and (m, n, 2^t) vote tables (gl_vote).
 GL_TABLE_LIMIT = 2 ** 26
 
 # Exhaustive seed enumeration walks 2^(n^2) rows; only tiny inputs are feasible.
@@ -51,14 +53,22 @@ def inner_product(a, b):
 def sample_hash_seed(rng, n_in, n_out=None, count=1):
     """count uniform affine hash seeds as the pair (rows, offsets), uint8
     arrays of shapes (count, n_out, n_in) and (count, n_out); n_out
-    defaults to 3 * n_in.  Each seed draws its rows, then its offsets."""
+    defaults to 3 * n_in.
+
+    The bits are those of one rng.integers(0, 2, dtype=np.uint8) call for
+    each seed's rows and then one for its offsets, and the rng is left
+    where those calls leave it, from a single draw of uint32 words: such
+    a call takes bit byte >> 7 from each little-endian byte of a fresh
+    word and drops the bytes of its last word that it does not use.
+    """
     if n_out is None:
         n_out = 3 * n_in
-    rows = np.empty((count, n_out, n_in), dtype=np.uint8)
-    offsets = np.empty((count, n_out), dtype=np.uint8)
-    for s in range(count):
-        rows[s] = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
-        offsets[s] = rng.integers(0, 2, size=n_out, dtype=np.uint8)
+    row_words, offset_words = -(-n_out * n_in // 4), -(-n_out // 4)
+    words = rng.integers(0, 2 ** 32, size=(count, row_words + offset_words),
+                         dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8) >> 7
+    rows = bits[:, :n_out * n_in].reshape(count, n_out, n_in)
+    offsets = bits[:, 4 * row_words:4 * row_words + n_out]
     return rows, offsets
 
 
@@ -85,22 +95,20 @@ def hash_eval_batch(seeds, xs, i):
 
 
 def _walsh_transform(vec):
-    # in-place fast Walsh-Hadamard butterfly, one pass per stride h
+    # in-place fast Walsh-Hadamard butterfly along the last axis of a
+    # C-contiguous array, one pass per stride h
     h = 1
-    while h < len(vec):
-        pairs = vec.reshape(-1, 2, h)
-        a = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = a - pairs[:, 1]
+    while h < vec.shape[-1]:
+        pairs = vec.reshape(*vec.shape[:-1], -1, 2, h)
+        a = pairs[..., 0, :].copy()
+        pairs[..., 0, :] += pairs[..., 1, :]
+        pairs[..., 1, :] = a - pairs[..., 1, :]
         h *= 2
     return vec
 
 
-def walsh_spectrum(p, n):
-    """Character sums W(r) = E[(-1)^<X,r>] of a Pmf over n-bit tuples, for
-    every mask r at index dist.index_of(r); Pr[<X,r> = 1] = (1 - W(r)) / 2.
-    One Walsh-Hadamard transform of the 2^n mass table: n <= EXACT_INPUT_LIMIT.
-    """
+def _mass_table(p, n):
+    # the 2^n masses of a Pmf over n-bit tuples, at dist.index_of's indices
     if n > EXACT_INPUT_LIMIT:
         raise ValueError(f"exact mode limited to n <= {EXACT_INPUT_LIMIT}")
     atoms = p.as_dict()
@@ -110,13 +118,28 @@ def walsh_spectrum(p, n):
     vec = np.zeros(2 ** n, dtype=np.float64)
     # distinct atoms hit distinct entries, so one assignment replaces +=
     vec[dist.index_of(bits)] = [float(q) for q in atoms.values()]
-    return _walsh_transform(vec)
+    return vec
+
+
+def walsh_spectrum(p, n):
+    """Character sums W(r) = E[(-1)^<X,r>] of a Pmf over n-bit tuples, for
+    every mask r at index dist.index_of(r); Pr[<X,r> = 1] = (1 - W(r)) / 2.
+    One Walsh-Hadamard transform of the 2^n mass table: n <= EXACT_INPUT_LIMIT.
+    """
+    return _walsh_transform(_mass_table(p, n))
+
+
+def extractor_distances(masses):
+    """Exact distance of (R, <X,R>) from uniform for uniform public R, for
+    each row of a C-contiguous (T, 2^n) float64 table of masses of n-bit X
+    in dist.index_of order: 2^-(n+1) * sum_r |W(r)| over the row's Walsh
+    spectrum W.  The table is transformed in place; returns T floats.
+    """
+    return np.abs(_walsh_transform(masses)).sum(axis=1) / (2 * masses.shape[1])
 
 
 def extractor_distance(p, n):
-    """Exact distance of (R, <X,R>) from uniform for uniform public R.
-
-    Equals 2^-(n+1) * sum_r |W(r)| over the walsh_spectrum W of p.
+    """extractor_distances of one Pmf over n-bit tuples.
 
     Args:
         p: Pmf over n-bit tuples.
@@ -125,7 +148,7 @@ def extractor_distance(p, n):
     Returns:
         The statistical distance as a float.
     """
-    return float(np.abs(walsh_spectrum(p, n)).sum()) / 2 ** (n + 1)
+    return float(extractor_distances(_mass_table(p, n)[None])[0])
 
 
 def extractor_bound(k):
@@ -225,7 +248,8 @@ def gl_decode(predictor, n, eps, rng):
     recover each coordinate by majority vote over predictor(query XOR e_j)
     corrected by the guessed subset label.  A predictor that agrees with
     <a, .> on a 1/2 + eps fraction of inputs puts a on the list with
-    probability Omega(eps^2); a noiseless predictor always does.
+    probability Omega(eps^2); a noiseless predictor always does.  This is
+    gl_vote on the one base gl_base draws.
 
     Args:
         predictor: callable mapping a (Q, n) uint8 query matrix to Q bits.
@@ -237,8 +261,7 @@ def gl_decode(predictor, n, eps, rng):
         List of candidate bit tuples, deduplicated, at most
         ceil(4 / eps^2) long.
     """
-    out, _, _ = _gl_candidates(predictor, n, eps, rng)
-    return out
+    return _distinct(_gl_one(predictor, n, eps, rng)[2])
 
 
 def gl_decode_scored(predictor, n, eps, rng):
@@ -249,7 +272,8 @@ def gl_decode_scored(predictor, n, eps, rng):
     Near 1 means the predictor really is correlated with that candidate;
     near 1/2 means noise.  Candidates come back sorted by descending score.
     """
-    out, refs, answers = _gl_candidates(predictor, n, eps, rng)
+    refs, answers, candidates = _gl_one(predictor, n, eps, rng)
+    out = _distinct(candidates)
     cand = np.array(out, dtype=np.uint8)
     # label for query refs[T] ^ e_j under candidate a is <a, refs[T]> ^ a_j
     on_refs = (refs @ cand.T) & 1  # (m, C)
@@ -267,31 +291,58 @@ def gl_sizes(n, eps):
     return t, (2 ** t - 1) * n * max(n, 2 ** t)
 
 
-def _gl_candidates(predictor, n, eps, rng):
+def gl_base(n, eps, rng):
+    """The (t, n) uint8 base whose 2^t - 1 nonzero subset sums are GL's
+    reference vectors for advantage eps, drawn from rng.  Raises
+    ValueError, before any draw, on eps outside (0, 1/2], n < 1 or tables
+    past GL_TABLE_LIMIT."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"advantage must be in (0, 1/2], got {eps}")
     if n < 1:
         raise ValueError("need n >= 1")
     t, entries = gl_sizes(n, eps)
-    m = 2 ** t - 1
     if entries > GL_TABLE_LIMIT:
         raise ValueError(f"GL tables for n = {n}, eps = {eps} exceed {GL_TABLE_LIMIT} entries")
+    return rng.integers(0, 2, size=(t, n), dtype=np.uint8)
 
-    base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
+
+def gl_vote(bases, predictor):
+    """GL list decoding of T trials at once, from their stacked (T, t, n)
+    bases (gl_base's draws).
+
+    predictor maps the (T, m n, n) uint8 queries, trial by trial, to
+    (T, m n) bits; trial k's queries are refs[k, a] ^ e_j in row-major
+    (a, j) order, as gl_decode asks them.
+
+    Returns:
+        (refs, answers, candidates): the (T, m, n) reference vectors, the
+        (T, m, n) answer bits and the (T, 2^t, n) majority votes, row g
+        under guess g (index_of order), duplicates included.
+    """
+    _, t, n = bases.shape
+    m = 2 ** t - 1
     guesses = dist.bits_of(np.arange(2 ** t), t)
     # nonzero subset masks 1..m; distinct subsets give pairwise-independent sums
-    subset = guesses[1 : m + 1]
-    refs = (subset @ base) & 1
-
-    # query (a, j) is refs[a] ^ e_j, asked in row-major (a, j) order
-    asked = (refs[:, None, :] ^ np.eye(n, dtype=np.uint8)).reshape(m * n, n)
-    answers = (np.asarray(predictor(asked)).reshape(m, n) & 1).astype(np.uint8)
+    subset = guesses[1:]
+    refs = (subset @ bases) & 1
+    asked = (refs[:, :, None, :] ^ np.eye(n, dtype=np.uint8)).reshape(len(bases), m * n, n)
+    answers = (np.asarray(predictor(asked)).reshape(refs.shape) & 1).astype(np.uint8)
 
     guess_labels = (subset @ guesses.T) & 1  # (m, 2^t)
-    votes = answers[:, :, None] ^ guess_labels[:, None, :]
-    ones = votes.sum(axis=0)  # (n, 2^t)
-    candidates = (2 * ones > m).astype(np.uint8).T  # (2^t, n)
+    votes = answers[:, :, :, None] ^ guess_labels[:, None, :]
+    ones = votes.sum(axis=1)  # (T, n, 2^t)
+    candidates = (2 * ones > m).astype(np.uint8).transpose(0, 2, 1)
+    return refs, answers, candidates
 
-    # distinct candidates in order of first appearance
+
+def _gl_one(predictor, n, eps, rng):
+    # gl_vote on one trial: its refs, answers and candidates
+    base = gl_base(n, eps, rng)
+    out = gl_vote(base[None], lambda asked: np.asarray(predictor(asked[0]))[None])
+    return tuple(a[0] for a in out)
+
+
+def _distinct(candidates):
+    # distinct candidate rows as bit tuples, in order of first appearance
     first = np.sort(np.unique(candidates, axis=0, return_index=True)[1])
-    return [tuple(row) for row in candidates[first].tolist()], refs, answers
+    return [tuple(row) for row in candidates[first].tolist()]

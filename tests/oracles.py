@@ -5,7 +5,10 @@ two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
 The product-spectrum oracle builds each value by a recursive walk over the
 compositions of the power, one Python call per composition prefix.
 The GL oracle asks its predictor one query at a time, the puzzle oracle
-samples and verifies a tabulated puzzle trial by trial, and the binding
+samples and verifies a tabulated puzzle trial by trial, the extractor and
+gl oracles run those reports one trial at a time, each trial a Pmf or a
+decoder call of its own, the seed oracle draws hash seeds one call per
+seed's rows and one per its offsets, and the binding
 oracle plays commit.binding_experiment's game round by round.  The
 density partial trace reduces a mixed state, which the library never does:
 qsim.partial_trace takes pure states only.
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qclab import cli, commit, dist, owsg, qsim
+from qclab import cli, commit, dist, gf2, owsg, qsim
 
 EXACT_SUPPORT_LIMIT = 2 ** 16
 
@@ -250,6 +253,59 @@ def gl_oracle(predictor, n, eps, rng):
         if len(out) >= list_cap:
             break
     return out
+
+
+def sample_hash_seed_loop(rng, n_in, n_out=None, count=1):
+    """gf2.sample_hash_seed by its definition: each seed draws its rows
+    with one rng.integers(0, 2, dtype=np.uint8) call, then its offsets
+    with another."""
+    if n_out is None:
+        n_out = 3 * n_in
+    rows = np.empty((count, n_out, n_in), dtype=np.uint8)
+    offsets = np.empty((count, n_out), dtype=np.uint8)
+    for s in range(count):
+        rows[s] = rng.integers(0, 2, size=(n_out, n_in), dtype=np.uint8)
+        offsets[s] = rng.integers(0, 2, size=n_out, dtype=np.uint8)
+    return rows, offsets
+
+
+def extractor_results(seed, n, trials):
+    """The `extractor` report's results by the per-trial loop: trial i
+    draws rng.random(2^n) + 1e-3 from cli.child_rng(seed, "extractor", i),
+    normalizes it into a Pmf over n-bit tuples, and checks the one-vector
+    Walsh distance against gf2.extractor_bound of its min-entropy."""
+    atoms = list(map(tuple, dist.bits_of(np.arange(2 ** n), n).tolist()))
+    violations, margins = 0, []
+    for i in range(trials):
+        raw = cli.child_rng(seed, "extractor", i).random(2 ** n) + 1e-3
+        pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
+        d = float(np.abs(gf2.walsh_spectrum(pmf, n)).sum()) / 2 ** (n + 1)
+        bound = gf2.extractor_bound(dist.min_entropy(pmf))
+        violations += int(d > bound + dist.MASS_TOL)
+        margins.append(bound - d)
+    return {"n": n, "trials": trials, "violations": violations,
+            "min_margin": min(margins)}
+
+
+def gl_results(seed, n, noise, trials):
+    """The `gl` report's results by the per-trial loop: trial i draws its
+    secret from cli.child_rng(seed, "gl", i), then decodes with gl_oracle,
+    whose scalar predictor flips each answer when one rng.random() per
+    query falls below noise."""
+    hits = 0
+    for i in range(trials):
+        rng = cli.child_rng(seed, "gl", i)
+        secret = tuple(rng.integers(0, 2, size=n).tolist())
+
+        def predictor(query, rng=rng, secret=secret):
+            bit = gf2.inner_product(secret, query)
+            if noise and rng.random() < noise:
+                bit ^= 1
+            return bit
+
+        hits += secret in gl_oracle(predictor, n, 0.5 - noise, rng)
+    return {"n": n, "noise": noise, "trials": trials, "recoveries": hits,
+            "recovery_rate": hits / trials}
 
 
 def puzzle_results(name, joint, seed, trials):

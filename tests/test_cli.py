@@ -13,6 +13,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,8 +336,9 @@ class TestSampledSubcommands:
         assert got["checks"] == 40
 
     def test_workers_do_not_change_aggregates(self, tmp_path):
-        body = {"subcommand": "extractor", "seed": 4, "trials": 16,
-                "params": {"n": 5}}
+        # shadows still runs its trials through the worker pool
+        body = {"subcommand": "shadows", "seed": 4, "trials": 16,
+                "params": {"n": 2}}
         _, serial = run_to_file(tmp_path, body, tag="serial.json")
         body["workers"] = 3
         _, parallel = run_to_file(tmp_path, body, tag="parallel.json")
@@ -495,6 +497,7 @@ BOUNDED_AT_READ = [
     ("efi-sweep", {"s_max": 1000000}),
     ("gl", {"noise": -1.0}),
     ("gl", {"noise": 0.5}),
+    ("gl", {"n": 0}),
 ]
 
 
@@ -578,18 +581,24 @@ class TestBadParameters:
 
 
 class TestGlBatchedPredictor:
-    """gl asks its noisy predictor once per batch; every trial's candidate
-    list equals oracles.gl_oracle's, which asks a predictor one query at a
-    time with one rng.random() per query."""
+    """gl asks the stacked kernel gf2.gl_vote once per batch of trials;
+    every trial's candidate list equals oracles.gl_oracle's, which asks a
+    predictor one query at a time with one rng.random() per query."""
 
     @pytest.mark.parametrize("n,noise", [(6, 0.3), (8, 0.4), (5, 0.0)])
     def test_candidate_lists_equal_scalar_predictor(self, tmp_path, monkeypatch,
                                                     n, noise):
         trials = 12
         got = []
-        decode = gf2.gl_decode
-        monkeypatch.setattr(gf2, "gl_decode",
-                            lambda *args: got.append(decode(*args)) or got[-1])
+        vote = gf2.gl_vote
+
+        def spy(bases, predictor):
+            out = vote(bases, predictor)
+            # each trial's distinct candidates, in order of first appearance
+            got.extend(list(dict.fromkeys(map(tuple, c))) for c in out[2].tolist())
+            return out
+
+        monkeypatch.setattr(gf2, "gl_vote", spy)
         body = {"subcommand": "gl", "seed": 9, "trials": trials,
                 "params": {"n": n, "noise": noise}}
         assert run_to_file(tmp_path, body)[0] == 0
@@ -607,6 +616,84 @@ class TestGlBatchedPredictor:
 
             want.append(oracles.gl_oracle(predictor, n, 0.5 - noise, rng))
         assert got == want
+
+
+def run_results(body):
+    """The results a manifest body's runner returns, run in process."""
+    m = cli._manifest(body)
+    results, _ = cli._RUNNERS[m.subcommand](m)
+    return results
+
+
+class TestBatchedRunnersMatchTrialLoops:
+    """extractor and gl draw each trial from its own child_rng, in trial
+    order, and compute a chunk of trials as one batch; their results equal
+    the per-trial loops in oracles with ==, so no report byte moves."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 6, 8, 10])
+    def test_extractor_equals_trial_loop(self, n):
+        for seed in range(63):
+            trials = 1 + seed % 5
+            body = {"subcommand": "extractor", "seed": seed, "trials": trials,
+                    "params": {"n": n}}
+            assert run_results(body) == oracles.extractor_results(seed, n, trials)
+
+    @pytest.mark.parametrize("n,trials", [(10, 130), (16, 2)])
+    def test_extractor_chunks_equal_trial_loop(self, n, trials):
+        # 64 trials to a chunk at n = 10, one at n = 16
+        body = {"subcommand": "extractor", "seed": 3, "trials": trials,
+                "params": {"n": n}}
+        assert run_results(body) == oracles.extractor_results(3, n, trials)
+
+    @pytest.mark.parametrize("n,noise", [(1, 0.0), (3, 0.2), (5, 0.0), (6, 0.3),
+                                         (8, 0.4)])
+    def test_gl_equals_trial_loop(self, n, noise):
+        for seed in range(40):
+            trials = 1 + seed % 3
+            body = {"subcommand": "gl", "seed": seed, "trials": trials,
+                    "params": {"n": n, "noise": noise}}
+            assert run_results(body) == oracles.gl_results(seed, n, noise, trials)
+
+    def test_gl_chunks_equal_trial_loop(self, monkeypatch):
+        # two trials' tables to a chunk: chunks of 2, 2 and 1
+        monkeypatch.setattr(gf2, "GL_TABLE_LIMIT", 2 * gf2.gl_sizes(6, 0.2)[1])
+        body = {"subcommand": "gl", "seed": 11, "trials": 5,
+                "params": {"n": 6, "noise": 0.3}}
+        assert run_results(body) == oracles.gl_results(11, 6, 0.3, 5)
+
+
+def traced_peak(body):
+    """The traced allocation peak of one in-process run, after a one-trial
+    warm-up has made what a first run makes once."""
+    run_results({**body, "trials": 1})
+    tracemalloc.start()
+    try:
+        run_results(body)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchedPeakMemory:
+    """A batched runner holds one chunk of trials at a time, so its peak
+    allocation does not grow with trials past one chunk."""
+
+    def test_extractor_peak_flat_past_one_chunk(self):
+        # 64 trials to a chunk at n = 10: a 512 KiB mass table
+        body = {"subcommand": "extractor", "seed": 1, "trials": 64,
+                "params": {"n": 10}}
+        one = traced_peak(body)
+        body["trials"] = 64 * 8
+        assert traced_peak(body) < 1.1 * one
+
+    def test_gl_peak_flat_past_one_chunk(self, monkeypatch):
+        entries = gf2.gl_sizes(8, 0.2)[1]
+        monkeypatch.setattr(gf2, "GL_TABLE_LIMIT", 16 * entries)
+        body = {"subcommand": "gl", "seed": 1, "trials": 16,
+                "params": {"n": 8, "noise": 0.3}}
+        one = traced_peak(body)
+        body["trials"] = 16 * 8
+        assert traced_peak(body) < 1.1 * one
 
 
 SCHEMA = oracles.MANIFEST_SCHEMA

@@ -452,6 +452,24 @@ class TestProductSpectrumMatchesWalk:
         assert sum(c for _, c in got) == 3 ** 4096
         assert max(c for _, c in got) >= 2 ** 63 and len(got) > 2
 
+    @pytest.mark.parametrize("t,k", [(1, 1), (5, 3), (12, 4), (3, 64), (4, 16),
+                                     (62, 2), (63, 2), (300, 2), (40, 3), (20, 6)])
+    def test_multinomials_equal_math_comb(self, t, k):
+        # each multinomial is prod_j C(t - c_0 - ... - c_(j-1), c_j); past
+        # k**t = 2**63 the counts are Python ints, and (300, 2) reaches C(300, 150)
+        parts, ways = dist._compositions(t, k)
+        want = []
+        for column in parts.T.tolist():
+            left, coefficient = t, 1
+            for c in column:
+                coefficient *= math.comb(left, c)
+                left -= c
+            want.append(coefficient)
+        assert sum(parts.astype(int)).tolist() == [t] * len(want)
+        assert ways.dtype == (np.int64 if k ** t < 2 ** 63 else object)
+        assert ways.tolist() == want
+        assert all(type(w) is int for w in ways.tolist())
+
     def test_cached_tables_are_read_only(self):
         parts, ways = dist._composition_table(5, 3)
         assert parts.shape == (3, math.comb(7, 2)) and parts.dtype == np.uint8

@@ -104,6 +104,25 @@ class TestHashSeed:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_in,n_out,count", [
+        (1, None, 1), (3, 5, 4), (4, None, 7), (6, 0, 3), (2, 6, 0), (3, 9, 100),
+        (5, 7, 2)])
+    def test_one_draw_equals_per_seed_calls(self, n_in, n_out, count):
+        # the one uint32 draw gives the bits of oracles.sample_hash_seed_loop's
+        # uint8 calls, and every later draw of any kind stays the same
+        for seed in range(300):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = gf2.sample_hash_seed(got_rng, n_in, n_out, count=count)
+            want = oracles.sample_hash_seed_loop(want_rng, n_in, n_out, count=count)
+            for a, b in zip(got, want):
+                assert a.dtype == np.uint8 and a.shape == b.shape
+                assert np.array_equal(a, b)
+            for draw in (lambda r: r.integers(0, 2, size=5, dtype=np.uint8),
+                         lambda r: r.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                         lambda r: r.random(3),
+                         lambda r: r.integers(0, 2 ** 62, size=2)):
+                assert np.array_equal(draw(got_rng), draw(want_rng))
+
+    @pytest.mark.parametrize("n_in,n_out,count", [
         (1, None, 1), (3, 5, 4), (4, None, 7), (6, 0, 3), (2, 6, 0)])
     def test_count_equals_successive_single_draws(self, n_in, n_out, count):
         # the draw order that keeps every report digest in place
@@ -384,6 +403,24 @@ class TestBatchedKernels:
             vec = rng.standard_normal(2 ** n)
             assert np.array_equal(gf2._walsh_transform(vec.copy()),
                                   walsh_oracle(vec.copy()))
+
+    def test_stacked_walsh_transform_is_per_row(self):
+        rng = np.random.default_rng(44)
+        for n in range(0, 11):
+            table = rng.standard_normal((5, 2 ** n))
+            want = [walsh_oracle(row.copy()) for row in table]
+            assert np.array_equal(gf2._walsh_transform(table), want)
+
+    def test_stacked_distances_equal_one_row_form(self):
+        # the one-row form is extractor_distance; the rows' sums match it bit for bit
+        rng = np.random.default_rng(45)
+        for n in range(0, 13):
+            raw = rng.random((7, 2 ** n)) + 1e-3
+            masses = raw / raw.sum(axis=1, keepdims=True)
+            got = gf2.extractor_distances(masses.copy())
+            for row, d in zip(masses, got.tolist()):
+                p = bit_pmf(dict(enumerate(row.tolist())), n)
+                assert d == gf2.extractor_distance(p, n) == extractor_oracle(p, n)
 
     def test_extractor_matches_per_atom_indexing(self):
         rng = np.random.default_rng(47)

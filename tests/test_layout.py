@@ -9,7 +9,13 @@ tests (oracles.py) or nowhere; the chain steps below are the named
 exceptions.  The public methods and properties of src/qclab's classes are
 held to the same rule, matched by attribute name: one counts as used when
 src/qclab or a file among the same callers reads an attribute of its name,
-or when the tracer patches it.
+or when the tracer patches it.  Matching by name cannot tell two classes'
+members of one name apart: a read of either counts for both.  So the
+public member names that more than one class defines are pinned to the
+three shared today (SHARED_MEMBERS): `default` of pseudoentropy.SliceParams
+and puzzles.ShadowParams, and `prob` and `support` of dist.Pmf and
+dist.JointPmf.  A new collision fails the guard, and whoever adds it checks
+that each member of the name has a reader of its own.
 
 Field carriers: no top-level class of src/qclab only carries fields, that
 is, has no method but __init__, __repr__ and as_dict and an __init__ that
@@ -153,6 +159,40 @@ def unread_members(trees, callers, traced=frozenset()):
 def test_every_public_method_has_a_reader():
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     assert unread_members(trees, _callers(), _traced()) == set()
+
+
+# public member names that more than one class defines, each read on
+# every class that defines it
+SHARED_MEMBERS = {"default", "prob", "support"}
+
+
+def shared_member_names(trees):
+    """Names of public methods or properties that more than one top-level
+    class in the package modules `trees` defines."""
+    owners = {}
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    owners.setdefault(fn.name, set()).add((module, cls.name))
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_only_the_named_members_share_a_name():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert shared_member_names(trees) == SHARED_MEMBERS
+
+
+def test_guard_sees_a_shared_member_name():
+    a = ast.parse("class A:\n    def run(self):\n        return 1\n"
+                  "    def _own(self):\n        return 2\n")
+    b = ast.parse("class B:\n    def run(self):\n        return 3\n"
+                  "    def _own(self):\n        return 4\n"
+                  "    def other(self):\n        return 5\n")
+    assert shared_member_names({"efi": a, "gf2": b}) == {"run"}
+    assert shared_member_names({"efi": a}) == set()
 
 
 def test_guard_sees_an_unread_method():
