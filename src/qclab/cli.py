@@ -4,10 +4,14 @@ Reports are canonical JSON (sorted keys, no whitespace), so a manifest run
 twice produces byte-identical output.  Timing goes to stderr only.  Child
 random streams are derived as sha256("seed:subcommand:trial")[:8], read as
 a big-endian unsigned 64-bit integer and fed to numpy's default generator,
-so any single trial can be reproduced outside this module.  `extractor` and
-`gl` draw each trial from its own generator in trial order, then compute a
-chunk of trials as one batch (_trial_chunks), with the arithmetic a trial
-run alone would do; the other runners compute trial by trial.  Every manifest
+so any single trial can be reproduced outside this module.  `extractor`,
+`gl` and `concentration` draw each trial from its own generator in trial
+order, then compute a chunk of trials as one batch (_trial_chunks), with
+the arithmetic a trial run alone would do.  Only `shadows` still computes
+trial by trial (_run_trials): a trial prepares its own random state and
+then draws its snapshots of that state from the same generator, so its
+draws cannot all come before the compute.  The other runners draw from one
+generator, child_rng(seed, subcommand, 0).  Every manifest
 value is read once by _read, as a kind within bounds: the seven envelope
 fields as the _FIELDS table says (a fault exits 2), and each runner's
 parameters through _param (a fault exits 3).
@@ -383,35 +387,34 @@ def _run_concentration(m):
     support = _param(m, "support", 4, int, (1, dist.SPECTRUM_VALUE_LIMIT))
     t_max = _param(m, "t_max", 12, int, (1, math.inf))
     # the spectra of t = 1 .. t_max enumerate C(t_max + support, support) - 1 compositions
-    if math.comb(t_max + support, support) > dist.SPECTRUM_WALK_LIMIT:
+    walk = math.comb(t_max + support, support)
+    if walk > dist.SPECTRUM_WALK_LIMIT:
         raise ValueError(f"t_max {t_max} at support {support} is past the walk limit")
     eps = _param(m, "eps", 0.01, float)
     width = max(1, (support - 1).bit_length())
-
-    def one(rng):
-        raw = rng.random(support) + 0.05
-        probs = raw / raw.sum()
-        atoms = map(tuple, dist.bits_of(np.arange(support), width).tolist())
-        pmf = dist.Pmf(dict(zip(atoms, probs.tolist())))
-        shannon = dist.shannon_entropy(pmf)
-        violations, worst = 0, math.inf
-        for t in range(1, t_max + 1):
-            spectrum = dist.product_spectrum(pmf, t)
-            have = dist.smooth_min_entropy_spectrum(spectrum, eps)
-            margin = have - pseudoentropy.concentration_bound(shannon, t, eps,
-                                                              support)
-            worst = min(worst, margin)
-            violations += margin < -dist.ENTROPY_TOL
-        return violations, worst
-
-    rows = _run_trials(one, m)
+    atoms = list(map(tuple, dist.bits_of(np.arange(support), width).tolist()))
+    violations, worst = 0, math.inf
+    # a chunk's spectra over every power hold at most SPECTRUM_WALK_LIMIT
+    # entries, as one trial's may
+    for chunk in _trial_chunks(m, dist.SPECTRUM_WALK_LIMIT // walk):
+        pmfs = []
+        for i in chunk:
+            raw = child_rng(m.seed, m.subcommand, i).random(support) + 0.05
+            pmfs.append(dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist()))))
+        have = dist.product_smooth_min_entropies(pmfs, t_max, eps)
+        for pmf, row in zip(pmfs, have):
+            shannon = dist.shannon_entropy(pmf)
+            for t, h in enumerate(row, 1):
+                margin = h - pseudoentropy.concentration_bound(shannon, t, eps, support)
+                worst = min(worst, margin)
+                violations += margin < -dist.ENTROPY_TOL
     return {
         "support": support,
         "t_max": t_max,
         "eps": eps,
         "checks": m.trials * t_max,
-        "violations": sum(r[0] for r in rows),
-        "min_margin": min(r[1] for r in rows),
+        "violations": violations,
+        "min_margin": worst,
     }, None
 
 

@@ -37,7 +37,7 @@ ENTROPY_TOL = 1e-9
 PRODUCT_ATOM_LIMIT = 2 ** 24
 MATERIALIZE_ATOM_LIMIT = 2 ** 18
 SPECTRUM_VALUE_LIMIT = 64
-# most compositions product_spectrum enumerates, C(t + k - 1, k - 1) for k values at power t
+# most compositions product_spectra enumerates, C(t + k - 1, k - 1) for k values at power t
 SPECTRUM_WALK_LIMIT = 2 ** 16
 
 
@@ -236,16 +236,42 @@ def product_power(p, t):
 
 def product_spectrum(p, t):
     """Probability spectrum of the t-fold product as (value, count) pairs,
-    largest value first.
+    largest value first: product_spectra on one row, read at its run ends.
 
     Smoothing and entropies depend only on the probability multiset, so this
     stays exact far past the point where materializing atoms is feasible.
-    With k distinct masses v_i held by m_i atoms each, a composition
-    c_0 + ... + c_(k-1) = t stands for multinomial(t; c) * prod m_i^c_i atoms
-    of value 1.0 * v_0**c_0 * v_1**c_1 * ..., multiplied left to right (by
-    Fraction(1) instead of 1.0 when every mass is a Fraction), and equal
-    values merge.  Counts are exact: int64 while len(p)**t < 2**63, Python
-    ints past that.
+    Equal masses merge first, so a Fraction and its equal float are one
+    value.
+    """
+    groups = Counter(p.as_dict().values())
+    values = sorted(groups, reverse=True)
+    _check_shape(t, len(values))  # before the powers, which grow with t
+    products, totals = product_spectra(_powers([values], t), [groups[v] for v in values], t)
+    ends = totals[0] != 0
+    return list(zip(products[0, ends].tolist(), totals[0, ends].tolist()))
+
+
+def _powers(rows, t):
+    """The (k, T, t + 1) table of v ** e, e = 0..t, of the j-th of the k
+    masses v of each of T rows: Python powers, exact in an object array
+    when every mass is a Fraction, else each rounded once to float."""
+    exact = all(isinstance(v, Fraction) for row in rows for v in row)
+    return np.array([[[v ** e if exact else float(v ** e) for e in range(t + 1)]
+                      for v in column] for column in zip(*rows)],
+                    object if exact else np.float64)
+
+
+def product_spectra(powers, mults, t):
+    """Probability spectra of the t-fold products of T distributions at
+    once, all with k distinct masses held by mults[j] atoms each: the j-th
+    largest mass of row r is the one whose powers _powers put in
+    powers[j, r], a (k, T, > t) table.
+
+    A composition c_0 + ... + c_(k-1) = t stands for
+    multinomial(t; c) * prod m_j^c_j atoms of value
+    1.0 * v_0**c_0 * v_1**c_1 * ..., multiplied left to right (by
+    Fraction(1) in an exact table).  Counts are exact: int64 while
+    sum(mults)**t < 2**63, Python ints past that.
 
     The compositions of t into k parts and their multinomials depend on
     (t, k) alone, so the last 32 tables asked for are kept, read-only so
@@ -256,31 +282,44 @@ def product_spectrum(p, t):
     (55,115,409 bytes), the most the cache can hold.  Shapes whose
     multinomials could pass int64 (k**t >= 2**63) are built on each call
     and never kept.
+
+    Returns:
+        (products, totals), two (T, n) arrays: each row's products sorted
+        largest first, and each run of equal products' total
+        count on the run's last entry, 0 on its others.
     """
-    if t < 1:
-        raise ValueError("power must be >= 1")
-    groups = Counter(p.as_dict().values())
-    values = sorted(groups, reverse=True)
-    k = len(values)
-    if (k > SPECTRUM_VALUE_LIMIT or t > 4096
-            or math.comb(t + k - 1, k - 1) > SPECTRUM_WALK_LIMIT):
-        raise ValueError("spectrum enumeration out of range")
+    k = len(mults)
+    _check_shape(t, k)
     parts, ways = (_compositions if k ** t >= 2 ** 63 else _composition_table)(t, k)
 
-    exact = all(isinstance(v, Fraction) for v in values)
-    kind = object if exact else np.float64
-    product = np.full(parts.shape[1], Fraction(1) if exact else 1.0, kind)
-    for v, c in zip(values, parts):
-        product *= np.array([v ** e if exact else float(v ** e) for e in range(t + 1)], kind)[c]
-    counts = ways.astype(np.int64 if len(p) ** t < 2 ** 63 else object)
-    for m, c in zip((groups[v] for v in values), parts):
+    # 1.0 (or Fraction(1)) times the first factor is that factor
+    products = powers[0].take(parts[0], axis=1)
+    for j in range(1, k):
+        products *= powers[j].take(parts[j], axis=1)
+    counts = ways.astype(np.int64 if sum(mults) ** t < 2 ** 63 else object)
+    for m, c in zip(mults, parts):
         if m > 1:
             counts *= np.array([m ** e for e in range(t + 1)], counts.dtype)[c]
 
-    order = np.argsort(-product, kind="stable")
-    product, counts = product[order], counts[order]
-    starts = np.flatnonzero(np.concatenate(([True], product[1:] != product[:-1])))
-    return list(zip(product[starts].tolist(), np.add.reduceat(counts, starts).tolist()))
+    # largest first; equal products merge, so how ties are ordered moves nothing
+    order = np.argsort(products, axis=1, kind="stable")[:, ::-1]
+    products, counts = products[np.arange(len(order))[:, None], order], counts[order]
+    starts = np.ones(products.shape, dtype=bool)
+    starts[:, 1:] = products[:, 1:] != products[:, :-1]
+    # a row's first entry starts a run, so no run crosses rows
+    first = np.flatnonzero(starts)
+    totals = np.zeros_like(counts)
+    totals.ravel()[np.append(first[1:], totals.size) - 1] = np.add.reduceat(counts.ravel(), first)
+    return products, totals
+
+
+def _check_shape(t, k):
+    # a shape within range at t is within range at every smaller power
+    if t < 1:
+        raise ValueError("power must be >= 1")
+    if (k > SPECTRUM_VALUE_LIMIT or t > 4096
+            or math.comb(t + k - 1, k - 1) > SPECTRUM_WALK_LIMIT):
+        raise ValueError("spectrum enumeration out of range")
 
 
 def _compositions(t, k):
@@ -339,22 +378,86 @@ def entropy_spectrum(spectrum):
 
 
 def smooth_min_entropy_spectrum(spectrum, eps):
-    """Water-filling smoothing straight off a (value, count) spectrum."""
+    """Water-filling smoothing straight off a (value, count) spectrum:
+    _water_levels on one row, each entry one step."""
     check_eps(eps)
     ordered = sorted(spectrum, key=operator.itemgetter(0), reverse=True)
     if eps == 0:
         return -math.log2(ordered[0][0])
-    mass = 0.0
-    count = 0
-    for idx, (v, c) in enumerate(ordered):
-        mass += v * c
-        count += c
-        lam = (mass - eps) / count
-        below = ordered[idx + 1][0] if idx + 1 < len(ordered) else 0
-        if lam >= below and lam > 0:
-            return -math.log2(lam)
-    raise ValueError(f"smoothing parameter {eps!r} leaves no positive "
-                     f"water-filling level under total mass {mass!r}")
+    values, counts = zip(*ordered)
+    totals = np.array([counts], np.int64 if sum(counts) < 2 ** 63 else object)
+    (level,), (mass,) = _water_levels(np.array([values]), totals, eps)
+    if not level:
+        raise _no_level(eps, mass)
+    return -math.log2(level)
+
+
+def product_smooth_min_entropies(pmfs, t_max, eps):
+    """smooth_min_entropy_spectrum(product_spectrum(p, t), eps) for each Pmf
+    p of pmfs and each t = 1..t_max, with the same arithmetic, as one list
+    of t_max floats per Pmf.
+
+    The Pmfs are grouped by the numbers of atoms that hold their distinct
+    masses, largest first, so no two masses need differ.  Each group's
+    powers are taken once, and each power t is one product_spectra call
+    and one _water_levels pass over the group's rows.  A shape out of range
+    raises before any spectrum; otherwise the first (Pmf, t), Pmf by Pmf,
+    that leaves no positive level raises.
+    """
+    check_eps(eps)
+    groups = {}
+    for r, p in enumerate(pmfs):
+        counts = Counter(p.as_dict().values())
+        values = sorted(counts, reverse=True)
+        key = (tuple(counts[v] for v in values),
+               all(isinstance(v, Fraction) for v in values))
+        groups.setdefault(key, []).append((r, values))
+    for mults, _ in groups:
+        _check_shape(t_max, len(mults))
+    tables = [(mults, [r for r, _ in rows], _powers([v for _, v in rows], t_max))
+              for (mults, _), rows in groups.items()]
+    levels, masses = np.zeros((2, len(pmfs), t_max))
+    for mults, rows, powers in tables:
+        for t in range(1, t_max + 1):
+            products, totals = product_spectra(powers, mults, t)
+            if eps == 0:
+                levels[rows, t - 1] = products[:, 0]
+            else:
+                levels[rows, t - 1], masses[rows, t - 1] = _water_levels(products, totals, eps)
+    if eps != 0 and not levels.all():
+        r, t = np.argwhere(levels == 0)[0]
+        raise _no_level(eps, masses[r, t])
+    return [[-math.log2(level) for level in row] for row in levels.tolist()]
+
+
+def _water_levels(values, totals, eps):
+    """The water-filling levels of T spectra at once, for eps > 0: values
+    is (T, n), each row largest first, and totals its counts, where an
+    entry of count 0 adds nothing and is no step.
+
+    smooth_min_entropy_spectrum's loop in array passes: the running mass
+    adds float(v * c) left to right from 0.0 (np.cumsum is sequential), the
+    running count adds c, and a row's level is (mass - eps) / count at its
+    first step whose level is positive and at least the next entry's value
+    (0 past the last).
+
+    Returns:
+        (levels, masses): each row's level, 0.0 where no step gives one,
+        and its total float mass.
+    """
+    mass = np.cumsum(np.asarray(values * totals, dtype=float), axis=1)
+    # a count is 0 only before a row's first step, which is no step
+    lam = (mass - eps) / np.maximum(np.cumsum(totals, axis=1), 1)
+    below = np.zeros_like(values)
+    below[:, :-1] = values[:, 1:]
+    step = (totals != 0) & (lam >= below) & (lam > 0)
+    rows, first = np.arange(len(values)), step.argmax(axis=1)
+    return np.where(step[rows, first], lam[rows, first], 0.0), mass[:, -1]
+
+
+def _no_level(eps, mass):
+    return ValueError(f"smoothing parameter {eps!r} leaves no positive "
+                      f"water-filling level under total mass {float(mass)!r}")
 
 
 def smooth_max_entropy_spectrum(spectrum, eps):

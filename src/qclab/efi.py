@@ -83,7 +83,7 @@ def distance_sweep(g0, truncations, seed_samples, rng):
     """Estimate E_h[ SD(h(X)_s, uniform) ] over hash seeds, for each
     truncation s.
 
-    The distance is exact for each sampled seed (gf2.hashed_distances);
+    The distance is exact for each sampled seed (gf2.prefix_distances);
     only the seed average is Monte Carlo.  One seed pool is drawn up front
     and shared by every truncation, which keeps the estimates exactly
     nondecreasing in s (appending hash bits never shrinks the per-seed
@@ -103,8 +103,7 @@ def distance_sweep(g0, truncations, seed_samples, rng):
             raise ValueError(
                 f"truncation {s} outside [0, {3 * width}]")
     seeds = gf2.sample_hash_seed(rng, width, count=seed_samples)
-    # prefixes nest, so every row reads the first s of the longest hashes
+    # prefixes nest, so every truncation reads the longest hashes
     ys = gf2.hash_eval_batch(seeds, xs, max(truncations, default=0))
-    estimates = [float(np.mean(gf2.hashed_distances(ys[:, :, :s], probs)))
-                 for s in truncations]
+    estimates = [float(np.mean(d)) for d in gf2.prefix_distances(ys, probs, truncations)]
     return estimates, hoeffding_radius(seed_samples)

@@ -11,7 +11,8 @@ and `hash_eval` is its form for one seed and one input.  `group_prefixes`,
 the one grouping by hash prefix, sorts hash_eval_batch's (S, N, i) bits
 once, by seed and then by prefix, so each seed's groups stay contiguous
 and in order: `np.bincount` over the global group ids adds per seed
-exactly as a call for that seed alone would.
+exactly as a call for that seed alone would.  `prefix_distances` reads the
+groups of every shorter prefix off that one sort.
 
 A GL predictor is a callable that takes the (Q, n) uint8 matrix of all
 its queries and returns Q bits.  Goldreich-Levin queries are
@@ -222,22 +223,47 @@ def group_prefixes(ys):
 
 def hashed_distances(ys, probs):
     """Exact SD(h(X)_m, uniform) per seed, from the (S, N, m) hash bits of
-    the rows of X with masses probs.
+    the rows of X with masses probs: prefix_distances at the one length m.
+    """
+    return prefix_distances(ys, probs, [ys.shape[2]])[0]
+
+
+def prefix_distances(ys, probs, lengths):
+    """Exact SD(h(X)_m, uniform) per seed for each m in lengths, from the
+    (S, N, L) hash bits of the rows of X with masses probs; returns
+    (len(lengths), S).
 
     Only the hit outputs are summed; the unhit part of the output space
     folds into one closed-form term, so the cost is the support size rather
-    than 2^m.
+    than 2^m.  group_prefixes sorts the L-bit hashes once.  In that order
+    the groups of every shorter prefix are runs of neighbouring groups,
+    which split where the seed changes or where two neighbours first differ
+    before bit m.  So at every m the groups come in group_prefixes' (seed,
+    prefix) order, and one bincount per m adds their masses in row order.
     """
-    s, _, m = ys.shape
-    if m == 0:
-        return np.zeros(s)  # exactly, even when the float masses miss 1 by an ulp
-    labels, owner, _ = group_prefixes(ys)
-    u = 2.0 ** -m
-    dev = np.abs(np.bincount(labels.ravel(), weights=np.tile(probs, s)) - u)
-    counts = np.bincount(owner, minlength=s)
-    # bincount adds each seed's groups left to right
-    total = np.bincount(owner, weights=dev, minlength=s)
-    return 0.5 * (total + (1.0 - counts * u))
+    s, _, full = ys.shape
+    out = np.zeros((len(lengths), s))
+    if not all(0 <= m <= full for m in lengths):
+        raise ValueError(f"prefix lengths {lengths} outside [0, {full}]")
+    if full == 0:
+        return out
+    labels, owner, prefixes = group_prefixes(ys)
+    differs = prefixes[1:] != prefixes[:-1]
+    first_diff = np.where(differs.any(axis=1), differs.argmax(axis=1), full)
+    new_seed = owner[1:] != owner[:-1]
+    weights = np.tile(probs, s)
+    for k, m in enumerate(lengths):
+        if m == 0:
+            continue  # exactly 0, even when the float masses miss 1 by an ulp
+        new = np.concatenate(([True], new_seed | (first_diff < m)))
+        group = np.cumsum(new) - 1
+        heads = owner[new]
+        u = 2.0 ** -m
+        dev = np.abs(np.bincount(group[labels].ravel(), weights=weights) - u)
+        # bincount adds each seed's groups left to right
+        total = np.bincount(heads, weights=dev, minlength=s)
+        out[k] = 0.5 * (total + (1.0 - np.bincount(heads, minlength=s) * u))
+    return out
 
 
 def gl_decode(predictor, n, eps, rng):

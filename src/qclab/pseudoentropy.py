@@ -12,11 +12,12 @@ takes its settings as arguments and returns plain numbers, dicts or tuples;
 cli writes the report text.  Entropies compare within dist.ENTROPY_TOL.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from . import dist, gf2
+from . import dist, gf2, puzzles
 from ._mc import hoeffding_radius
 
 
@@ -239,7 +240,8 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     conditional-entropy difference is computed in closed form over all
     instances, prefix positions, masks r and hash values, and only the seed
     average is Monte Carlo. Off-trigger positions contribute exactly zero,
-    so the sum runs over the triggered slice alone.
+    so the sum runs over the triggered slice alone.  The instances of a
+    puzzles.tabulated_puzzles fixture are sliced once per parameter set.
 
     Each per-seed value lies in [-1/2, 1/2] up to rounding, so none is
     clipped: SliceParams forces pad > slack >= 1, so i_s >= 2, and
@@ -254,15 +256,12 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     """
     if seed_samples < 1:
         raise ValueError("need at least one seed sample")
-    s_marginal = puzzle.marginal_puzzles()
-    instances = []
-    for s in s_marginal.support():
-        analysis = slice_analysis(puzzle.condition_on_puzzle(s), params)
-        instances.append((float(s_marginal.prob(s)), dist.encode_atom(s), analysis))
-    widths = {analysis._keys.shape[1] for _, _, analysis in instances}
-    if len(widths) != 1:
-        raise ValueError("key atoms must share one width")
-    width = widths.pop()
+    if any(puzzle is fixture for fixture in puzzles.tabulated_puzzles().values()):
+        instances = _fixture_instances(puzzle, params.levels, params.pad, params.slack,
+                                       params.density_floor, params.i_max)
+    else:
+        instances = _slice_instances(puzzle, params)
+    width = instances[0][2]._keys.shape[1]
     rmat = dist.bits_of(np.arange(2 ** width), width)
     # inner products <k, r> of every key with every mask, one row per key
     bits = [((analysis._keys @ rmat.T) & 1).astype(float) for _, _, analysis in instances]
@@ -303,6 +302,29 @@ def wpeg_entropy_gap(puzzle, params, seed_samples, rng):
     per_s = {k: v / seed_samples for k, v in per_s_acc.items()}
     return {"params": params.describe(), "gap": float(values.mean()), "radius": radius,
             "trigger_mass": trigger_mass, "per_s": per_s, "seed_samples": seed_samples}
+
+
+def _slice_instances(puzzle, params):
+    """(probability, encoded instance, slice_analysis) of each instance of
+    a tabulated puzzle, in instance order; the keys must share one width."""
+    s_marginal = puzzle.marginal_puzzles()
+    instances = tuple((float(s_marginal.prob(s)), dist.encode_atom(s),
+                       slice_analysis(puzzle.condition_on_puzzle(s), params))
+                      for s in s_marginal.support())
+    if len({analysis._keys.shape[1] for _, _, analysis in instances}) != 1:
+        raise ValueError("key atoms must share one width")
+    return instances
+
+
+@functools.lru_cache(maxsize=32)
+def _fixture_instances(fixture, levels, pad, slack, density_floor, i_max):
+    # a fixed fixture's instances are constants of the slicing parameters,
+    # shared by every later call, so their arrays are frozen
+    instances = _slice_instances(fixture, SliceParams(levels, pad, slack, density_floor, i_max))
+    for _, _, analysis in instances:
+        for array in (analysis._keys, analysis._probs, analysis._flat, analysis._light):
+            array.flags.writeable = False
+    return instances
 
 
 def core_lemma_gap(x, x_star, theta_heavy, theta_light):

@@ -16,7 +16,9 @@ no per-snapshot operator is built.  The puzzle verifier reads the honest
 states that OwsgScheme.honest_states builds once per scheme.
 """
 
+import functools
 import struct
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -300,19 +302,22 @@ def _three_bit_joint(probs_zero, probs_one):
                           for key, p in zip(keys, probs)})
 
 
+@functools.cache
 def tabulated_puzzles():
     """Three fixed 3-bit-key puzzles with a fair binary instance, each a
     dist.JointPmf over (key, instance) pairs, by name.
 
     flat keeps the key uniform given either instance; geometric halves key
     mass down a ladder (reversed for the second instance); two-level puts
-    half the mass on one key and spreads the rest evenly.
+    half the mass on one key and spreads the rest evenly.  They are built
+    once: every caller shares one read-only mapping of the same tables,
+    which offer no way to change them.
     """
     geometric = [Fraction(1, 2 ** (i + 1)) for i in range(7)] + [Fraction(1, 128)]
     two_level = [Fraction(1, 2)] + [Fraction(1, 14)] * 7
     flat = [Fraction(1, 8)] * 8
-    return {
+    return types.MappingProxyType({
         "flat": _three_bit_joint(flat, flat),
         "geometric": _three_bit_joint(geometric, list(reversed(geometric))),
         "two-level": _three_bit_joint(two_level, list(reversed(two_level))),
-    }
+    })

@@ -3,11 +3,13 @@
 The distribution oracles work atom by atom: the statistical distance of
 two Pmfs, and the atoms that smooth max-entropy's greedy deletion keeps.
 The product-spectrum oracle builds each value by a recursive walk over the
-compositions of the power, one Python call per composition prefix.
+compositions of the power, one Python call per composition prefix, and
+the water-filling oracle smooths a spectrum by its step-by-step loop.
 The GL oracle asks its predictor one query at a time, the puzzle oracle
-samples and verifies a tabulated puzzle trial by trial, the extractor and
-gl oracles run those reports one trial at a time, each trial a Pmf or a
-decoder call of its own, the seed oracle draws hash seeds one call per
+samples and verifies a tabulated puzzle trial by trial, the extractor, gl
+and concentration oracles run those reports one trial at a time, each
+trial a Pmf or a decoder call of its own (and one spectrum per power),
+the seed oracle draws hash seeds one call per
 seed's rows and one per its offsets, and the binding
 oracle plays commit.binding_experiment's game round by round.  The
 density partial trace reduces a mixed state, which the library never does:
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qclab import cli, commit, dist, gf2, owsg, qsim
+from qclab import cli, commit, dist, gf2, owsg, pseudoentropy, qsim
 
 EXACT_SUPPORT_LIMIT = 2 ** 16
 
@@ -308,6 +310,32 @@ def gl_results(seed, n, noise, trials):
             "recovery_rate": hits / trials}
 
 
+def concentration_results(seed, support, t_max, eps, trials):
+    """The `concentration` report's results by the per-trial loop: trial i
+    draws rng.random(support) + 0.05 from cli.child_rng(seed,
+    "concentration", i), normalizes it into a Pmf, and checks the smooth
+    min-entropy of each t-fold product spectrum, t = 1..t_max, against
+    pseudoentropy.concentration_bound: each spectrum by
+    product_spectrum_walk, each smoothing by water_filling_loop."""
+    width = max(1, (support - 1).bit_length())
+    atoms = list(map(tuple, dist.bits_of(np.arange(support), width).tolist()))
+    violations, worsts = 0, []
+    for i in range(trials):
+        raw = cli.child_rng(seed, "concentration", i).random(support) + 0.05
+        pmf = dist.Pmf(dict(zip(atoms, (raw / raw.sum()).tolist())))
+        shannon = dist.shannon_entropy(pmf)
+        worst = math.inf
+        for t in range(1, t_max + 1):
+            have = water_filling_loop(product_spectrum_walk(pmf, t), eps)
+            margin = have - pseudoentropy.concentration_bound(shannon, t, eps, support)
+            worst = min(worst, margin)
+            violations += margin < -dist.ENTROPY_TOL
+        worsts.append(worst)
+    return {"support": support, "t_max": t_max, "eps": eps,
+            "checks": trials * t_max, "violations": violations,
+            "min_margin": min(worsts)}
+
+
 def puzzle_results(name, joint, seed, trials):
     """The `puzzle` report's results by the sample-and-verify loop: trial i
     draws one (key, instance) pair from cli.child_rng(seed, "puzzle", i) by
@@ -396,3 +424,25 @@ def product_spectrum_walk(p, t):
 
     walk(0, t, one, 1)
     return sorted(spectrum.items(), key=lambda vc: -vc[0])
+
+
+def water_filling_loop(spectrum, eps):
+    """dist.smooth_min_entropy_spectrum by its loop: walk the spectrum
+    largest value first, adding each value's mass v * c to a float running
+    sum from 0.0 and its count c, and stop at the first level
+    (mass - eps) / count that is positive and at least the next value."""
+    dist.check_eps(eps)
+    ordered = sorted(spectrum, key=lambda vc: vc[0], reverse=True)
+    if eps == 0:
+        return -math.log2(ordered[0][0])
+    mass = 0.0
+    count = 0
+    for idx, (v, c) in enumerate(ordered):
+        mass += v * c
+        count += c
+        lam = (mass - eps) / count
+        below = ordered[idx + 1][0] if idx + 1 < len(ordered) else 0
+        if lam >= below and lam > 0:
+            return -math.log2(lam)
+    raise ValueError(f"smoothing parameter {eps!r} leaves no positive "
+                     f"water-filling level under total mass {mass!r}")

@@ -625,10 +625,19 @@ def run_results(body):
     return results
 
 
+def outcome(run):
+    """What run() returns, or the text of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestBatchedRunnersMatchTrialLoops:
-    """extractor and gl draw each trial from its own child_rng, in trial
-    order, and compute a chunk of trials as one batch; their results equal
-    the per-trial loops in oracles with ==, so no report byte moves."""
+    """extractor, gl and concentration draw each trial from its own
+    child_rng, in trial order, and compute a chunk of trials as one batch;
+    their results equal the per-trial loops in oracles with ==, so no
+    report byte moves."""
 
     @pytest.mark.parametrize("n", [0, 1, 4, 6, 8, 10])
     def test_extractor_equals_trial_loop(self, n):
@@ -661,6 +670,85 @@ class TestBatchedRunnersMatchTrialLoops:
                 "params": {"n": 6, "noise": 0.3}}
         assert run_results(body) == oracles.gl_results(11, 6, 0.3, 5)
 
+    @pytest.mark.parametrize("support,t_max,eps", [
+        (4, 12, 0.01), (3, 6, 0.0), (3, 6, 0.3), (1, 5, 0.01), (16, 4, 0.01),
+        (64, 2, 0.01)])
+    def test_concentration_equals_trial_loop(self, support, t_max, eps):
+        for seed in range(12):
+            trials = 1 + seed % 3
+            body = {"subcommand": "concentration", "seed": seed, "trials": trials,
+                    "params": {"support": support, "t_max": t_max, "eps": eps}}
+            assert run_results(body) == oracles.concentration_results(
+                seed, support, t_max, eps, trials)
+
+    def test_concentration_counts_past_int64_equal_trial_loop(self):
+        # support 2 at power 300: counts such as C(300, 150) pass 2**63
+        for seed in range(2):
+            body = {"subcommand": "concentration", "seed": seed, "trials": 2,
+                    "params": {"support": 2, "t_max": 300}}
+            assert run_results(body) == oracles.concentration_results(seed, 2, 300, 0.01, 2)
+
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_concentration_chunks_equal_trial_loop(self, monkeypatch, chunk):
+        # at chunk 2, five trials run in chunks of 2, 2 and 1
+        if chunk:
+            monkeypatch.setattr(dist, "SPECTRUM_WALK_LIMIT", chunk * math.comb(6 + 3, 3))
+        for seed in range(10):
+            body = {"subcommand": "concentration", "seed": seed, "trials": 5,
+                    "params": {"support": 3, "t_max": 6}}
+            assert run_results(body) == oracles.concentration_results(seed, 3, 6, 0.01, 5)
+
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_concentration_no_level_names_the_loops_first(self, monkeypatch, chunk):
+        # just below 1, eps leaves no positive level on many (trial, t),
+        # whose float masses differ: the error names the first in loop order
+        if chunk:
+            monkeypatch.setattr(dist, "SPECTRUM_WALK_LIMIT", chunk * math.comb(8 + 3, 3))
+        eps = math.nextafter(1.0, 0.0)
+        texts = set()
+        for seed in range(40):
+            body = {"subcommand": "concentration", "seed": seed, "trials": 3,
+                    "params": {"support": 3, "t_max": 8, "eps": eps}}
+            got = outcome(lambda: run_results(body))
+            assert got == outcome(lambda: oracles.concentration_results(seed, 3, 8, eps, 3))
+            if isinstance(got, str):
+                assert "leaves no positive water-filling level" in got
+                texts.add(got)
+        assert len(texts) > 1
+
+
+class TestWpegFixtureCache:
+    """wpeg-gap slices a fixed fixture's instances once per parameter set.
+    Each run below follows a default run, whose slicing it would reuse if
+    the cache key missed the field it changes; it must equal the same run
+    on a copy of the fixture, which is never cached."""
+
+    CHANGES = [("levels", 3), ("pad", 6), ("slack", 1), ("density_floor", 0.5),
+               ("density_floor", "inf"), ("i_max", 5)]
+
+    @staticmethod
+    def uncached(name, params, seed, trials):
+        joint = puzzles.tabulated_puzzles()[name]
+        copy = dist.JointPmf({(k, s): joint.prob(k, s) for k, s in joint.support()})
+        base = pseudoentropy.SliceParams.default(3)
+        fields = {f: getattr(base, f) for f in pseudoentropy.SliceParams.__slots__}
+        fields.update((f, math.inf if v == "inf" else v) for f, v in params.items())
+        results = pseudoentropy.wpeg_entropy_gap(
+            copy, pseudoentropy.SliceParams(**fields), trials,
+            cli.child_rng(seed, "wpeg-gap", 0))
+        results["fixture"] = name
+        return results
+
+    @pytest.mark.parametrize("name", ["flat", "geometric", "two-level"])
+    def test_each_slice_field_keys_the_cache(self, name):
+        body = {"subcommand": "wpeg-gap", "seed": 5, "trials": 30,
+                "params": {"fixture": name}}
+        for field, value in self.CHANGES:
+            assert run_results(body) == self.uncached(name, {}, 5, 30)
+            changed = {**body, "params": {"fixture": name, field: value}}
+            assert (outcome(lambda: run_results(changed))
+                    == outcome(lambda: self.uncached(name, {field: value}, 5, 30)))
+
 
 def traced_peak(body):
     """The traced allocation peak of one in-process run, after a one-trial
@@ -684,6 +772,14 @@ class TestBatchedPeakMemory:
                 "params": {"n": 10}}
         one = traced_peak(body)
         body["trials"] = 64 * 8
+        assert traced_peak(body) < 1.1 * one
+
+    def test_concentration_peak_flat_past_one_chunk(self):
+        # 36 trials to a chunk at the default support 4 and t_max 12
+        body = {"subcommand": "concentration", "seed": 1,
+                "trials": dist.SPECTRUM_WALK_LIMIT // math.comb(12 + 4, 4)}
+        one = traced_peak(body)
+        body["trials"] *= 8
         assert traced_peak(body) < 1.1 * one
 
     def test_gl_peak_flat_past_one_chunk(self, monkeypatch):

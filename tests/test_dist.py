@@ -492,6 +492,62 @@ class TestProductSpectrumMatchesWalk:
         assert dist._composition_table.cache_info().currsize == 1
 
 
+def tied_rows(mults, count, rng, exact=False):
+    """count rows of distinct masses, largest first, for Pmfs whose j-th
+    mass is held by mults[j] atoms: the masses tie within each Pmf."""
+    rows = []
+    for _ in range(count):
+        weights = sorted(rng.choice(np.arange(1, 40), size=len(mults), replace=False).tolist(),
+                         reverse=True)
+        total = sum(m * w for m, w in zip(mults, weights))
+        rows.append([Fraction(w, total) if exact else w / total for w in weights])
+    return rows
+
+
+def tied_pmf(row, mults):
+    return labelled([v for v, m in zip(row, mults) for _ in range(m)])
+
+
+class TestBatchedSpectraMatchWalk:
+    """product_spectra and _water_levels on several rows at once, with masses
+    tied inside each Pmf, equal oracles.product_spectrum_walk and
+    oracles.water_filling_loop row by row, value and count types included."""
+
+    @pytest.mark.parametrize("mults,exact", [
+        ((2, 1, 1), False), ((1, 3), False), ((1, 1, 2), False), ((3, 2, 1), True),
+        ((1, 1, 1, 1), False)])
+    def test_rows_equal_walk_and_loop(self, mults, exact):
+        rows = tied_rows(mults, 4, np.random.default_rng(len(mults) + sum(mults)), exact)
+        # dyadic masses whose products collide: 1/2 * 1/8 == 1/4 * 1/4
+        if mults == (1, 1, 2):
+            rows.append([0.5, 0.25, 0.125])
+        for t in range(1, 7):
+            products, totals = dist.product_spectra(dist._powers(rows, t), mults, t)
+            levels = {eps: dist._water_levels(products, totals, eps)[0] for eps in (0.01, 0.2)}
+            for r, row in enumerate(rows):
+                walk = oracles.product_spectrum_walk(tied_pmf(row, mults), t)
+                ends = totals[r] != 0
+                got = list(zip(products[r, ends].tolist(), totals[r, ends].tolist()))
+                assert typed(got) == typed(walk)
+                for eps, level in levels.items():
+                    assert -math.log2(level[r]) == oracles.water_filling_loop(walk, eps)
+
+    def test_mixed_patterns_equal_loop(self):
+        rng = np.random.default_rng(8)
+        pmfs = [tied_pmf(row, mults) for _ in range(3)
+                for mults, exact in (((2, 1, 1), False), ((1, 1, 1), False), ((1, 2), True))
+                for row in tied_rows(mults, 1, rng, exact)]
+        pmfs.append(labelled([0.5, 0.25, 0.125, 0.125]))
+        for eps in (0, 0.01, 0.3):
+            want = [[oracles.water_filling_loop(oracles.product_spectrum_walk(p, t), eps)
+                     for t in range(1, 6)] for p in pmfs]
+            assert dist.product_smooth_min_entropies(pmfs, 5, eps) == want
+
+    def test_shape_out_of_range_raises_first(self):
+        with pytest.raises(ValueError, match="out of range"):
+            dist.product_smooth_min_entropies([labelled([0.5, 0.5])], 4097, 0.01)
+
+
 class TestBitPacking:
     @staticmethod
     def shifted(v, n):

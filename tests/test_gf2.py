@@ -472,6 +472,24 @@ class TestBatchedKernels:
                 want = [hashed_distance_oracle(*seed, xs, probs, m) for seed in zip(*seeds)]
                 assert got.tolist() == want
 
+    def test_prefix_distances_equal_one_seed_distances(self):
+        # every length read off one sort of the longest hashes, in any
+        # order and repeated, equals each seed's distance at that length
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            xs = np.unique(random_rows(rng, n, int(rng.integers(1, 40))), axis=0)
+            probs = rng.random(len(xs)) + 0.01
+            probs /= probs.sum()
+            seeds = gf2.sample_hash_seed(rng, n, count=int(rng.integers(1, 60)))
+            lengths = rng.integers(0, 3 * n + 1, size=int(rng.integers(1, 3 * n + 3))).tolist()
+            got = gf2.prefix_distances(gf2.hash_eval_batch(seeds, xs, 3 * n), probs, lengths)
+            for m, row in zip(lengths, got.tolist()):
+                assert row == [hashed_distance_oracle(*seed, xs, probs, m)
+                               for seed in zip(*seeds)]
+        with pytest.raises(ValueError, match="outside"):
+            gf2.prefix_distances(gf2.hash_eval_batch(seeds, xs, 2), probs, [3])
+
     def test_wide_prefix_distances_equal_one_seed_distances(self):
         rng = np.random.default_rng(61)
         xs = random_rows(rng, 20, 40)

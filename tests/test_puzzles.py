@@ -395,6 +395,24 @@ class TestTabulatedPuzzles:
         flipped = geo.condition_on_puzzle((1,))
         assert flipped.prob((1, 1, 1)) == pytest.approx(0.5)
 
+    def test_built_once_and_read_only(self):
+        first = puzzles.tabulated_puzzles()
+        assert puzzles.tabulated_puzzles() is first
+        with pytest.raises(TypeError):
+            first["flat"] = first["geometric"]
+        with pytest.raises(TypeError):
+            del first["flat"]
+        # what a caller reads out of a shared table is its own copy
+        first["geometric"].marginal_keys().as_dict().clear()
+        first["geometric"].condition_on_puzzle((0,)).as_dict().clear()
+        fresh = puzzles.tabulated_puzzles.__wrapped__()
+        again = puzzles.tabulated_puzzles()
+        assert sorted(again) == sorted(fresh)
+        for name, joint in again.items():
+            assert joint is first[name]
+            assert joint.support() == fresh[name].support()
+            assert all(joint.prob(k, s) == fresh[name].prob(k, s) for k, s in joint.support())
+
     def test_two_level_split(self):
         two = puzzles.tabulated_puzzles()["two-level"]
         cond = two.condition_on_puzzle((0,))

@@ -10,9 +10,12 @@ same seeds, and the five hash-pipeline manifests of `perfbench/workloads.py`
 Then come `efi-sweep` manifests with non-uniform weights, one per seed:
 uniform weights over 2^w atoms give the same report under any labelling of
 the atoms, so only these show a change to which bit string labels an atom.
-Last come `concentration` manifests at shapes the defaults do not reach,
+Then come `concentration` manifests at shapes the defaults do not reach,
 for each seed: support 2 out to power 300 (counts past int64), support 16
-to power 4 and support 64 to power 2.
+to power 4 and support 64 to power 2.  Last, for each seed, come
+`concentration` at eps 0 and at 40 trials, which cross the 36-trial
+chunk of the default shape, and `wpeg-gap` on the flat and two-level
+fixtures, each with one slice parameter off its default.
 Running this on two checkouts and diffing the output shows whether a change
 moved any report byte.
 """
@@ -29,6 +32,10 @@ SEEDS = (0, 7)
 SKEWED_WEIGHTS = [1, 2, 3]
 # (support, t_max) of the concentration manifests beyond the defaults
 SPECTRUM_SHAPES = ((2, 300), (16, 4), (64, 2))
+# concentration (params, trials) and wpeg-gap params the sets above miss
+CONCENTRATION_EDGES = (({"eps": 0}, None), ({}, 40))
+SLICE_CHANGES = ({"fixture": "flat", "density_floor": 0.5},
+                 {"fixture": "two-level", "pad": 6})
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -58,6 +65,15 @@ def manifests():
             yield f"concentration support={support} t_max={t_max} seed={seed}", {
                 "subcommand": "concentration", "seed": seed,
                 "params": {"support": support, "t_max": t_max}}
+    for seed in SEEDS:
+        for params, trials in CONCENTRATION_EDGES:
+            body = {"subcommand": "concentration", "seed": seed, "params": params}
+            if trials:
+                body["trials"] = trials
+            yield f"concentration params={params} trials={trials} seed={seed}", body
+        for params in SLICE_CHANGES:
+            yield f"wpeg-gap params={params} seed={seed}", {
+                "subcommand": "wpeg-gap", "seed": seed, "params": params}
 
 
 def main(argv):
